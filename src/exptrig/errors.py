@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A series or quadrature refinement hit its cap before reaching tolerance."""
+    """A series could not reach its tolerance (term cap, overflow or underflow)."""
 
 
 class ConsistencyError(RuntimeError):

@@ -1,12 +1,54 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from exptrig import ComplexParams, DomainError, RealParams, oracle_cos, oracle_f, oracle_sin
-from exptrig.quadrature import _refinement_levels
+from exptrig import (
+    ComplexParams,
+    DomainError,
+    RealParams,
+    eval_complex_cos,
+    eval_complex_sin,
+    eval_improved_cos,
+    eval_improved_sin,
+    oracle_cos,
+    oracle_f,
+    oracle_sin,
+)
+from exptrig.quadrature import N_MAX, _trapezoid
+
+ORACLES = {"f": oracle_f, "sin": oracle_sin, "cos": oracle_cos}
+
+
+def _mp_harmonic(u, v, k: int) -> mp.mpc:
+    """Integral over [0, 2pi] of exp(u cos x + v sin x - ikx), for any integer k.
+
+    The exponent is alpha e^{ix} + beta e^{-ix}, alpha = (u - iv)/2,
+    beta = (u + iv)/2, whose k-th Fourier coefficient is
+    alpha^k / k! 0F1(; k + 1; alpha beta) (beta^|k| for k < 0).
+    """
+    u, v = mp.mpc(u), mp.mpc(v)
+    alpha, beta = (u - 1j * v) / 2, (u + 1j * v) / 2
+    lead = alpha if k >= 0 else beta
+    return 2 * mp.pi * lead ** abs(k) / mp.factorial(abs(k)) * mp.hyp0f1(abs(k) + 1, alpha * beta)
+
+
+def _mp_family(p, q, a, b, m: int) -> dict[str, complex]:
+    """mpmath values of the f, sin and cos integrals (complex coefficients allowed)."""
+    with mp.workdps(50):
+        plus = _mp_harmonic(p + 1j * a, q + 1j * b, m)
+        minus = _mp_harmonic(p - 1j * a, q - 1j * b, -m)
+        return {"f": complex(plus), "sin": complex((plus - minus) / 2j), "cos": complex((plus + minus) / 2)}
+
+
+def _f_coeffs(rp: RealParams) -> np.ndarray:
+    """The (u, v, -im) row of the f integrand exp(u cos x + v sin x - imx)."""
+    return np.array([[rp.p + 1j * rp.a, rp.q + 1j * rp.b, -1j * rp.m]])
 
 
 def test_trivial_values():
@@ -71,13 +113,8 @@ def test_half_range_symmetry_for_even_integrands():
 
 
 def test_refinement_is_spectral():
-    rp = RealParams(2.5, -1.0, 0.5, 1.0, 2).to_complex()
-
-    def fn(x):
-        return np.exp(rp.p * np.cos(x) + rp.q * np.sin(x)
-                      + 1j * (rp.a * np.cos(x) + rp.b * np.sin(x) - rp.m * x))
-
-    values = {n: v for n, v, _ in _refinement_levels(fn, n_max=2048)}
+    coeffs = _f_coeffs(RealParams(2.5, -1.0, 0.5, 1.0, 2))
+    values = {n: _trapezoid(coeffs, n)[0][0] for n in (16 * 2**k for k in range(8))}
     budget = 4 * (2.5 + 1.0 + 0.5 + 1.0 + 2)
     ns = sorted(values)
     deltas = {n: abs(values[n] - values[n // 2]) for n in ns[1:]}
@@ -91,14 +128,7 @@ def test_refinement_is_spectral():
 def test_self_consistency_after_convergence():
     rp = RealParams(1.0, 2.0, -1.0, 0.5, 3)
     res = oracle_f(rp)
-
-    def fn(x):
-        return np.exp(rp.p * np.cos(x) + rp.q * np.sin(x)
-                      + 1j * (rp.a * np.cos(x) + rp.b * np.sin(x) - rp.m * x))
-
-    doubled = None
-    for n, v, _ in _refinement_levels(fn, n_max=4 * res.evaluations):
-        doubled = v
+    doubled = _trapezoid(_f_coeffs(rp), 4 * res.evaluations)[0][0]
     assert abs(doubled - res.value) < 1e-12 * max(1.0, abs(res.value))
 
 
@@ -113,3 +143,118 @@ def test_envelope_refusal():
         oracle_f(RealParams(30.0, 30.0, 0.0, 0.0, 0))
     with pytest.raises(DomainError):
         oracle_sin(ComplexParams(complex(0, 40), 20, 0, 0, 1))
+
+
+# Large-m stratum: the sweeps only draw m <= 8. The node count is sized
+# from m, so a high harmonic cannot alias onto a low one.
+
+
+def test_zero_coefficients_at_large_m():
+    assert abs(oracle_cos(RealParams(0, 0, 0, 0, 64)).value) < 1e-12
+    for m in range(201):
+        want = 2 * math.pi if m == 0 else 0.0
+        for kind, orc in ORACLES.items():
+            expect = 0.0 if kind == "sin" else want
+            assert abs(orc(RealParams(0, 0, 0, 0, m)).value - expect) < 1e-12, (kind, m)
+
+
+def test_every_m_to_129_matches_mpmath():
+    p, q, a, b = 1.5, 0.3, -0.7, 2.0
+    for m in range(130):
+        ref = _mp_family(p, q, a, b, m)
+        for kind, orc in ORACLES.items():
+            res = orc(RealParams(p, q, a, b, m))
+            err = abs(res.value - ref[kind])
+            assert err <= max(1e-10 * abs(ref[kind]), 1e-12), (kind, m, res.value, ref[kind])
+            assert err <= res.error_estimate, (kind, m)
+
+
+@pytest.mark.parametrize("coeffs", [(1.5, 0.3, -0.7, 2.0), (-4.0, 2.5, 3.0, -1.5),
+                                    (1 + 2j, -0.5j, 2 - 1j, 0.7 + 0.3j)])
+def test_large_m_nonzero_coefficients_match_mpmath(coeffs):
+    for m in (130, 150, 175, 200):
+        cp = ComplexParams(*(complex(c) for c in coeffs), m)
+        ref = _mp_family(*coeffs, m)
+        for kind, orc in ORACLES.items():
+            res = orc(cp)
+            assert res.evaluations > m
+            err = abs(res.value - ref[kind])
+            assert err <= max(1e-10 * abs(ref[kind]), 1e-12), (kind, m)
+            assert err <= res.error_estimate, (kind, m)
+
+
+def test_node_count_past_n_max_is_refused():
+    with pytest.raises(DomainError):
+        oracle_f(RealParams(0.0, 0.0, 0.0, 0.0, N_MAX))
+
+
+# Properties. Coefficients are drawn from [-1, 1] and scaled to a total
+# |p| + |q| + |a| + |b| below the oracle envelope of 50.
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def params_under_budget(draw, real: bool | None = None, max_m: int = 40):
+    parts = draw(st.lists(unit, min_size=8, max_size=8))
+    if real is None:
+        real = draw(st.booleans())
+    if real:
+        parts[1::2] = [0.0] * 4
+    coeffs = [complex(parts[2 * i], parts[2 * i + 1]) for i in range(4)]
+    total = sum(abs(c) for c in coeffs)
+    budget = draw(st.floats(0.0, 49.5))
+    scale = budget / total if total > 1e-9 else 0.0
+    return ComplexParams(*(c * scale for c in coeffs), draw(st.integers(0, max_m)))
+
+
+@settings(max_examples=60)
+@given(params_under_budget(real=True))
+def test_f_is_conjugate_symmetric_for_real_coefficients(cp):
+    # x -> 2pi - x: conj f(p, q, a, b, m) = f(p, -q, -a, b, m)
+    rp = cp.to_real()
+    res = oracle_f(rp)
+    mirrored = oracle_f(RealParams(rp.p, -rp.q, -rp.a, rp.b, rp.m))
+    assert abs(res.value.conjugate() - mirrored.value) <= res.error_estimate + mirrored.error_estimate
+
+
+@settings(max_examples=60)
+@given(params_under_budget())
+def test_sin_cos_m_parity(cp):
+    # x -> pi - x: I_cos(p, q, a, b, m) = (-1)^m I_cos(-p, q, a, -b, m) and
+    # I_sin(p, q, a, b, m) = (-1)^(m+1) I_sin(-p, q, a, -b, m)
+    reflected = ComplexParams(-cp.p, cp.q, cp.a, -cp.b, cp.m)
+    for orc, sign in ((oracle_cos, (-1) ** cp.m), (oracle_sin, (-1) ** (cp.m + 1))):
+        res, ref = orc(cp), orc(reflected)
+        assert abs(res.value - sign * ref.value) <= res.error_estimate + ref.error_estimate
+
+
+@settings(max_examples=80)
+@given(params_under_budget(max_m=60))
+def test_error_estimate_bounds_the_mpmath_error(cp):
+    ref = _mp_family(cp.p, cp.q, cp.a, cp.b, cp.m)
+    for kind, orc in ORACLES.items():
+        res = orc(cp)
+        assert abs(res.value - ref[kind]) <= res.error_estimate, kind
+
+
+# Closed forms against the oracle, only inside the ranges the verify
+# sweeps draw from: the 0F1 series cancels at large |a| and |b|.
+
+
+@settings(max_examples=60)
+@given(st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=4, max_size=4), st.integers(0, 8))
+def test_improved_forms_match_oracle_in_real_sweep_range(coeffs, m):
+    rp = RealParams(*coeffs, m)
+    for ev, orc in ((eval_improved_sin, oracle_sin), (eval_improved_cos, oracle_cos)):
+        o = orc(rp).value
+        assert abs(ev(rp).value - o) <= max(1e-10 * abs(o), 1e-12)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=8, max_size=8), st.integers(0, 6))
+def test_complex_forms_match_oracle_in_complex_sweep_range(parts, m):
+    cp = ComplexParams(*(complex(parts[2 * i], parts[2 * i + 1]) for i in range(4)), m)
+    for ev, orc in ((eval_complex_sin, oracle_sin), (eval_complex_cos, oracle_cos)):
+        o = orc(cp).value
+        assert abs(ev(cp).value - o) <= max(1e-9 * abs(o), 1e-11)
