@@ -50,11 +50,13 @@ from .conditions import (
     k_constant,
     overall_sign_error,
 )
-from .errors import ConsistencyError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 from .formulas import (
     eval_complex_cos,
+    eval_complex_f,
     eval_complex_sin,
     eval_corrected_original_cos,
+    eval_corrected_original_f,
     eval_corrected_original_sin,
     eval_f_bessel,
     eval_f_hyp,

@@ -334,18 +334,10 @@ def get_entry(entry_id: str) -> CatalogEntry:
     raise KeyError(f"unknown catalog entry {entry_id!r}; see the list subcommand")
 
 
-def _eval_binding(binding: Binding) -> complex:
+def _sum_binding(binding: Binding, sin_fn, cos_fn) -> complex:
     total = complex(0.0, 0.0)
     for coeff, kind, params in binding:
-        res = eval_complex_sin(params) if kind == "sin" else eval_complex_cos(params)
-        total += coeff * res.value
-    return total
-
-
-def _oracle_binding(binding: Binding) -> complex:
-    total = complex(0.0, 0.0)
-    for coeff, kind, params in binding:
-        res = oracle_sin(params) if kind == "sin" else oracle_cos(params)
+        res = sin_fn(params) if kind == "sin" else cos_fn(params)
         total += coeff * res.value
     return total
 
@@ -376,13 +368,13 @@ def check_entry(entry: CatalogEntry, tol: float = 1e-10, use_oracle: bool = True
     for args in entry.samples:
         closed = entry.closed_form(*args)
         binding = entry.binding(*args)
-        general = _eval_binding(binding)
+        general = _sum_binding(binding, eval_complex_sin, eval_complex_cos)
         err = _scaled_err(closed, general)
         max_eval = max(max_eval, err)
         if err > tol:
             failures.append(f"{entry.id}{args!r}: closed vs evaluator err {err:.3e}")
         if use_oracle:
-            ora = _oracle_binding(binding)
+            ora = _sum_binding(binding, oracle_sin, oracle_cos)
             err = _scaled_err(closed, ora)
             max_oracle = max(max_oracle, err)
             if err > tol:
@@ -408,7 +400,7 @@ def check_expected_flips(entry: CatalogEntry, tol: float = 1e-10) -> tuple[list[
     failures: list[str] = []
     for args in entry.flip_samples:
         closed = entry.closed_form(*args)
-        ora = _oracle_binding(entry.binding(*args))
+        ora = _sum_binding(entry.binding(*args), oracle_sin, oracle_cos)
         scale = max(1.0, abs(closed), abs(ora))
         matches = abs(closed - ora) <= tol * scale
         flipped = abs(closed + ora) <= tol * scale

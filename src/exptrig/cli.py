@@ -25,8 +25,10 @@ from .conditions import SignErrorReport, build_report
 from .errors import ConvergenceError, DomainError
 from .formulas import (
     eval_complex_cos,
+    eval_complex_f,
     eval_complex_sin,
     eval_corrected_original_cos,
+    eval_corrected_original_f,
     eval_corrected_original_sin,
     eval_f_bessel,
     eval_f_hyp,
@@ -35,7 +37,7 @@ from .formulas import (
     eval_original_cos,
     eval_original_sin,
 )
-from .params import ComplexParams, EvalResult, RealParams
+from .params import ComplexParams, RealParams
 from .quadrature import oracle_cos, oracle_f, oracle_sin
 
 BOUNDARY_EPS = 1e-12
@@ -100,34 +102,30 @@ def main() -> None:
     audit the original closed forms for sign errors, and verify the catalog."""
 
 
-def _closed_eval(kind: str, method: str, values: dict) -> EvalResult:
-    if method == "complex":
-        cp = ComplexParams(values["p"], values["q"], values["a"], values["b"], values["m"])
-        if kind == "sin":
-            return eval_complex_sin(cp)
-        if kind == "cos":
-            return eval_complex_cos(cp)
-        rc = eval_complex_cos(cp)
-        rs = eval_complex_sin(cp)
-        return EvalResult(
-            value=rc.value + 1j * rs.value,
-            method=rc.method,
-            terms_used=rc.terms_used + rs.terms_used,
-            truncation_estimate=max(rc.truncation_estimate, rs.truncation_estimate),
-        )
-    rp = _require_real(values, method)
-    if method == "improved":
-        return {"sin": eval_improved_sin, "cos": eval_improved_cos, "f": eval_f_hyp}[kind](rp)
-    if method == "original":
-        return {"sin": eval_original_sin, "cos": eval_original_cos, "f": eval_f_bessel}[kind](rp)
-    # corrected
-    if kind == "sin":
-        return eval_corrected_original_sin(rp)
-    if kind == "cos":
-        return eval_corrected_original_cos(rp)
-    res = eval_f_bessel(rp)
-    flip = -1.0 if build_report(rp).flip_applies else 1.0
-    return EvalResult(flip * res.value, res.method, res.terms_used, res.truncation_estimate)
+def _route(method: str, kind: str):
+    """The evaluator behind (method, kind). "complex" and "oracle" take
+    ComplexParams, the other methods RealParams.
+
+    The table is built on each call, from the module's current bindings,
+    so that a caller who rebinds an evaluator here is seen.
+    """
+    return {
+        ("original", "sin"): eval_original_sin,
+        ("original", "cos"): eval_original_cos,
+        ("original", "f"): eval_f_bessel,
+        ("corrected", "sin"): eval_corrected_original_sin,
+        ("corrected", "cos"): eval_corrected_original_cos,
+        ("corrected", "f"): eval_corrected_original_f,
+        ("improved", "sin"): eval_improved_sin,
+        ("improved", "cos"): eval_improved_cos,
+        ("improved", "f"): eval_f_hyp,
+        ("complex", "sin"): eval_complex_sin,
+        ("complex", "cos"): eval_complex_cos,
+        ("complex", "f"): eval_complex_f,
+        ("oracle", "sin"): oracle_sin,
+        ("oracle", "cos"): oracle_cos,
+        ("oracle", "f"): oracle_f,
+    }[method, kind]
 
 
 @main.command("eval")
@@ -137,20 +135,24 @@ def _closed_eval(kind: str, method: str, values: dict) -> EvalResult:
 @_param_options
 def cmd_eval(kind: str, method: str, p: complex, q: complex, a: complex, b: complex, m: int) -> None:
     """Evaluate one integral; prints a single JSON object."""
-    values = {"p": p, "q": q, "a": a, "b": b, "m": m}
+    if method in ("complex", "oracle"):
+        params = ComplexParams(p, q, a, b, m)
+    else:
+        params = _require_real({"p": p, "q": q, "a": a, "b": b, "m": m}, method)
     try:
-        if method == "oracle":
-            cp = ComplexParams(p, q, a, b, m)
-            res = {"sin": oracle_sin, "cos": oracle_cos, "f": oracle_f}[kind](cp)
-            click.echo(_dump({
-                "kind": kind,
-                "method": "oracle",
-                "value": _cjson(res.value),
-                "error_estimate": res.error_estimate,
-                "evaluations": res.evaluations,
-            }))
-            return
-        res = _closed_eval(kind, method, values)
+        res = _route(method, kind)(params)
+    except (DomainError, ConvergenceError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(3)
+    if method == "oracle":
+        click.echo(_dump({
+            "kind": kind,
+            "method": "oracle",
+            "value": _cjson(res.value),
+            "error_estimate": res.error_estimate,
+            "evaluations": res.evaluations,
+        }))
+    else:
         click.echo(_dump({
             "kind": kind,
             "method": res.method.value,
@@ -158,9 +160,6 @@ def cmd_eval(kind: str, method: str, p: complex, q: complex, a: complex, b: comp
             "terms_used": res.terms_used,
             "truncation_estimate": res.truncation_estimate,
         }))
-    except (DomainError, ConvergenceError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
 
 
 def _parse_grid(text: str, allowed: str = "pqab", max_axes: int = 2) -> list[tuple[str, np.ndarray]]:
@@ -275,8 +274,8 @@ def _audit_point(rp: RealParams, kind: str, tol: float) -> AuditRecord:
         boundary=abs(rp.p + rp.b * report.k_constant) < BOUNDARY_EPS * max(1.0, abs(rp.p)),
     )
     try:
-        rec.improved = {"sin": eval_improved_sin, "cos": eval_improved_cos, "f": eval_f_hyp}[kind](rp).value
-        rec.oracle = {"sin": oracle_sin, "cos": oracle_cos, "f": oracle_f}[kind](rp).value
+        rec.improved = _route("improved", kind)(rp).value
+        rec.oracle = _route("oracle", kind)(rp).value
     except (DomainError, ConvergenceError) as exc:
         rec.detail = f"error: {exc}"
         return rec
@@ -284,7 +283,7 @@ def _audit_point(rp: RealParams, kind: str, tol: float) -> AuditRecord:
         rec.abs_discrepancy = abs(rec.improved - rec.oracle)
         rec.verdict = "OriginalInapplicable"
         return rec
-    original = {"sin": eval_original_sin, "cos": eval_original_cos, "f": eval_f_bessel}[kind](rp).value
+    original = _route("original", kind)(rp).value
     rec.original = original
     rec.abs_discrepancy = abs(original - rec.oracle)
     scale = max(abs(original), abs(rec.oracle))
@@ -345,20 +344,17 @@ def cmd_scan(grid_spec: str, as_csv: bool,
     base = {"p": rp.p, "q": rp.q, "a": rp.a, "b": rp.b}
     if as_csv:
         click.echo("x,y,case1,case2,case3,overall,flip_applies")
-    (v1, a1), (v2, a2) = axes
-    for x in a1:
-        for y in a2:
-            pt = dict(base)
-            pt[v1] = float(x)
-            pt[v2] = float(y)
-            rep = build_report(RealParams(pt["p"], pt["q"], pt["a"], pt["b"], m))
-            if as_csv:
-                click.echo(f"{float(x)!r},{float(y)!r},{rep.case1:d},{rep.case2:d},"
-                           f"{rep.case3:d},{rep.overall:d},{rep.flip_applies:d}")
-            else:
-                click.echo(_dump({"x": float(x), "y": float(y),
-                                  "case1": rep.case1, "case2": rep.case2, "case3": rep.case3,
-                                  "overall": rep.overall, "flip_applies": rep.flip_applies}))
+    (v1, _), (v2, _) = axes
+    for pt in _grid_points(base, axes):
+        x, y = pt[v1], pt[v2]
+        rep = build_report(RealParams(pt["p"], pt["q"], pt["a"], pt["b"], m))
+        if as_csv:
+            click.echo(f"{x!r},{y!r},{rep.case1:d},{rep.case2:d},"
+                       f"{rep.case3:d},{rep.overall:d},{rep.flip_applies:d}")
+        else:
+            click.echo(_dump({"x": x, "y": y,
+                              "case1": rep.case1, "case2": rep.case2, "case3": rep.case3,
+                              "overall": rep.overall, "flip_applies": rep.flip_applies}))
 
 
 def _sweep_real(rng: np.random.Generator, samples: int, rtol: float) -> tuple[float, list[str]]:

@@ -7,7 +7,3 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A series could not reach its tolerance (term cap, overflow or underflow)."""
-
-
-class ConsistencyError(RuntimeError):
-    """An internal cross-check failed; indicates a bug, not bad input."""

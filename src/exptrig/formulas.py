@@ -13,9 +13,10 @@ Three routes are provided:
   need no (b-p)^2 + (a+q)^2 > 0 restriction, and extend to complex
   coefficients.
 
-For real coefficients the 0F1 sin/cos routes are conjugate-exact in IEEE
-arithmetic, so their values come out exactly real; the clamp to a real
-result is an invariant check, not a numerical fudge.
+Every 0F1 route is built from one term, v^m/m! 0F1(; m+1; w). For real
+coefficients sin and cos are Im f and Re f of a single such series, so
+they are exactly real by construction; complex coefficients split the
+sin/cos integrals into two such terms, and f into one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 
 from .complexops import cpow_half, pow_int_over_factorial
 from .conditions import overall_sign_error
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .params import (
     ComplexConstants,
     ComplexParams,
@@ -42,18 +43,16 @@ __all__ = [
     "eval_original_cos",
     "eval_corrected_original_sin",
     "eval_corrected_original_cos",
+    "eval_corrected_original_f",
     "eval_f_hyp",
     "eval_improved_sin",
     "eval_improved_cos",
+    "eval_complex_f",
     "eval_complex_sin",
     "eval_complex_cos",
 ]
 
 TWO_PI = 2.0 * math.pi
-
-# Real-parameter sin/cos results must be real; a larger imaginary residue
-# than this means the evaluator itself is broken.
-IMAG_RESIDUE_TOL = 1e-10
 
 
 def eval_f_bessel(params: RealParams) -> EvalResult:
@@ -82,26 +81,21 @@ def eval_f_bessel(params: RealParams) -> EvalResult:
     )
 
 
+def _part(f: EvalResult, x: float) -> EvalResult:
+    # One real component x of f, with f's route and series bookkeeping.
+    return EvalResult(complex(x, 0.0), f.method, f.terms_used, f.truncation_estimate)
+
+
 def eval_original_sin(params: RealParams) -> EvalResult:
     """Book sin form: Im(f) of the original route, sign error included."""
     f = eval_f_bessel(params)
-    return EvalResult(
-        value=complex(f.value.imag, 0.0),
-        method=Method.OriginalBessel,
-        terms_used=f.terms_used,
-        truncation_estimate=f.truncation_estimate,
-    )
+    return _part(f, f.value.imag)
 
 
 def eval_original_cos(params: RealParams) -> EvalResult:
     """Book cos form: Re(f) of the original route, sign error included."""
     f = eval_f_bessel(params)
-    return EvalResult(
-        value=complex(f.value.real, 0.0),
-        method=Method.OriginalBessel,
-        terms_used=f.terms_used,
-        truncation_estimate=f.truncation_estimate,
-    )
+    return _part(f, f.value.real)
 
 
 def _corrected(res: EvalResult, params: RealParams) -> EvalResult:
@@ -124,6 +118,18 @@ def eval_corrected_original_cos(params: RealParams) -> EvalResult:
     return _corrected(eval_original_cos(params), params)
 
 
+def eval_corrected_original_f(params: RealParams) -> EvalResult:
+    """Book f form times (-1)^m wherever the overall error condition holds."""
+    return _corrected(eval_f_bessel(params), params)
+
+
+def _hyp_term(v: complex, w: complex, m: int) -> tuple[complex, int, float]:
+    """v^m/m! 0F1(; m+1; w), the series' terms_used, and |v^m/m!| times its truncation estimate."""
+    power = pow_int_over_factorial(v, m)
+    ser = hyp0f1(m + 1, w)
+    return power * ser.value, ser.terms_used, abs(power) * ser.truncation_estimate
+
+
 def eval_f_hyp(params: RealParams) -> EvalResult:
     """The compact corrected form: f = (2pi/m!) (A'+iB')^m 0F1(; m+1; C'+iD').
 
@@ -132,88 +138,62 @@ def eval_f_hyp(params: RealParams) -> EvalResult:
     (A'+iB')^m read as 1 when A' = B' = m = 0.
     """
     c = ImprovedConstants.from_params(params)
-    m = params.m
-    power = pow_int_over_factorial(complex(c.A, c.B), m)
-    ser = hyp0f1(m + 1, complex(c.C, c.D))
-    return EvalResult(
-        value=TWO_PI * power * ser.value,
-        method=Method.Hyp0F1Real,
-        terms_used=ser.terms_used,
-        truncation_estimate=TWO_PI * abs(power) * ser.truncation_estimate,
-    )
-
-
-def _clamp_real(raw: complex, method: Method, terms: int, trunc: float) -> EvalResult:
-    if abs(raw.imag) > IMAG_RESIDUE_TOL:
-        raise ConsistencyError(
-            f"real-parameter result has imaginary residue {raw.imag!r}; evaluator bug"
-        )
-    return EvalResult(
-        value=complex(raw.real, 0.0),
-        method=method,
-        terms_used=terms,
-        truncation_estimate=trunc,
-        imag_residual=raw.imag,
-    )
-
-
-def _improved_parts(params: RealParams):
-    c = ImprovedConstants.from_params(params)
-    m = params.m
-    t_minus = pow_int_over_factorial(complex(c.A, -c.B), m)
-    t_plus = pow_int_over_factorial(complex(c.A, c.B), m)
-    f_minus = hyp0f1(m + 1, complex(c.C, -c.D))
-    f_plus = hyp0f1(m + 1, complex(c.C, c.D))
-    terms = f_minus.terms_used + f_plus.terms_used
-    trunc = math.pi * max(abs(t_minus) * f_minus.truncation_estimate,
-                          abs(t_plus) * f_plus.truncation_estimate)
-    return t_minus * f_minus.value, t_plus * f_plus.value, terms, trunc
+    t, terms, trunc = _hyp_term(complex(c.A, c.B), complex(c.C, c.D), params.m)
+    return EvalResult(TWO_PI * t, Method.Hyp0F1Real, terms, TWO_PI * trunc)
 
 
 def eval_improved_sin(params: RealParams) -> EvalResult:
-    """Corrected sin form: (i pi/m!)[(A'-iB')^m 0F1(-iD') - (A'+iB')^m 0F1(+iD')]."""
-    lo, hi, terms, trunc = _improved_parts(params)
-    raw = 1j * math.pi * (lo - hi)
-    return _clamp_real(raw, Method.Hyp0F1Real, terms, trunc)
+    """Corrected sin form: Im(f) of the compact 0F1 form, exactly real by construction."""
+    f = eval_f_hyp(params)
+    return _part(f, f.value.imag)
 
 
 def eval_improved_cos(params: RealParams) -> EvalResult:
-    """Corrected cos form: (pi/m!)[(A'-iB')^m 0F1(-iD') + (A'+iB')^m 0F1(+iD')]."""
-    lo, hi, terms, trunc = _improved_parts(params)
-    raw = math.pi * (lo + hi)
-    return _clamp_real(raw, Method.Hyp0F1Real, terms, trunc)
+    """Corrected cos form: Re(f) of the compact 0F1 form, exactly real by construction."""
+    f = eval_f_hyp(params)
+    return _part(f, f.value.real)
+
+
+def _as_complex_route(res: EvalResult) -> EvalResult:
+    return EvalResult(res.value, Method.Hyp0F1Complex, res.terms_used, res.truncation_estimate)
 
 
 def _complex_parts(cparams: ComplexParams):
     c = ComplexConstants.from_params(cparams)
     m = cparams.m
-    t1 = pow_int_over_factorial(complex(c.A1, c.B1), m)
-    t2 = pow_int_over_factorial(complex(c.A2, c.B2), m)
-    f1 = hyp0f1(m + 1, complex(c.C1, c.D1))
-    f2 = hyp0f1(m + 1, complex(c.C2, c.D2))
-    terms = f1.terms_used + f2.terms_used
-    trunc = math.pi * max(abs(t1) * f1.truncation_estimate, abs(t2) * f2.truncation_estimate)
-    return t1 * f1.value, t2 * f2.value, terms, trunc
+    one, n1, e1 = _hyp_term(complex(c.A1, c.B1), complex(c.C1, c.D1), m)
+    two, n2, e2 = _hyp_term(complex(c.A2, c.B2), complex(c.C2, c.D2), m)
+    return one, two, n1 + n2, math.pi * (e1 + e2)
+
+
+def eval_complex_f(cparams: ComplexParams) -> EvalResult:
+    """f = cos + i sin for complex coefficients: 2pi (A2+iB2)^m/m! 0F1(; m+1; C2+iD2).
+
+    On real coefficients this is eval_f_hyp, labelled as the complex route.
+    """
+    if cparams.is_real:
+        return _as_complex_route(eval_f_hyp(cparams.to_real()))
+    c = ComplexConstants.from_params(cparams)
+    t, terms, trunc = _hyp_term(complex(c.A2, c.B2), complex(c.C2, c.D2), cparams.m)
+    return EvalResult(TWO_PI * t, Method.Hyp0F1Complex, terms, TWO_PI * trunc)
 
 
 def eval_complex_sin(cparams: ComplexParams) -> EvalResult:
     """Sin integral for complex coefficients, via the split into two
     plain-f integrals: (i pi/m!)[(A1+iB1)^m 0F1(C1+iD1) - (A2+iB2)^m 0F1(C2+iD2)].
 
-    With all imaginary parts zero the constants collapse to the
-    real-parameter ones and the value matches eval_improved_sin bit for bit.
+    On real coefficients this is eval_improved_sin, bit for bit, labelled
+    as the complex route.
     """
-    one, two, terms, trunc = _complex_parts(cparams)
-    raw = 1j * math.pi * (one - two)
     if cparams.is_real:
-        return _clamp_real(raw, Method.Hyp0F1Complex, terms, trunc)
-    return EvalResult(raw, Method.Hyp0F1Complex, terms, trunc)
+        return _as_complex_route(eval_improved_sin(cparams.to_real()))
+    one, two, terms, trunc = _complex_parts(cparams)
+    return EvalResult(1j * math.pi * (one - two), Method.Hyp0F1Complex, terms, trunc)
 
 
 def eval_complex_cos(cparams: ComplexParams) -> EvalResult:
     """Cos integral for complex coefficients; "+" counterpart of the sin split."""
-    one, two, terms, trunc = _complex_parts(cparams)
-    raw = math.pi * (one + two)
     if cparams.is_real:
-        return _clamp_real(raw, Method.Hyp0F1Complex, terms, trunc)
-    return EvalResult(raw, Method.Hyp0F1Complex, terms, trunc)
+        return _as_complex_route(eval_improved_cos(cparams.to_real()))
+    one, two, terms, trunc = _complex_parts(cparams)
+    return EvalResult(math.pi * (one + two), Method.Hyp0F1Complex, terms, trunc)

@@ -187,13 +187,11 @@ class EvalResult:
     """A closed-form value plus bookkeeping from the series underneath.
 
     terms_used sums over every series evaluation in the route;
-    truncation_estimate is the largest first-omitted-term magnitude among
-    them. imag_residual records the raw imaginary part that was clamped
-    to zero for real-parameter sin/cos results (0.0 when no clamp ran).
+    truncation_estimate is each series' first-omitted-term magnitude
+    times its prefactor in the route, summed over them.
     """
 
     value: complex
     method: Method
     terms_used: int
     truncation_estimate: float
-    imag_residual: float = 0.0

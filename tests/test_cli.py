@@ -54,6 +54,33 @@ def test_eval_oracle_method():
     assert rec["error_estimate"] >= 0
 
 
+def test_eval_corrected_f_is_labelled_corrected():
+    res = run("eval", "--kind", "f", "--method", "corrected", "-p", "-2", "-b", "1", "-m", "1")
+    assert res.exit_code == 0
+    rec = json.loads(res.output)
+    assert rec["method"] == "CorrectedBessel"
+    # the flip applies here, so corrected f is minus the original f
+    orig = json.loads(run("eval", "--kind", "f", "--method", "original",
+                          "-p", "-2", "-b", "1", "-m", "1").output)
+    assert rec["value"] == {"re": -orig["value"]["re"], "im": -orig["value"]["im"]}
+
+
+def test_eval_every_method_and_kind():
+    labels = {"original": "OriginalBessel", "corrected": "CorrectedBessel",
+              "improved": "Hyp0F1Real", "complex": "Hyp0F1Complex", "oracle": "oracle"}
+    rest = ("-q", "0.5", "-a", "0.25", "-b", "1", "-m", "3")
+    for method, label in labels.items():
+        for kind in ("sin", "cos", "f"):
+            res = run("eval", "--kind", kind, "--method", method, "-p", "-2", *rest)
+            assert res.exit_code == 0, (method, kind, res.output)
+            rec = json.loads(res.output)
+            assert rec["kind"] == kind and rec["method"] == label
+            if kind != "f":
+                assert rec["value"]["im"] == 0.0
+            res = run("eval", "--kind", kind, "--method", method, "-p", "-2+1i", *rest)
+            assert res.exit_code == (0 if method in ("complex", "oracle") else 2), (method, kind)
+
+
 def test_eval_usage_errors_exit_2():
     assert run("eval", "--kind", "cos", "--method", "improved", "-p", "abc").exit_code == 2
     assert run("eval", "--method", "improved").exit_code == 2

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exptrig import (
     ComplexConstants,
@@ -15,8 +17,10 @@ from exptrig import (
     RealParams,
     build_report,
     eval_complex_cos,
+    eval_complex_f,
     eval_complex_sin,
     eval_corrected_original_cos,
+    eval_corrected_original_f,
     eval_corrected_original_sin,
     eval_f_bessel,
     eval_f_hyp,
@@ -195,8 +199,8 @@ def test_improved_matches_oracle_spot_checks():
         assert abs(s.value - os_) <= max(1e-10 * abs(os_), 1e-12)
         assert abs(c.value - oc) <= max(1e-10 * abs(oc), 1e-12)
         # real inputs produce exactly real results in this route
-        assert s.value.imag == 0.0 and s.imag_residual == 0.0
-        assert c.value.imag == 0.0 and c.imag_residual == 0.0
+        assert s.value.imag == 0.0
+        assert c.value.imag == 0.0
 
 
 def test_improved_sin_vanishes_for_matched_exponents():
@@ -212,13 +216,32 @@ def test_m_zero_results_are_real_not_zero():
     assert abs(s) > 0.1   # B', D' nonzero: the two 0F1 arguments differ
 
 
+# ComplexConstants rounds C' = (p^2+q^2-a^2-b^2)/4 one ulp away from
+# ImprovedConstants here, so evaluating the complex split on it would miss
+# the improved route in the last bit.
+C_PRIME_ROUNDING_POINT = RealParams(0.969991231274494, 1.6003918596098217,
+                                   -2.0561046364934343, 2.0212368966586736, 0)
+
+
 def test_complex_reduces_to_improved_bit_for_bit():
     rng = np.random.default_rng(79)
-    for _ in range(50):
-        rp = random_real_params(rng)
+    pts = [C_PRIME_ROUNDING_POINT] + [random_real_params(rng) for _ in range(50)]
+    for rp in pts:
         cp = rp.to_complex()
         assert eval_complex_sin(cp).value == eval_improved_sin(rp).value
         assert eval_complex_cos(cp).value == eval_improved_cos(rp).value
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=4, max_size=4), st.integers(0, 8))
+@example([C_PRIME_ROUNDING_POINT.p, C_PRIME_ROUNDING_POINT.q,
+          C_PRIME_ROUNDING_POINT.a, C_PRIME_ROUNDING_POINT.b], 0)
+def test_complex_reduces_to_improved_bit_for_bit_property(coeffs, m):
+    rp = RealParams(*coeffs, m)
+    cp = rp.to_complex()
+    assert eval_complex_sin(cp).value == eval_improved_sin(rp).value
+    assert eval_complex_cos(cp).value == eval_improved_cos(rp).value
+    assert eval_complex_f(cp).value == eval_f_hyp(rp).value
 
 
 def test_complex_golden_value():
@@ -247,6 +270,35 @@ def test_complex_f_composition_matches_oracle():
     f = eval_complex_cos(cp).value + 1j * eval_complex_sin(cp).value
     of = oracle_f(cp).value
     assert cmath.isclose(f, of, rel_tol=1e-10)
+
+
+def test_complex_f_is_one_series_matching_oracle():
+    rng = np.random.default_rng(97)
+    for _ in range(25):
+        v = rng.uniform(-2.5, 2.5, 8)
+        cp = ComplexParams(complex(v[0], v[1]), complex(v[2], v[3]),
+                           complex(v[4], v[5]), complex(v[6], v[7]), int(rng.integers(0, 7)))
+        res = eval_complex_f(cp)
+        of = oracle_f(cp).value
+        assert abs(res.value - of) <= max(1e-9 * abs(of), 1e-11)
+        assert res.method is Method.Hyp0F1Complex
+        cos_sin = eval_complex_cos(cp).value + 1j * eval_complex_sin(cp).value
+        assert abs(res.value - cos_sin) <= 1e-12 * max(1.0, abs(of))
+        # f is one of the two series the sin/cos split sums
+        assert res.terms_used < eval_complex_cos(cp).terms_used
+
+
+def test_corrected_f_combines_corrected_sin_and_cos():
+    rng = np.random.default_rng(101)
+    pts = [RealParams(-2, 0, 0, 1, 1), RealParams(-3, 1, 0.5, 2, 3), RealParams(-2, 0, 0, 1, 2)]
+    pts += [random_real_params(rng, span=4.0, mmax=6) for _ in range(40)]
+    for rp in pts:
+        res = eval_corrected_original_f(rp)
+        assert res.method is Method.CorrectedBessel
+        assert res.value.real == eval_corrected_original_cos(rp).value.real
+        assert res.value.imag == eval_corrected_original_sin(rp).value.real
+        of = oracle_f(rp).value
+        assert abs(res.value - of) <= max(1e-9 * abs(of), 1e-11)
 
 
 def test_discrepancy_law_componentwise():
