@@ -44,6 +44,7 @@ from .complexops import (
 from .conditions import (
     SignErrorReport,
     build_report,
+    build_reports,
     case1_predicate,
     case2_predicate,
     case3_predicate,

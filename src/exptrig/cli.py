@@ -12,16 +12,18 @@ convergence refusal. Output is deterministic for fixed flags and seed.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
+import math
 import sys
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, fields
+from typing import Iterator
 
 import click
 import numpy as np
 
 from . import catalog as cat
-from .conditions import SignErrorReport, build_report
+from .conditions import SignErrorReport, build_reports
 from .errors import ConvergenceError, DomainError
 from .formulas import (
     eval_complex_cos,
@@ -41,6 +43,10 @@ from .params import ComplexParams, RealParams
 from .quadrature import oracle_cos, oracle_f, oracle_sin
 
 BOUNDARY_EPS = 1e-12
+# Grid points per chunk that scan and audit evaluate and write at once
+# (whole rows of the outer axis, at least one row): memory stays flat as
+# the grid grows.
+CHUNK_POINTS = 4096
 SWEEP_ATOL_REAL = 1e-12
 SWEEP_ATOL_COMPLEX = 1e-11
 
@@ -176,7 +182,13 @@ def _parse_grid(text: str, allowed: str = "pqab", max_axes: int = 2) -> list[tup
             raise click.BadParameter(f"grid variable must be one of {','.join(allowed)}, got {var!r}")
         if n < 1:
             raise click.BadParameter("grid count must be >= 1")
-        axes.append((var, np.linspace(lo, hi, n)))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise click.BadParameter(f"grid bounds must be finite, got {chunk!r}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.linspace(lo, hi, n)
+        if not np.isfinite(vals).all():
+            raise click.BadParameter(f"grid {chunk!r} overflows to non-finite values")
+        axes.append((var, vals))
     if not axes or len(axes) > max_axes:
         raise click.BadParameter(f"grid needs 1..{max_axes} axes, got {len(axes)}")
     if len({v for v, _ in axes}) != len(axes):
@@ -184,24 +196,25 @@ def _parse_grid(text: str, allowed: str = "pqab", max_axes: int = 2) -> list[tup
     return axes
 
 
-def _grid_points(base: dict[str, float], axes: list[tuple[str, np.ndarray]]) -> Iterable[dict[str, float]]:
-    if not axes:
-        yield dict(base)
-        return
-    if len(axes) == 1:
-        var, vals = axes[0]
-        for v in vals:
-            pt = dict(base)
-            pt[var] = float(v)
-            yield pt
-        return
-    (v1, a1), (v2, a2) = axes
-    for x in a1:
-        for y in a2:
-            pt = dict(base)
-            pt[v1] = float(x)
-            pt[v2] = float(y)
-            yield pt
+def _grid_chunks(base: dict[str, float], axes: list[tuple[str, np.ndarray]]
+                 ) -> Iterator[tuple[range, dict[str, np.ndarray]]]:
+    """The grid over 0, 1 or 2 axes in row-major order, in chunks.
+
+    Each chunk is (rows, coefficients): the outer-axis indices it covers
+    and an array of each of p, q, a, b over its points. A chunk is as
+    many whole rows as fit in CHUNK_POINTS, and at least one.
+    """
+    n_outer = len(axes[0][1]) if axes else 1
+    n_inner = len(axes[1][1]) if len(axes) == 2 else 1
+    step = max(1, CHUNK_POINTS // n_inner)
+    for start in range(0, n_outer, step):
+        rows = range(start, min(start + step, n_outer))
+        coeffs = {v: np.full(len(rows) * n_inner, base[v]) for v in "pqab"}
+        if axes:
+            coeffs[axes[0][0]] = np.repeat(axes[0][1][rows.start:rows.stop], n_inner)
+        if len(axes) == 2:
+            coeffs[axes[1][0]] = np.tile(axes[1][1], len(rows))
+        yield rows, coeffs
 
 
 @dataclass
@@ -266,13 +279,9 @@ class AuditRecord:
         return ",".join(cells)
 
 
-def _audit_point(rp: RealParams, kind: str, tol: float) -> AuditRecord:
-    report = build_report(rp)
-    rec = AuditRecord(
-        params=rp,
-        report=report,
-        boundary=abs(rp.p + rp.b * report.k_constant) < BOUNDARY_EPS * max(1.0, abs(rp.p)),
-    )
+def _audit_point(rp: RealParams, report: SignErrorReport, boundary: bool,
+                 kind: str, tol: float) -> AuditRecord:
+    rec = AuditRecord(params=rp, report=report, boundary=boundary)
     try:
         rec.improved = _route("improved", kind)(rp).value
         rec.oracle = _route("oracle", kind)(rp).value
@@ -322,9 +331,19 @@ def cmd_audit(kind: str, grid_spec: str | None, tol: float, as_json: bool,
     axes = _parse_grid(grid_spec) if grid_spec else []
     if not as_json:
         click.echo(AuditRecord.CSV_HEADER)
-    for point in _grid_points(base, axes):
-        rec = _audit_point(RealParams(point["p"], point["q"], point["a"], point["b"], m), kind, tol)
-        click.echo(_dump(rec.to_json_dict()) if as_json else rec.to_csv_row())
+    for _, c in _grid_chunks(base, axes):
+        batch = build_reports(c["p"], c["q"], c["a"], c["b"], m)
+        boundary = (np.abs(c["p"] + c["b"] * batch.k_constant)
+                    < BOUNDARY_EPS * np.maximum(1.0, np.abs(c["p"])))
+        # Python bool and float, as build_report gives: json rejects
+        # np.bool_, and repr(np.float64) is not repr(float) under numpy 2.
+        reports = map(SignErrorReport, *(getattr(batch, f.name).tolist() for f in fields(batch)))
+        points = zip(*(c[v].tolist() for v in "pqab"))
+        lines = []
+        for pt, report, bnd in zip(points, reports, boundary.tolist()):
+            rec = _audit_point(RealParams(*pt, m), report, bnd, kind, tol)
+            lines.append(_dump(rec.to_json_dict()) if as_json else rec.to_csv_row())
+        click.echo("\n".join(lines))
 
 
 @main.command("scan")
@@ -342,19 +361,26 @@ def cmd_scan(grid_spec: str, as_csv: bool,
     if len(axes) != 2:
         raise click.UsageError("scan needs exactly two grid variables")
     base = {"p": rp.p, "q": rp.q, "a": rp.a, "b": rp.b}
+    # A row is the two axis values, each repr'd once, then one of 32 flag
+    # suffixes, indexed by a code whose bits are the five flags in order.
+    flags = ("case1", "case2", "case3", "overall", "flip_applies")
+    flag_sets = list(itertools.product((False, True), repeat=len(flags)))
     if as_csv:
-        click.echo("x,y,case1,case2,case3,overall,flip_applies")
-    (v1, _), (v2, _) = axes
-    for pt in _grid_points(base, axes):
-        x, y = pt[v1], pt[v2]
-        rep = build_report(RealParams(pt["p"], pt["q"], pt["a"], pt["b"], m))
-        if as_csv:
-            click.echo(f"{x!r},{y!r},{rep.case1:d},{rep.case2:d},"
-                       f"{rep.case3:d},{rep.overall:d},{rep.flip_applies:d}")
-        else:
-            click.echo(_dump({"x": x, "y": y,
-                              "case1": rep.case1, "case2": rep.case2, "case3": rep.case3,
-                              "overall": rep.overall, "flip_applies": rep.flip_applies}))
+        click.echo("x,y," + ",".join(flags))
+        xs = [repr(x) + "," for x in axes[0][1].tolist()]
+        ys = [repr(y) for y in axes[1][1].tolist()]
+        suffixes = ["".join(f",{bit:d}" for bit in bits) + "\n" for bits in flag_sets]
+    else:
+        xs = ['{"x":' + repr(x) for x in axes[0][1].tolist()]
+        ys = [',"y":' + repr(y) for y in axes[1][1].tolist()]
+        suffixes = ["," + _dump(dict(zip(flags, bits)))[1:] + "\n" for bits in flag_sets]
+    for rows, c in _grid_chunks(base, axes):
+        batch = build_reports(c["p"], c["q"], c["a"], c["b"], m)
+        codes = np.zeros(len(c["p"]), dtype=np.intp)
+        for name in flags:
+            codes = 2 * codes + getattr(batch, name)
+        cells = (xs[i] + y for i in rows for y in ys)
+        click.echo("".join([cell + suffixes[k] for cell, k in zip(cells, codes.tolist())]), nl=False)
 
 
 def _sweep_real(rng: np.random.Generator, samples: int, rtol: float) -> tuple[float, list[str]]:

@@ -7,12 +7,14 @@ whole result, and the combined region reduces to two clauses built from
 one ratio constant K. Equality comparisons are exact float comparisons:
 the conditions are exact-arithmetic statements, and callers sitting
 within rounding distance of a boundary (p = -bK etc.) should expect
-either answer.
+either answer. build_reports evaluates the same predicates over arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 from .params import RealParams
@@ -25,6 +27,7 @@ __all__ = [
     "k_constant",
     "overall_sign_error",
     "build_report",
+    "build_reports",
 ]
 
 
@@ -35,6 +38,8 @@ class SignErrorReport:
     case3 is reported False with y_is_zero set when Y = 0 (a = -q and
     p = b), where the original formulas are inapplicable outright.
     flip_applies is overall AND m odd: even m absorbs every flip.
+    build_reports returns one report whose fields are arrays, one lane
+    per point.
     """
 
     case1: bool
@@ -127,5 +132,45 @@ def build_report(params: RealParams) -> SignErrorReport:
         k_constant=k_constant(a, q),
         overall=overall,
         flip_applies=overall and params.m % 2 == 1,
+        y_is_zero=y_is_zero,
+    )
+
+
+def build_reports(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  m: int) -> SignErrorReport:
+    """build_report over arrays: one SignErrorReport whose fields are arrays.
+
+    Every lane equals build_report at that point, field for field: the
+    expressions are the scalar predicates' own, in the same operand
+    order, so each comparison sees the same IEEE value. Where the scalar
+    code short-circuits before a division, the guard here is False on
+    that lane, so the inf or nan the division leaves there is never
+    selected.
+    """
+    p, q, a, b = (np.asarray(v, dtype=float) for v in (p, q, a, b))
+    abs_a, abs_q = np.abs(a), np.abs(q)
+    both_zero = (a == 0) & (q == 0)
+    x_is_zero = (a == q) & (p == -b)
+    y_is_zero = (a == -q) & (p == b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = -b * a / q
+        r2 = -b * q / a
+        k = np.where(both_zero, -1.0, np.where((abs_a >= abs_q) & (a != 0), q / a, a / q))
+    low = both_zero & (p < -np.abs(b))
+    case1 = ~x_is_zero & (
+        (((abs_q > abs_a) | ((q == -abs_a) & (q != 0))) & (p < r1))
+        | ((q > abs_a) & (p == r1)) | low)
+    case2 = ~x_is_zero & (
+        (((abs_a > abs_q) | ((a == abs_q) & (a != 0))) & (p < r2))
+        | ((a < -abs_q) & (p == r2)) | low)
+    thr = -b * k
+    overall = (p < thr) | ((p == thr) & ((a < -abs_q) | (q > abs_a)))
+    return SignErrorReport(
+        case1=case1,
+        case2=case2,
+        case3=~y_is_zero & (a == -q) & (p < b),
+        k_constant=k,
+        overall=overall,
+        flip_applies=overall & (m % 2 == 1),
         y_is_zero=y_is_zero,
     )

@@ -1,9 +1,13 @@
+import itertools
 import json
 import math
 
+import pytest
 from click.testing import CliRunner
 
-from exptrig.cli import main
+from exptrig import RealParams, build_report
+from exptrig import cli
+from exptrig.cli import BOUNDARY_EPS, _audit_point, _parse_grid, main
 
 
 def run(*args):
@@ -190,6 +194,96 @@ def test_scan_usage_errors():
     assert run("scan", "--grid", "p=-3:3:5,p=-1:1:3").exit_code == 2
     assert run("scan", "--grid", "z=-3:3:5,b=-1:1:3").exit_code == 2
     assert run("scan", "--grid", "p=-3:3:5,b=oops:1:3").exit_code == 2
+
+
+def test_grid_rejects_non_finite_bounds():
+    # the last grid has finite bounds but overflows linspace's step
+    for spec in ("p=nan:1:3,b=0:1:3", "p=-3:inf:3,b=0:1:3", "p=-inf:1:3,b=0:1:3",
+                 "p=0:1:3,b=0:nan:1", "p=-1e308:1e308:3,b=0:1:3"):
+        for cmd in ("scan", "audit"):
+            res = run(cmd, "--grid", spec, "-m", "1")
+            assert res.exit_code == 2, (cmd, spec, res.output)
+            assert "finite" in res.output
+
+
+def _grid_coefficients(grid, base):
+    """Each grid point in row-major order: its (p, q, a, b) and its axis values."""
+    axes = _parse_grid(grid) if grid else []
+    names = [var for var, _ in axes]
+    for values in itertools.product(*(vals.tolist() for _, vals in axes)):
+        pt = {"p": 0.0, "q": 0.0, "a": 0.0, "b": 0.0, **base, **dict(zip(names, values))}
+        yield tuple(pt[v] for v in "pqab"), values
+
+
+def _scan_reference(grid, base, m, as_csv):
+    lines = ["x,y,case1,case2,case3,overall,flip_applies"] if as_csv else []
+    for pt, (x, y) in _grid_coefficients(grid, base):
+        rep = build_report(RealParams(*pt, m))
+        if as_csv:
+            lines.append(f"{x!r},{y!r},{rep.case1:d},{rep.case2:d},"
+                         f"{rep.case3:d},{rep.overall:d},{rep.flip_applies:d}")
+        else:
+            lines.append(json.dumps({"x": x, "y": y, "case1": rep.case1, "case2": rep.case2,
+                                     "case3": rep.case3, "overall": rep.overall,
+                                     "flip_applies": rep.flip_applies}, separators=(",", ":")))
+    return "".join(line + "\n" for line in lines)
+
+
+def _audit_reference(grid, base, m, kind, as_json):
+    lines = [] if as_json else [cli.AuditRecord.CSV_HEADER]
+    for pt, _ in _grid_coefficients(grid, base):
+        rp = RealParams(*pt, m)
+        rep = build_report(rp)
+        boundary = abs(rp.p + rp.b * rep.k_constant) < BOUNDARY_EPS * max(1.0, abs(rp.p))
+        rec = _audit_point(rp, rep, boundary, kind, 1e-9)
+        lines.append(json.dumps(rec.to_json_dict(), separators=(",", ":")) if as_json
+                     else rec.to_csv_row())
+    return "".join(line + "\n" for line in lines)
+
+
+def _base_args(base):
+    return [arg for name, v in base.items() for arg in (f"-{name}", repr(v))]
+
+
+@pytest.mark.parametrize("chunk", [cli.CHUNK_POINTS, 100, 7])
+@pytest.mark.parametrize("grid, base, m", [
+    # 67 x 71 points, a multiple of none of the chunk sizes; crosses p = b and p = -b
+    ("p=-3:3:67,b=-3:3:71", {"q": -0.0}, 1),
+    # p = b and p = -b exactly on the grid, with X = 0 and Y = 0 on the diagonals
+    ("p=-3:3:61,b=-3:3:61", {"a": 1.0, "q": 1.0}, 3),
+    ("b=-3:3:61,p=-3:3:61", {"a": -1.0, "q": 1.0}, 1),
+    # the a = +-q diagonals at p = +-b
+    ("a=-2:2:41,q=-2:2:41", {"p": 1.0, "b": 1.0}, 5),
+    ("q=-2:2:41,a=-2:2:41", {"p": -1.0, "b": 1.0}, 1),
+    ("a=-2:2:41,q=-2:2:41", {"p": -0.0, "b": 0.0}, 2),
+])
+def test_scan_matches_scalar_predicates_byte_for_byte(monkeypatch, chunk, grid, base, m):
+    monkeypatch.setattr(cli, "CHUNK_POINTS", chunk)
+    for as_csv in (True, False):
+        res = run("scan", "--csv" if as_csv else "--json", "--grid", grid,
+                  *_base_args(base), "-m", str(m))
+        assert res.exit_code == 0
+        assert res.output == _scan_reference(grid, base, m, as_csv)
+
+
+@pytest.mark.parametrize("kind", ["f", "sin", "cos"])
+@pytest.mark.parametrize("grid, base, m", [
+    (None, {"p": -2.0, "q": -0.0, "b": 1.0}, 1),
+    (None, {"p": 1.0, "q": -1.0, "a": 1.0, "b": 1.0}, 1),
+    # 23 points, a refused oracle at |p| = 60, chunks of 12 and 11
+    ("p=-60:60:23", {"q": -0.0, "b": 1.0}, 3),
+    # 7 x 5 points, chunks of two rows; Y = 0 at p = b on a = q = 0
+    ("p=-3:3:7,b=-3:3:5", {"q": -0.0}, 1),
+    ("a=-2:2:5,q=-2:2:7", {"p": -1.0, "b": 1.0}, 2),
+])
+def test_audit_matches_scalar_path_byte_for_byte(monkeypatch, kind, grid, base, m):
+    monkeypatch.setattr(cli, "CHUNK_POINTS", 12)
+    for as_json in (True, False):
+        args = ["--grid", grid] if grid else []
+        res = run("audit", "--kind", kind, "--json" if as_json else "--csv", *args,
+                  *_base_args(base), "-m", str(m))
+        assert res.exit_code == 0
+        assert res.output == _audit_reference(grid, base, m, kind, as_json)
 
 
 def test_verify_passes_and_is_deterministic():

@@ -1,11 +1,17 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from exptrig import (
     DomainError,
     IntermediateFactors,
     RealParams,
+    SignErrorReport,
     build_report,
+    build_reports,
     case1_predicate,
     case2_predicate,
     case3_predicate,
@@ -102,3 +108,29 @@ def test_predicates_match_flip_mechanism_and_parity():
         count = c1 + c2 + c3
         assert count in (0, 1, 3)
         assert overall_sign_error(p, q, a, b) == (count % 2 == 1)
+
+
+SMALL = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0]))
+
+
+@given(st.lists(st.tuples(SMALL, SMALL, SMALL, SMALL), min_size=1, max_size=16), st.integers(0, 3))
+# p = -bK, through both equality clauses and an inexact ratio
+@example([(-1.0, 2.0, 1.0, 2.0), (-1 / 3, 3.0, 1.0, 1.0), (-2.0 / -3.0, 1.0, -3.0, 2.0)], 1)
+# X = 0: a = q and p = -b; at the last point -b*a/q rounds above p
+@example([(-1.0, 2.0, 2.0, 1.0), (-0.0, 0.0, 0.0, 0.0), (0.0, -1.0, -1.0, -0.0),
+          (-0.7, -3.0, -3.0, 0.7)], 1)
+# Y = 0: a = -q and p = b
+@example([(1.0, -1.0, 1.0, 1.0), (0.0, -0.0, 0.0, 0.0), (-2.0, 0.0, -0.0, -2.0)], 3)
+# |a| = |q| off both zero lines
+@example([(-2.0, 3.0, -3.0, 1.0), (1.0, -2.0, -2.0, 1.0), (0.5, 2.0, 2.0, -1.0)], 1)
+def test_build_reports_matches_build_report(points, m):
+    p, q, a, b = (np.array(col) for col in zip(*points))
+    batch = build_reports(p, q, a, b, m)
+    for i, pt in enumerate(points):
+        ref = build_report(RealParams(*pt, m))
+        for f in fields(SignErrorReport):
+            got, want = getattr(batch, f.name)[i], getattr(ref, f.name)
+            if f.name == "k_constant":
+                assert repr(float(got)) == repr(want), (pt, f.name)
+            else:
+                assert bool(got) is want, (pt, f.name)
