@@ -33,14 +33,16 @@ from .formulas import (
     eval_corrected_original_f,
     eval_corrected_original_sin,
     eval_f_bessel,
+    eval_f_bessel_lanes,
     eval_f_hyp,
+    eval_f_hyp_lanes,
     eval_improved_cos,
     eval_improved_sin,
     eval_original_cos,
     eval_original_sin,
 )
 from .params import ComplexParams, RealParams
-from .quadrature import oracle_cos, oracle_f, oracle_sin
+from .quadrature import oracle_cos, oracle_f, oracle_f_lanes, oracle_sin
 
 BOUNDARY_EPS = 1e-12
 # Grid points per chunk that scan and audit evaluate and write at once
@@ -279,38 +281,86 @@ class AuditRecord:
         return ",".join(cells)
 
 
-def _audit_point(rp: RealParams, report: SignErrorReport, boundary: bool,
-                 kind: str, tol: float) -> AuditRecord:
-    rec = AuditRecord(params=rp, report=report, boundary=boundary)
-    try:
-        rec.improved = _route("improved", kind)(rp).value
-        rec.oracle = _route("oracle", kind)(rp).value
-    except (DomainError, ConvergenceError) as exc:
-        rec.detail = f"error: {exc}"
-        return rec
-    if report.y_is_zero:
+def _judge(rec: AuditRecord, tol: float) -> AuditRecord:
+    """The verdict rule: fill in rec's discrepancy, verdict and detail from
+    its improved, oracle and (unless Y = 0) original values."""
+    if rec.report.y_is_zero:
         rec.abs_discrepancy = abs(rec.improved - rec.oracle)
         rec.verdict = "OriginalInapplicable"
         return rec
-    original = _route("original", kind)(rp).value
-    rec.original = original
-    rec.abs_discrepancy = abs(original - rec.oracle)
-    scale = max(abs(original), abs(rec.oracle))
+    original, oracle = rec.original, rec.oracle
+    rec.abs_discrepancy = abs(original - oracle)
+    scale = max(abs(original), abs(oracle))
     tol_abs = max(tol * scale, 1e-11)
-    agree = abs(original - rec.oracle) <= tol_abs
-    flipped = abs(original + rec.oracle) <= tol_abs
+    agree = abs(original - oracle) <= tol_abs
+    flipped = abs(original + oracle) <= tol_abs
     if agree and flipped:
         rec.verdict = "Agree"
-        if report.flip_applies:
+        if rec.report.flip_applies:
             rec.detail = "component is zero; predicted flip unobservable"
     elif flipped:
         rec.verdict = "SignFlip"
     elif agree:
         rec.verdict = "Agree"
     else:
-        rec.verdict = "SignFlip" if abs(original + rec.oracle) < abs(original - rec.oracle) else "Agree"
+        rec.verdict = "SignFlip" if abs(original + oracle) < abs(original - oracle) else "Agree"
         rec.detail = "unclassified discrepancy; neither match within tolerance"
     return rec
+
+
+def _audit_point(rp: RealParams, report: SignErrorReport, boundary: bool,
+                 kind: str, tol: float) -> AuditRecord:
+    """One point through the scalar routes. A refusal by any route is
+    recorded in detail, with the values computed before it and no verdict."""
+    rec = AuditRecord(params=rp, report=report, boundary=boundary)
+    try:
+        rec.improved = _route("improved", kind)(rp).value
+        rec.oracle = _route("oracle", kind)(rp).value
+        if not report.y_is_zero:
+            rec.original = _route("original", kind)(rp).value
+    except (DomainError, ConvergenceError) as exc:
+        rec.detail = f"error: {exc}"
+        return rec
+    return _judge(rec, tol)
+
+
+def _component(lanes, kind: str) -> list[complex]:
+    """Each lane's f, or its sin (Im f) or cos (Re f) component as a real complex."""
+    z = np.zeros(len(lanes.re), dtype=complex)
+    if kind == "f":
+        z.real, z.imag = lanes.re, lanes.im
+    else:
+        z.real = lanes.im if kind == "sin" else lanes.re
+    return z.tolist()
+
+
+def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> Iterator[AuditRecord]:
+    """The records of one chunk of coefficient arrays. The predicates and
+    every route run over all its lanes at once; a lane that any route
+    refuses goes through _audit_point, which records the refusal."""
+    p, q, a, b = (c[v] for v in "pqab")
+    batch = build_reports(p, q, a, b, m)
+    boundary = np.abs(p + b * batch.k_constant) < BOUNDARY_EPS * np.maximum(1.0, np.abs(p))
+    # Python bool and float, as build_report gives: json rejects
+    # np.bool_, and repr(np.float64) is not repr(float) under numpy 2.
+    reports = map(SignErrorReport, *(getattr(batch, f.name).tolist() for f in fields(batch)))
+    improved, oracle = eval_f_hyp_lanes(p, q, a, b, m), oracle_f_lanes(p, q, a, b, m)
+    ok = improved.ok & oracle.ok
+    judged = np.flatnonzero(ok & ~batch.y_is_zero)
+    original = eval_f_bessel_lanes(p[judged], q[judged], a[judged], b[judged], m)
+    ok[judged] &= original.ok
+    originals = [None] * len(p)
+    for i, z in zip(judged.tolist(), _component(original, kind)):
+        originals[i] = z
+    points = zip(*(x.tolist() for x in (p, q, a, b)))
+    lanes = zip(points, reports, boundary.tolist(), ok.tolist(), originals,
+                _component(improved, kind), _component(oracle, kind))
+    for pt, report, bnd, lane_ok, orig, imp, orc in lanes:
+        rp = RealParams(*pt, m)
+        if lane_ok:
+            yield _judge(AuditRecord(rp, report, bnd, orig, imp, orc), tol)
+        else:
+            yield _audit_point(rp, report, bnd, kind, tol)
 
 
 @main.command("audit")
@@ -332,18 +382,8 @@ def cmd_audit(kind: str, grid_spec: str | None, tol: float, as_json: bool,
     if not as_json:
         click.echo(AuditRecord.CSV_HEADER)
     for _, c in _grid_chunks(base, axes):
-        batch = build_reports(c["p"], c["q"], c["a"], c["b"], m)
-        boundary = (np.abs(c["p"] + c["b"] * batch.k_constant)
-                    < BOUNDARY_EPS * np.maximum(1.0, np.abs(c["p"])))
-        # Python bool and float, as build_report gives: json rejects
-        # np.bool_, and repr(np.float64) is not repr(float) under numpy 2.
-        reports = map(SignErrorReport, *(getattr(batch, f.name).tolist() for f in fields(batch)))
-        points = zip(*(c[v].tolist() for v in "pqab"))
-        lines = []
-        for pt, report, bnd in zip(points, reports, boundary.tolist()):
-            rec = _audit_point(RealParams(*pt, m), report, bnd, kind, tol)
-            lines.append(_dump(rec.to_json_dict()) if as_json else rec.to_csv_row())
-        click.echo("\n".join(lines))
+        click.echo("\n".join(_dump(rec.to_json_dict()) if as_json else rec.to_csv_row()
+                              for rec in _audit_chunk(c, m, kind, tol)))
 
 
 @main.command("scan")

@@ -9,6 +9,12 @@ Combining principal fractional powers is where sign errors come from:
 z**a * w**a == (z*w)**a only while arg(z) + arg(w) stays inside the
 principal range. ``power_combination_flips`` is the exact predicate for
 when it does not.
+
+The ``*_lanes`` functions do complex arithmetic over arrays of real and
+imaginary parts, one lane per element, with the same IEEE operations as
+CPython's complex type (its product, and its quotient by a complex
+whose imaginary part is zero), so each lane rounds exactly as the
+scalar code does, signed zeros included.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -26,6 +34,9 @@ __all__ = [
     "cpow_int",
     "pow_int_zero_zero",
     "pow_int_over_factorial",
+    "mul_lanes",
+    "div_lanes",
+    "pow_int_over_factorial_lanes",
     "cpow_half",
     "power_combination_flips",
     "branch_diagnostics",
@@ -100,6 +111,32 @@ def pow_int_over_factorial(z: complex, m: int) -> complex:
     for j in range(1, m + 1):
         out = out * z / j
     return out
+
+
+def mul_lanes(xr, xi, yr, yi):
+    """Lane-wise x * y, as CPython multiplies complex numbers.
+
+    A real operand of CPython's is the complex (x, 0.0): pass 0.0 as its
+    imaginary part.
+    """
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def div_lanes(xr, xi, d):
+    """Lane-wise x / d for a positive real d, as CPython divides a complex
+    by an int or float d, that is by the complex (d, 0.0)."""
+    return (xr + xi * 0.0) / d, (xi - xr * 0.0) / d
+
+
+def pow_int_over_factorial_lanes(zr, zi, m: int):
+    """pow_int_over_factorial over arrays of real and imaginary parts,
+    lane by lane the same loop and the same roundings."""
+    if m < 0:
+        raise DomainError("m must be non-negative")
+    out_r, out_i = np.ones_like(zr), np.zeros_like(zr)
+    for j in range(1, m + 1):
+        out_r, out_i = div_lanes(*mul_lanes(out_r, out_i, zr, zi), float(j))
+    return out_r, out_i
 
 
 def cpow_half(z: complex, m: int) -> complex:

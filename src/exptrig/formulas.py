@@ -17,13 +17,20 @@ Every 0F1 route is built from one term, v^m/m! 0F1(; m+1; w). For real
 coefficients sin and cos are Im f and Re f of a single such series, so
 they are exactly real by construction; complex coefficients split the
 sin/cos integrals into two such terms, and f into one.
+
+eval_f_hyp_lanes and eval_f_bessel_lanes evaluate f over arrays of real
+coefficients at one m, one lane per point, bit for bit as the scalar
+routes do; a lane where the scalar route would raise comes back not ok.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
-from .complexops import cpow_half, pow_int_over_factorial
+import numpy as np
+
+from .complexops import cpow_half, mul_lanes, pow_int_over_factorial, pow_int_over_factorial_lanes
 from .conditions import overall_sign_error
 from .errors import DomainError
 from .params import (
@@ -35,16 +42,18 @@ from .params import (
     OriginalConstants,
     RealParams,
 )
-from .series import bessel_i, hyp0f1
+from .series import SeriesLanes, bessel_i, bessel_i_lanes, hyp0f1, hyp0f1_lanes
 
 __all__ = [
     "eval_f_bessel",
+    "eval_f_bessel_lanes",
     "eval_original_sin",
     "eval_original_cos",
     "eval_corrected_original_sin",
     "eval_corrected_original_cos",
     "eval_corrected_original_f",
     "eval_f_hyp",
+    "eval_f_hyp_lanes",
     "eval_improved_sin",
     "eval_improved_cos",
     "eval_complex_f",
@@ -65,20 +74,60 @@ def eval_f_bessel(params: RealParams) -> EvalResult:
     """
     k = OriginalConstants.from_params(params)
     m = params.m
-    ynorm2 = (params.b - params.p) ** 2 + (params.a + params.q) ** 2
-    if ynorm2 == 0.0:
-        raise DomainError("original formula inapplicable: (b-p)^2 + (a+q)^2 = 0 (Y = 0)")
-    front = ynorm2 ** (-0.5 * m)
-    power = cpow_half(complex(k.A, -k.B), m)
-    root = cpow_half(complex(k.C, k.D), 1)
+    scale, power, root = _bessel_prefactors(params.p, params.q, params.a, params.b,
+                                            k.A, k.B, k.C, k.D, m)
     bes = bessel_i(m, root)
-    scale = TWO_PI * front
     return EvalResult(
         value=scale * power * bes.value,
         method=Method.OriginalBessel,
         terms_used=bes.terms_used,
         truncation_estimate=scale * abs(power) * bes.truncation_estimate,
     )
+
+
+def _bessel_prefactors(p: float, q: float, a: float, b: float,
+                       A: float, B: float, C: float, D: float, m: int) -> tuple[float, complex, complex]:
+    """2pi [(b-p)^2+(a+q)^2]^(-m/2), (A-iB)^(m/2) and sqrt(C+iD), each on
+    the principal branch, or DomainError where the first is 1/0 or either
+    power overflows."""
+    ynorm2 = (b - p) ** 2 + (a + q) ** 2
+    if ynorm2 == 0.0:
+        raise DomainError("original formula inapplicable: (b-p)^2 + (a+q)^2 = 0 (Y = 0)")
+    try:
+        return (TWO_PI * ynorm2 ** (-0.5 * m), cpow_half(complex(A, -B), m),
+                cpow_half(complex(C, D), 1))
+    except OverflowError:
+        raise DomainError(f"original formula inapplicable: [(b-p)^2 + (a+q)^2]^(-m/2) or "
+                          f"(A-iB)^(m/2) overflows at m = {m}") from None
+
+
+def eval_f_bessel_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
+                        m: int) -> SeriesLanes:
+    """eval_f_bessel(RealParams(p, q, a, b, m)).value on every lane.
+
+    The constants are OriginalConstants' own expressions over the arrays
+    and the Bessel factor runs as lanes. The prefactors are libm powers,
+    arguments and exponentials, which numpy need not round as libm does,
+    so they are taken lane by lane in Python.
+    """
+    with np.errstate(all="ignore"):
+        k = OriginalConstants.from_params(SimpleNamespace(p=p, q=q, a=a, b=b))
+    ok = np.ones(len(p), dtype=bool)
+    scales, powers, roots = [], [], []
+    for i, args in enumerate(zip(*(x.tolist() for x in (p, q, a, b, k.A, k.B, k.C, k.D)))):
+        try:
+            scale, power, root = _bessel_prefactors(*args, m)
+        except DomainError:
+            ok[i] = False
+            scale, power, root = 0.0, 0j, 0j
+        scales.append(scale)
+        powers.append(power)
+        roots.append(root)
+    power, root = np.array(powers, dtype=complex), np.array(roots, dtype=complex)
+    bes = bessel_i_lanes(m, root.real, root.imag)
+    with np.errstate(all="ignore"):
+        re, im = mul_lanes(*mul_lanes(np.array(scales), 0.0, power.real, power.imag), bes.re, bes.im)
+    return SeriesLanes(re, im, bes.terms_used, ok & bes.ok)
 
 
 def _part(f: EvalResult, x: float) -> EvalResult:
@@ -140,6 +189,18 @@ def eval_f_hyp(params: RealParams) -> EvalResult:
     c = ImprovedConstants.from_params(params)
     t, terms, trunc = _hyp_term(complex(c.A, c.B), complex(c.C, c.D), params.m)
     return EvalResult(TWO_PI * t, Method.Hyp0F1Real, terms, TWO_PI * trunc)
+
+
+def eval_f_hyp_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
+                     m: int) -> SeriesLanes:
+    """eval_f_hyp(RealParams(p, q, a, b, m)).value on every lane, from
+    ImprovedConstants' own expressions over the arrays."""
+    with np.errstate(all="ignore"):
+        c = ImprovedConstants.from_params(SimpleNamespace(p=p, q=q, a=a, b=b))
+        vr, vi = pow_int_over_factorial_lanes(c.A, c.B, m)
+        ser = hyp0f1_lanes(m + 1, c.C, c.D)
+        re, im = mul_lanes(TWO_PI, 0.0, *mul_lanes(vr, vi, ser.re, ser.im))
+    return ser._replace(re=re, im=im)
 
 
 def eval_improved_sin(params: RealParams) -> EvalResult:

@@ -143,6 +143,31 @@ def test_audit_point_error_is_recorded_not_fatal():
     assert rec["verdict"] is None
 
 
+@pytest.mark.parametrize("args, reason", [
+    # bessel_i's prefactor (z/2)^m/m! underflows
+    (("-p", "0.5", "-b", "1", "-m", "171"), "underflowed"),
+    # (b-p)^2 + (a+q)^2 underflows to 0 though Y != 0
+    (("-p", "1e-170", "-a", "1e-170", "-m", "1"), "= 0 (Y = 0)"),
+    # [(b-p)^2 + (a+q)^2]^(-m/2) overflows
+    (("-p", "1e-160", "-m", "3"), "overflows"),
+    # (A-iB)^(m/2) overflows
+    (("-p", "40", "-m", "400"), "overflows"),
+])
+def test_audit_records_original_refusal(args, reason):
+    res = run("audit", *args)
+    assert res.exit_code == 0, res.output
+    rec = json.loads(res.output)
+    assert rec["original"] is None and rec["verdict"] is None and rec["abs_discrepancy"] is None
+    assert rec["improved"] is not None and rec["oracle"] is not None
+    assert rec["detail"].startswith("error: ") and reason in rec["detail"]
+
+
+def test_eval_original_overflow_exit_3():
+    res = run("eval", "--kind", "f", "--method", "original", "-p", "1e-160", "-m", "3")
+    assert res.exit_code == 3
+    assert "overflows" in res.output
+
+
 def test_audit_csv_mode():
     res = run("audit", "--csv", "--kind", "cos", "--grid", "p=-2:2:3", "-b", "1", "-m", "1")
     lines = res.output.strip().splitlines()
@@ -275,6 +300,10 @@ def test_scan_matches_scalar_predicates_byte_for_byte(monkeypatch, chunk, grid, 
     # 7 x 5 points, chunks of two rows; Y = 0 at p = b on a = q = 0
     ("p=-3:3:7,b=-3:3:5", {"q": -0.0}, 1),
     ("a=-2:2:5,q=-2:2:7", {"p": -1.0, "b": 1.0}, 2),
+    # rows of 23 points, one chunk each, mixing ok lanes, lanes past the
+    # oracle envelope and a refused original at p ~ 1e-15: its front power
+    # overflows at b = 0 and the Bessel prefactor underflows at b = 1
+    ("b=0:1:2,p=-60:60:23", {"q": -0.0}, 171),
 ])
 def test_audit_matches_scalar_path_byte_for_byte(monkeypatch, kind, grid, base, m):
     monkeypatch.setattr(cli, "CHUNK_POINTS", 12)

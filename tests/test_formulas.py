@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from exptrig import (
     ComplexConstants,
     ComplexParams,
+    ConvergenceError,
     DomainError,
     ImprovedConstants,
     IntermediateFactors,
@@ -32,6 +33,7 @@ from exptrig import (
     oracle_f,
     oracle_sin,
 )
+from exptrig.formulas import eval_f_bessel_lanes, eval_f_hyp_lanes
 
 # 0F1(;2;3/4) from independent brute-force partial sums
 F01_2_075 = 1.424917347073156
@@ -329,3 +331,25 @@ def test_eval_result_bookkeeping():
     assert res.truncation_estimate >= 0.0
     assert res.method is Method.Hyp0F1Real
     assert eval_complex_sin(ComplexParams(1j, 0, 0, 0, 1)).method is Method.Hyp0F1Complex
+
+
+@given(st.lists(st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1e-170, 1e-160]),
+                                      st.integers(-6, 6).map(float),
+                                      st.floats(-8.0, 8.0, allow_nan=False))] * 4),
+                min_size=1, max_size=10),
+       st.sampled_from([0, 1, 2, 3, 5, 8, 40, 171]))
+@example([(0.5, 0.0, 0.0, 1.0), (1e-170, 0.0, 1e-170, 0.0), (1e-160, 0.0, 0.0, 0.0),
+          (1.0, -1.0, 1.0, 1.0), (-0.0, -0.0, -0.0, -0.0)], 171)
+def test_lane_closed_forms_match_scalar_bit_for_bit(points, m):
+    p, q, a, b = (np.array(x) for x in zip(*points))
+    for scalar, lanes in ((eval_f_hyp, eval_f_hyp_lanes), (eval_f_bessel, eval_f_bessel_lanes)):
+        out = lanes(p, q, a, b, m)
+        for i, pt in enumerate(points):
+            try:
+                res = scalar(RealParams(*pt, m))
+                want = repr(res.value.real), repr(res.value.imag), res.terms_used
+            except (DomainError, ConvergenceError):
+                want = None
+            got = ((repr(out.re[i].item()), repr(out.im[i].item()), int(out.terms_used[i]))
+                   if out.ok[i] else None)
+            assert got == want, (scalar.__name__, pt)

@@ -20,7 +20,8 @@ from exptrig import (
     oracle_f,
     oracle_sin,
 )
-from exptrig.quadrature import N_MAX, _trapezoid
+from exptrig import quadrature
+from exptrig.quadrature import N_MAX, _trapezoid, oracle_f_lanes
 
 ORACLES = {"f": oracle_f, "sin": oracle_sin, "cos": oracle_cos}
 
@@ -258,3 +259,27 @@ def test_complex_forms_match_oracle_in_complex_sweep_range(parts, m):
     for ev, orc in ((eval_complex_sin, oracle_sin), (eval_complex_cos, oracle_cos)):
         o = orc(cp).value
         assert abs(ev(cp).value - o) <= max(1e-9 * abs(o), 1e-11)
+
+
+@pytest.mark.parametrize("block_nodes", [quadrature.BLOCK_NODES, 100])
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_lane_oracle_matches_scalar_bit_for_bit(monkeypatch, block_nodes, m):
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
+    # Budgets from 0 to 61: N = 32, 64 and 128 (and 256), and lanes past
+    # the envelope, interleaved; signed zeros in q.
+    s = np.linspace(0.0, 60.0, 41)[(17 * np.arange(41)) % 41]
+    p, q, a, b = -0.5 * s, np.where(s > 10, -0.0, 0.0), 0.5 * s, (s % 7) / 4
+    lanes = oracle_f_lanes(p, q, a, b, m)
+    assert {32, 64, 128} <= set(lanes.evaluations[lanes.ok].tolist())
+    assert not lanes.ok.all()
+    for i, pt in enumerate(zip(p.tolist(), q.tolist(), a.tolist(), b.tolist())):
+        rp = RealParams(*pt, m)
+        if not lanes.ok[i]:
+            with pytest.raises(DomainError):
+                oracle_f(rp)
+            continue
+        f, re, im = oracle_f(rp), lanes.re[i].item(), lanes.im[i].item()
+        assert (repr(f.value.real), repr(f.value.imag)) == (repr(re), repr(im))
+        assert f.evaluations == lanes.evaluations[i]
+        assert repr(oracle_cos(rp).value) == repr(complex(re, 0.0))
+        assert repr(oracle_sin(rp).value) == repr(complex(im, 0.0))

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from exptrig import ConvergenceError, bessel_i, hyp0f1
+from exptrig.series import bessel_i_lanes, hyp0f1_lanes
 
 
 def brute_bessel(m, z, terms=40):
@@ -119,3 +122,43 @@ def test_non_convergence_raises():
         hyp0f1(1, complex(1e7, 0))
     with pytest.raises(ConvergenceError):
         bessel_i(2, complex(0, 9e4))
+
+
+# Real and imaginary parts: signed zeros, small integers, moderate floats,
+# and any finite float (large ones overflow or exhaust MAX_TERMS).
+PARTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e300]),
+                  st.integers(-40, 40).map(float),
+                  st.floats(-1e3, 1e3, allow_nan=False),
+                  st.floats(allow_nan=False, allow_infinity=False))
+LANES = st.lists(st.tuples(PARTS, PARTS), min_size=1, max_size=12)
+
+
+def _scalar_lane(fn, order, z):
+    """repr of both parts and terms_used of the scalar result, or None where it raises."""
+    try:
+        res = fn(order, z)
+    except ConvergenceError:
+        return None
+    return repr(res.value.real), repr(res.value.imag), res.terms_used
+
+
+def _lane(lanes, i):
+    if not lanes.ok[i]:
+        return None
+    return repr(lanes.re[i].item()), repr(lanes.im[i].item()), int(lanes.terms_used[i])
+
+
+@given(LANES, st.lists(st.integers(1, 200), min_size=12, max_size=12), st.integers(0, 199))
+@example([(0.0, 0.0)], [1] * 12, 0)
+@example([(-0.0, -0.0), (0.0, -0.0)], [3] * 12, 2)
+# overflow, MAX_TERMS for hyp0f1 and for bessel_i, and a plain lane
+@example([(1e300, -1e300), (1e7, 0.0), (0.0, 9e4), (0.5, -0.25)], [1] * 12, 2)
+def test_lane_series_match_scalar_bit_for_bit(zs, b1s, m):
+    zr, zi = (np.array(part) for part in zip(*zs))
+    b1 = np.array(b1s[:len(zs)])
+    series = hyp0f1_lanes(b1, zr, zi)
+    bessel = bessel_i_lanes(m, zr, zi)
+    for i, (re, im) in enumerate(zs):
+        assert _lane(series, i) == _scalar_lane(hyp0f1, b1s[i], complex(re, im))
+        assert _lane(bessel, i) == _scalar_lane(bessel_i, m, complex(re, im))
+
