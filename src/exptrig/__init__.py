@@ -31,13 +31,10 @@ from .catalog import (
     gr_3_937_4_original,
 )
 from .complexops import (
-    BranchDiagnostics,
     atan2_full,
-    branch_diagnostics,
     cpow_half,
     cpow_int,
     pow_int_over_factorial,
-    pow_int_zero_zero,
     power_combination_flips,
     principal_arg,
 )
@@ -67,10 +64,8 @@ from .formulas import (
     eval_original_sin,
 )
 from .params import (
-    ComplexConstants,
     ComplexParams,
     EvalResult,
-    ImprovedConstants,
     IntermediateFactors,
     Method,
     OriginalConstants,

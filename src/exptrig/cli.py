@@ -471,8 +471,8 @@ def _sweep_complex(rng: np.random.Generator, samples: int, rtol: float) -> tuple
 @click.option("--entry", "entry_id", type=str, default=None,
               help="restrict the catalog stage to one entry id")
 @click.option("--p-negative", "p_negative", is_flag=True,
-              help="expected-failure mode for faithful-original entries: verify the "
-                   "predicted sign flips on p < 0 samples")
+              help="expected-failure mode for faithful-original entries (all of them "
+                   "unless --entry names one): verify the predicted sign flips on p < 0 samples")
 def cmd_verify(seed: int, samples: int, tol: float, do_complex: bool,
                entry_id: str | None, p_negative: bool) -> None:
     """Verify catalog entries and random points against the oracle."""
@@ -483,10 +483,11 @@ def cmd_verify(seed: int, samples: int, tol: float, do_complex: bool,
         raise click.UsageError(str(exc))
 
     if p_negative:
-        for entry in entries:
-            if entry.corrected or not entry.flip_samples:
-                raise click.UsageError(f"{entry.id} is not a faithful-original entry; "
-                                       "--p-negative applies to *-original entries")
+        originals = [e for e in entries if not e.corrected and e.flip_samples]
+        if entry_id and not originals:
+            raise click.UsageError(f"{entry_id} is not a faithful-original entry; "
+                                   "--p-negative applies to *-original entries")
+        for entry in originals:
             findings, bad = cat.check_expected_flips(entry, tol=tol)
             click.echo(f"{entry.id}: expected-failure audit, {len(findings)} findings")
             for line in findings:

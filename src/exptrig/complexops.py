@@ -21,35 +21,22 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "BranchDiagnostics",
     "principal_arg",
     "atan2_full",
     "cpow_int",
-    "pow_int_zero_zero",
     "pow_int_over_factorial",
     "mul_lanes",
     "div_lanes",
     "pow_int_over_factorial_lanes",
     "cpow_half",
     "power_combination_flips",
-    "branch_diagnostics",
 ]
-
-
-@dataclass(frozen=True)
-class BranchDiagnostics:
-    """Arguments of two factors and whether their sum stays principal."""
-
-    theta_z: float
-    theta_w: float
-    sum_in_principal: bool
 
 
 def principal_arg(z: complex) -> float:
@@ -78,22 +65,18 @@ def atan2_full(y: float, x: float) -> float:
 def cpow_int(z: complex, n: int) -> complex:
     """z**n by repeated multiplication (division for n < 0); single-valued.
 
-    Raises DomainError for 0 raised to a non-positive power. A genuine
-    0**0 limit must be requested explicitly via pow_int_zero_zero.
+    Raises DomainError for 0 raised to a non-positive power; the z**0
+    limit convention belongs to the evaluators (pow_int_over_factorial,
+    cpow_half), which opt into it explicitly.
     """
     if z == 0 and n <= 0:
-        raise DomainError(f"0**{n} is undefined; use pow_int_zero_zero for the 0**0 convention")
+        raise DomainError(f"0**{n} is undefined")
     out = complex(1.0, 0.0)
     for _ in range(abs(n)):
         out *= z
     if n < 0:
         out = 1.0 / out
     return out
-
-
-def pow_int_zero_zero() -> complex:
-    """The lim_{z->0} z**0 = 1 convention, opted into explicitly by evaluators."""
-    return complex(1.0, 0.0)
 
 
 def pow_int_over_factorial(z: complex, m: int) -> complex:
@@ -106,7 +89,7 @@ def pow_int_over_factorial(z: complex, m: int) -> complex:
     if m < 0:
         raise DomainError("m must be non-negative")
     if m == 0:
-        return pow_int_zero_zero()
+        return complex(1.0, 0.0)
     out = complex(1.0, 0.0)
     for j in range(1, m + 1):
         out = out * z / j
@@ -148,7 +131,7 @@ def cpow_half(z: complex, m: int) -> complex:
     if m < 0:
         raise DomainError("negative half-integer exponents are not supported")
     if m == 0:
-        return pow_int_zero_zero()
+        return complex(1.0, 0.0)
     if z == 0:
         return complex(0.0, 0.0)
     half = 0.5 * m
@@ -165,13 +148,5 @@ def power_combination_flips(z: complex, w: complex) -> bool:
     comparison and therefore fragile for inputs that land within
     rounding distance of the cut.
     """
-    d = branch_diagnostics(z, w)
-    return not d.sum_in_principal
-
-
-def branch_diagnostics(z: complex, w: complex) -> BranchDiagnostics:
-    """Arguments of z and w plus the principal-range check on their sum."""
-    tz = principal_arg(z)
-    tw = principal_arg(w)
-    s = tz + tw
-    return BranchDiagnostics(theta_z=tz, theta_w=tw, sum_in_principal=(-math.pi < s <= math.pi))
+    s = principal_arg(z) + principal_arg(w)
+    return not (-math.pi < s <= math.pi)

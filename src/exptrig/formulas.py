@@ -13,10 +13,18 @@ Three routes are provided:
   need no (b-p)^2 + (a+q)^2 > 0 restriction, and extend to complex
   coefficients.
 
-Every 0F1 route is built from one term, v^m/m! 0F1(; m+1; w). For real
-coefficients sin and cos are Im f and Re f of a single such series, so
-they are exactly real by construction; complex coefficients split the
-sin/cos integrals into two such terms, and f into one.
+Every 0F1 route is one term at (u, v) = (p + ia, q + ib). The exponent
+p cos x + q sin x + i(a cos x + b sin x) is alpha e^{ix} + beta e^{-ix},
+with alpha = (u - iv)/2 and beta = (u + iv)/2, so
+
+    f = cos + i sin = 2pi alpha^m/m! 0F1(; m+1; alpha beta).
+
+For real coefficients alpha = A' + iB' and alpha beta = C' + iD'; sin and
+cos are Im f and Re f of that single series, so they are exactly real by
+construction. For complex coefficients they come from the reflection
+x -> 2pi - x, which maps f to the same term at (p, -q, -a, b):
+cos = (f(p, q, a, b) + f(p, -q, -a, b))/2 and sin is their difference
+over 2i.
 
 eval_f_hyp_lanes and eval_f_bessel_lanes evaluate f over arrays of real
 coefficients at one m, one lane per point, bit for bit as the scalar
@@ -33,15 +41,7 @@ import numpy as np
 from .complexops import cpow_half, mul_lanes, pow_int_over_factorial, pow_int_over_factorial_lanes
 from .conditions import overall_sign_error
 from .errors import DomainError
-from .params import (
-    ComplexConstants,
-    ComplexParams,
-    EvalResult,
-    ImprovedConstants,
-    Method,
-    OriginalConstants,
-    RealParams,
-)
+from .params import ComplexParams, EvalResult, Method, OriginalConstants, RealParams
 from .series import SeriesLanes, bessel_i, bessel_i_lanes, hyp0f1, hyp0f1_lanes
 
 __all__ = [
@@ -172,10 +172,24 @@ def eval_corrected_original_f(params: RealParams) -> EvalResult:
     return _corrected(eval_f_bessel(params), params)
 
 
-def _hyp_term(v: complex, w: complex, m: int) -> tuple[complex, int, float]:
-    """v^m/m! 0F1(; m+1; w), the series' terms_used, and |v^m/m!| times its truncation estimate."""
-    power = pow_int_over_factorial(v, m)
-    ser = hyp0f1(m + 1, w)
+def _alpha_w(ur, ui, vr, vi):
+    """alpha = (u - iv)/2 and w = alpha beta = (u^2 + v^2)/4, beta = (u + iv)/2,
+    as (Re alpha, Im alpha, Re w, Im w) from the real and imaginary parts
+    of u and v.
+
+    Plain float operations, so Python floats and numpy arrays alike; at
+    (ur, ui, vr, vi) = (p, a, q, b) they are (A', B', C', D').
+    """
+    return ((ur + vi) / 2.0, (ui - vr) / 2.0,
+            (ur * ur + vr * vr - ui * ui - vi * vi) / 4.0, (ui * ur + vi * vr) / 2.0)
+
+
+def _f_term(ur, ui, vr, vi, m: int) -> tuple[complex, int, float]:
+    """alpha^m/m! 0F1(; m+1; w), the series' terms_used, and |alpha^m/m!| times
+    its truncation estimate: f/2pi at u = ur + i ui, v = vr + i vi."""
+    ar, ai, wr, wi = _alpha_w(ur, ui, vr, vi)
+    power = pow_int_over_factorial(complex(ar, ai), m)
+    ser = hyp0f1(m + 1, complex(wr, wi))
     return power * ser.value, ser.terms_used, abs(power) * ser.truncation_estimate
 
 
@@ -186,19 +200,18 @@ def eval_f_hyp(params: RealParams) -> EvalResult:
     no positivity restriction: this evaluates everywhere, with
     (A'+iB')^m read as 1 when A' = B' = m = 0.
     """
-    c = ImprovedConstants.from_params(params)
-    t, terms, trunc = _hyp_term(complex(c.A, c.B), complex(c.C, c.D), params.m)
+    t, terms, trunc = _f_term(params.p, params.a, params.q, params.b, params.m)
     return EvalResult(TWO_PI * t, Method.Hyp0F1Real, terms, TWO_PI * trunc)
 
 
 def eval_f_hyp_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
                      m: int) -> SeriesLanes:
-    """eval_f_hyp(RealParams(p, q, a, b, m)).value on every lane, from
-    ImprovedConstants' own expressions over the arrays."""
+    """eval_f_hyp(RealParams(p, q, a, b, m)).value on every lane, from the
+    same (alpha, w) expressions over the arrays."""
     with np.errstate(all="ignore"):
-        c = ImprovedConstants.from_params(SimpleNamespace(p=p, q=q, a=a, b=b))
-        vr, vi = pow_int_over_factorial_lanes(c.A, c.B, m)
-        ser = hyp0f1_lanes(m + 1, c.C, c.D)
+        ar, ai, wr, wi = _alpha_w(p, a, q, b)
+        vr, vi = pow_int_over_factorial_lanes(ar, ai, m)
+        ser = hyp0f1_lanes(m + 1, wr, wi)
         re, im = mul_lanes(TWO_PI, 0.0, *mul_lanes(vr, vi, ser.re, ser.im))
     return ser._replace(re=re, im=im)
 
@@ -219,42 +232,47 @@ def _as_complex_route(res: EvalResult) -> EvalResult:
     return EvalResult(res.value, Method.Hyp0F1Complex, res.terms_used, res.truncation_estimate)
 
 
-def _complex_parts(cparams: ComplexParams):
-    c = ComplexConstants.from_params(cparams)
-    m = cparams.m
-    one, n1, e1 = _hyp_term(complex(c.A1, c.B1), complex(c.C1, c.D1), m)
-    two, n2, e2 = _hyp_term(complex(c.A2, c.B2), complex(c.C2, c.D2), m)
-    return one, two, n1 + n2, math.pi * (e1 + e2)
+def _uv(p: complex, q: complex, a: complex, b: complex) -> tuple[float, float, float, float]:
+    # (Re u, Im u, Re v, Im v) of u = p + ia, v = q + ib.
+    return p.real - a.imag, p.imag + a.real, q.real - b.imag, q.imag + b.real
+
+
+def _reflected_terms(c: ComplexParams) -> tuple[complex, complex, int, float]:
+    """f/2pi at (p, q, a, b) and at its reflection (p, -q, -a, b), the
+    terms both series used, and pi times their summed truncation estimates."""
+    t, n1, e1 = _f_term(*_uv(c.p, c.q, c.a, c.b), c.m)
+    r, n2, e2 = _f_term(*_uv(c.p, -c.q, -c.a, c.b), c.m)
+    return t, r, n1 + n2, math.pi * (e1 + e2)
 
 
 def eval_complex_f(cparams: ComplexParams) -> EvalResult:
-    """f = cos + i sin for complex coefficients: 2pi (A2+iB2)^m/m! 0F1(; m+1; C2+iD2).
+    """f = cos + i sin for complex coefficients: 2pi alpha^m/m! 0F1(; m+1; alpha beta).
 
     On real coefficients this is eval_f_hyp, labelled as the complex route.
     """
     if cparams.is_real:
         return _as_complex_route(eval_f_hyp(cparams.to_real()))
-    c = ComplexConstants.from_params(cparams)
-    t, terms, trunc = _hyp_term(complex(c.A2, c.B2), complex(c.C2, c.D2), cparams.m)
+    t, terms, trunc = _f_term(*_uv(cparams.p, cparams.q, cparams.a, cparams.b), cparams.m)
     return EvalResult(TWO_PI * t, Method.Hyp0F1Complex, terms, TWO_PI * trunc)
 
 
 def eval_complex_sin(cparams: ComplexParams) -> EvalResult:
-    """Sin integral for complex coefficients, via the split into two
-    plain-f integrals: (i pi/m!)[(A1+iB1)^m 0F1(C1+iD1) - (A2+iB2)^m 0F1(C2+iD2)].
+    """Sin integral for complex coefficients, (f - f_reflected)/2i:
+    i pi (t(p, -q, -a, b) - t(p, q, a, b)) with t = f/2pi.
 
     On real coefficients this is eval_improved_sin, bit for bit, labelled
     as the complex route.
     """
     if cparams.is_real:
         return _as_complex_route(eval_improved_sin(cparams.to_real()))
-    one, two, terms, trunc = _complex_parts(cparams)
-    return EvalResult(1j * math.pi * (one - two), Method.Hyp0F1Complex, terms, trunc)
+    t, r, terms, trunc = _reflected_terms(cparams)
+    return EvalResult(1j * math.pi * (r - t), Method.Hyp0F1Complex, terms, trunc)
 
 
 def eval_complex_cos(cparams: ComplexParams) -> EvalResult:
-    """Cos integral for complex coefficients; "+" counterpart of the sin split."""
+    """Cos integral for complex coefficients, (f + f_reflected)/2:
+    pi (t(p, q, a, b) + t(p, -q, -a, b)) with t = f/2pi."""
     if cparams.is_real:
         return _as_complex_route(eval_improved_cos(cparams.to_real()))
-    one, two, terms, trunc = _complex_parts(cparams)
-    return EvalResult(math.pi * (one + two), Method.Hyp0F1Complex, terms, trunc)
+    t, r, terms, trunc = _reflected_terms(cparams)
+    return EvalResult(math.pi * (t + r), Method.Hyp0F1Complex, terms, trunc)

@@ -19,8 +19,6 @@ __all__ = [
     "RealParams",
     "ComplexParams",
     "OriginalConstants",
-    "ImprovedConstants",
-    "ComplexConstants",
     "IntermediateFactors",
     "Method",
     "EvalResult",
@@ -98,61 +96,6 @@ class OriginalConstants:
             B=2.0 * (p * q + a * b),
             C=p * p + q * q - a * a - b * b,
             D=2.0 * (a * p + b * q),
-        )
-
-
-@dataclass(frozen=True)
-class ImprovedConstants:
-    """Constants of the compact hypergeometric closed form."""
-
-    A: float
-    B: float
-    C: float
-    D: float
-
-    @classmethod
-    def from_params(cls, params: RealParams) -> "ImprovedConstants":
-        p, q, a, b = params.p, params.q, params.a, params.b
-        return cls(
-            A=(p + b) / 2.0,
-            B=(a - q) / 2.0,
-            C=(p * p + q * q - a * a - b * b) / 4.0,
-            D=(a * p + b * q) / 2.0,
-        )
-
-
-@dataclass(frozen=True)
-class ComplexConstants:
-    """The eight real constants of the complex-parameter closed forms.
-
-    With all imaginary parts zero they reduce to A1=A2=A', B1=-B', B2=B',
-    C1=C2=C', D1=-D', D2=D'.
-    """
-
-    A1: float
-    A2: float
-    B1: float
-    B2: float
-    C1: float
-    C2: float
-    D1: float
-    D2: float
-
-    @classmethod
-    def from_params(cls, params: ComplexParams) -> "ComplexConstants":
-        pr, pi = params.p.real, params.p.imag
-        qr, qi = params.q.real, params.q.imag
-        ar, ai = params.a.real, params.a.imag
-        br, bi = params.b.real, params.b.imag
-        return cls(
-            A1=(pr + ai - qi + br) / 2.0,
-            A2=(pr - ai + qi + br) / 2.0,
-            B1=(pi - ar + qr + bi) / 2.0,
-            B2=(pi + ar - qr + bi) / 2.0,
-            C1=((pr + ai) ** 2 + (qr + bi) ** 2 - (pi - ar) ** 2 - (qi - br) ** 2) / 4.0,
-            C2=((pr - ai) ** 2 + (qr - bi) ** 2 - (pi + ar) ** 2 - (qi + br) ** 2) / 4.0,
-            D1=((pi - ar) * (pr + ai) + (qi - br) * (qr + bi)) / 2.0,
-            D2=((pi + ar) * (pr - ai) + (qi + br) * (qr - bi)) / 2.0,
         )
 
 

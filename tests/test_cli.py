@@ -5,7 +5,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from exptrig import RealParams, build_report
+from exptrig import ENTRIES, RealParams, build_report
 from exptrig import cli
 from exptrig.cli import BOUNDARY_EPS, _audit_point, _parse_grid, main
 
@@ -336,6 +336,16 @@ def test_verify_expected_failure_mode():
     assert "SignFlip as predicted" in res.output
     # only makes sense for the faithful-original entries
     assert run("verify", "--entry", "GR-3.937-3", "--p-negative").exit_code == 2
+
+
+def test_verify_expected_failure_mode_covers_every_original_entry():
+    res = run("verify", "--p-negative")
+    assert res.exit_code == 0, res.output
+    originals = [e.id for e in ENTRIES if not e.corrected and e.flip_samples]
+    assert originals == ["GR-3.937-3-original", "GR-3.937-4-original"]
+    headers = [line.split(":")[0] for line in res.output.splitlines() if "expected-failure audit" in line]
+    assert headers == originals
+    assert res.output.strip().endswith("PASS")
 
 
 def test_verify_absurd_tolerance_fails():

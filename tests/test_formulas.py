@@ -1,17 +1,16 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exptrig import (
-    ComplexConstants,
     ComplexParams,
     ConvergenceError,
     DomainError,
-    ImprovedConstants,
     IntermediateFactors,
     Method,
     OriginalConstants,
@@ -33,7 +32,7 @@ from exptrig import (
     oracle_f,
     oracle_sin,
 )
-from exptrig.formulas import eval_f_bessel_lanes, eval_f_hyp_lanes
+from exptrig.formulas import _alpha_w, _f_term, eval_f_bessel_lanes, eval_f_hyp_lanes
 
 # 0F1(;2;3/4) from independent brute-force partial sums
 F01_2_075 = 1.424917347073156
@@ -61,24 +60,34 @@ def test_constants_and_factors():
     assert oc.B == 2 * (1 * -2 + 0.5 * 3)
     assert oc.C == 1 + 4 - 0.25 - 9
     assert oc.D == 2 * (0.5 * 1 + 3 * -2)
-    ic = ImprovedConstants.from_params(rp)
-    assert ic.A == (1 + 3) / 2 and ic.B == (0.5 + 2) / 2
-    assert ic.C == oc.C / 4 and ic.D == oc.D / 4
+    ar, ai, wr, wi = _alpha_w(rp.p, rp.a, rp.q, rp.b)
+    assert ar == (1 + 3) / 2 and ai == (0.5 + 2) / 2
+    assert wr == oc.C / 4 and wi == oc.D / 4
     fac = IntermediateFactors.from_params(rp)
-    assert fac.X == complex(ic.A, ic.B)
-    assert cmath.isclose(fac.X * fac.Y, complex(ic.C, ic.D), rel_tol=1e-15)
+    assert fac.X == complex(ar, ai)
+    assert cmath.isclose(fac.X * fac.Y, complex(wr, wi), rel_tol=1e-15)
     ynorm2 = (rp.b - rp.p) ** 2 + (rp.a + rp.q) ** 2
     assert math.isclose(abs(fac.Y) ** 2, ynorm2 / 4, rel_tol=1e-15)
 
 
-def test_complex_constants_reduce_for_real_params():
-    cp = RealParams(1.3, -0.7, 2.1, 0.4, 3).to_complex()
-    ic = ImprovedConstants.from_params(cp.to_real())
-    cc = ComplexConstants.from_params(cp)
-    assert cc.A1 == cc.A2 == ic.A
-    assert cc.B1 == -ic.B and cc.B2 == ic.B
-    assert cc.C1 == cc.C2 == ic.C
-    assert cc.D1 == -ic.D and cc.D2 == ic.D
+@settings(max_examples=200)
+@given(st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=4, max_size=4), st.integers(0, 8))
+def test_core_on_real_params_and_their_reflection(coeffs, m):
+    # u = p + ia, v = q + ib: alpha is the contour factor X, w = alpha beta is X Y
+    # and rounds as the book's (C + iD)/4, and the reflection (p, -q, -a, b)
+    # gives the conjugates
+    p, q, a, b = coeffs
+    ar, ai, wr, wi = _alpha_w(p, a, q, b)
+    rp = RealParams(p, q, a, b, m)
+    fac = IntermediateFactors.from_params(rp)
+    oc = OriginalConstants.from_params(rp)
+    assert complex(ar, ai) == fac.X
+    assert (wr, wi) == (oc.C / 4, oc.D / 4)
+    scale = p * p + q * q + a * a + b * b
+    assert cmath.isclose(complex(wr, wi), fac.X * fac.Y, rel_tol=1e-15, abs_tol=1e-15 * scale)
+    assert _alpha_w(p, -a, -q, b) == (ar, -ai, wr, -wi)
+    t, terms, trunc = _f_term(p, a, q, b, m)
+    assert _f_term(p, -a, -q, b, m) == (t.conjugate(), terms, trunc)
 
 
 def test_f_hyp_spot_values():
@@ -218,8 +227,8 @@ def test_m_zero_results_are_real_not_zero():
     assert abs(s) > 0.1   # B', D' nonzero: the two 0F1 arguments differ
 
 
-# ComplexConstants rounds C' = (p^2+q^2-a^2-b^2)/4 one ulp away from
-# ImprovedConstants here, so evaluating the complex split on it would miss
+# A sum of squares that two operand orders round one ulp apart, so a
+# complex route that built C' = (p^2+q^2-a^2-b^2)/4 its own way would miss
 # the improved route in the last bit.
 C_PRIME_ROUNDING_POINT = RealParams(0.969991231274494, 1.6003918596098217,
                                    -2.0561046364934343, 2.0212368966586736, 0)
@@ -288,6 +297,39 @@ def test_complex_f_is_one_series_matching_oracle():
         assert abs(res.value - cos_sin) <= 1e-12 * max(1.0, abs(of))
         # f is one of the two series the sin/cos split sums
         assert res.terms_used < eval_complex_cos(cp).terms_used
+
+
+def _mp_f_over_2pi(p, q, a, b, m):
+    """f/2pi = alpha^m/m! 0F1(; m+1; alpha beta) at 50 digits, with the size of
+    its rounding error in ulps: the sum of the series' term moduli plus the
+    first-order effect of rounding alpha and w from u and v."""
+    with mpmath.workdps(50):
+        u, v = mpmath.mpc(p) + 1j * mpmath.mpc(a), mpmath.mpc(q) + 1j * mpmath.mpc(b)
+        alpha, w = (u - 1j * v) / 2, (u * u + v * v) / 4
+        power, h, fact = abs(alpha) ** m, abs(u) + abs(v), mpmath.factorial(m)
+        terms = power / fact * mpmath.hyp0f1(m + 1, abs(w))
+        d_alpha = m * abs(alpha) ** (m - 1) / fact * mpmath.hyp0f1(m + 1, abs(w)) * h if m else 0
+        d_w = power / fact * mpmath.hyp0f1(m + 2, abs(w)) / (m + 1) * h * h
+        return alpha ** m / fact * mpmath.hyp0f1(m + 1, w), terms + d_alpha + d_w
+
+
+@settings(max_examples=300)
+@given(st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+                min_size=4, max_size=4), st.integers(0, 6))
+@example([0.5 + 0.5j, -1, 1j, 0.25], 2)
+def test_complex_routes_match_mpmath_term_and_reflection(coeffs, m):
+    # f = 2pi t(p, q, a, b), cos = pi (t + r), sin = i pi (r - t), with r the
+    # same term at the reflection (p, -q, -a, b); within 4 ulps of the sizes
+    p, q, a, b = coeffs
+    cp = ComplexParams(p, q, a, b, m)
+    t, size_t = _mp_f_over_2pi(p, q, a, b, m)
+    r, size_r = _mp_f_over_2pi(p, -q, -a, b, m)
+    ulp = 4 * 2.0**-52 * mpmath.pi
+    with mpmath.workdps(50):
+        for got, want, size in ((eval_complex_f(cp).value, 2 * t, 2 * size_t),
+                                (eval_complex_cos(cp).value, t + r, size_t + size_r),
+                                (eval_complex_sin(cp).value, 1j * (r - t), size_t + size_r)):
+            assert abs(mpmath.mpc(got) - mpmath.pi * want) <= ulp * size
 
 
 def test_corrected_f_combines_corrected_sin_and_cos():
