@@ -68,7 +68,6 @@ from .params import (
     EvalResult,
     IntermediateFactors,
     Method,
-    OriginalConstants,
     RealParams,
 )
 from .quadrature import QuadratureResult, oracle_cos, oracle_f, oracle_sin

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .complexops import atan2_full, pow_int_over_factorial
+from .conditions import sign_verdict
 from .errors import DomainError
 from .formulas import eval_complex_cos, eval_complex_sin
 from .params import ComplexParams
@@ -159,7 +160,8 @@ class CatalogEntry:
 
     binding(*args) returns (coefficient, kind, params) terms whose signed
     sum over the standard [0, 2pi] family reproduces the entry's value.
-    corrected is False for the faithful buggy book forms kept for audits.
+    Only the faithful buggy book forms kept for audits have a flip_law:
+    whether the form comes out sign-flipped at args, checked on flip_samples.
     """
 
     id: str
@@ -171,13 +173,12 @@ class CatalogEntry:
     binding: Callable[..., Binding]
     samples: tuple[tuple, ...]
     flip_samples: tuple[tuple, ...] = field(default=())
+    flip_law: Callable[..., bool] | None = None
 
-    def expect_flip(self, args: tuple) -> bool:
-        """Whether the (buggy) closed form should come out sign-flipped here."""
-        if self.corrected:
-            return False
-        p, _q, m = args
-        return m % 2 == 1 and p < 0
+
+def _odd_m_negative_p(p: float, q: float, m: int) -> bool:
+    # For p < 0, atan(q/p) = atan2(q, p) -+ pi: a factor (-1)^m on sin and cos.
+    return m % 2 == 1 and p < 0
 
 
 def _cp(p, q, a, b, m: int) -> ComplexParams:
@@ -312,6 +313,7 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         binding=lambda p, q, m: [(-1.0, "sin", _cp(p, q, -complex(q), p, m))],
         samples=_grid((1, 2.5), (-1, 0, 2), (0, 1, 2, 3, 4)),
         flip_samples=_grid((-2, -0.5), (-1, 0, 2), (0, 1, 2, 3, 4)),
+        flip_law=_odd_m_negative_p,
     ),
     CatalogEntry(
         id="GR-3.937-4-original",
@@ -323,6 +325,7 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         binding=lambda p, q, m: [(1.0, "cos", _cp(p, q, -complex(q), p, m))],
         samples=_grid((1, 2.5), (-1, 0, 2), (0, 1, 2, 3, 4)),
         flip_samples=_grid((-2, -0.5), (-1, 0, 2), (0, 1, 2, 3, 4)),
+        flip_law=_odd_m_negative_p,
     ),
 )
 
@@ -357,33 +360,27 @@ class EntryCheck:
     failures: tuple[str, ...]
 
 
-def check_entry(entry: CatalogEntry, tol: float = 1e-10, use_oracle: bool = True) -> EntryCheck:
+def check_entry(entry: CatalogEntry, tol: float = 1e-10) -> EntryCheck:
     """Replay the entry's samples against the general evaluators and oracle.
 
     Errors are scaled: absolute below magnitude 1, relative above.
     """
-    max_eval = 0.0
-    max_oracle = 0.0
+    references = (("evaluator", eval_complex_sin, eval_complex_cos), ("oracle", oracle_sin, oracle_cos))
+    max_err = [0.0, 0.0]
     failures: list[str] = []
     for args in entry.samples:
         closed = entry.closed_form(*args)
         binding = entry.binding(*args)
-        general = _sum_binding(binding, eval_complex_sin, eval_complex_cos)
-        err = _scaled_err(closed, general)
-        max_eval = max(max_eval, err)
-        if err > tol:
-            failures.append(f"{entry.id}{args!r}: closed vs evaluator err {err:.3e}")
-        if use_oracle:
-            ora = _sum_binding(binding, oracle_sin, oracle_cos)
-            err = _scaled_err(closed, ora)
-            max_oracle = max(max_oracle, err)
+        for j, (name, sin_fn, cos_fn) in enumerate(references):
+            err = _scaled_err(closed, _sum_binding(binding, sin_fn, cos_fn))
+            max_err[j] = max(max_err[j], err)
             if err > tol:
-                failures.append(f"{entry.id}{args!r}: closed vs oracle err {err:.3e}")
+                failures.append(f"{entry.id}{args!r}: closed vs {name} err {err:.3e}")
     return EntryCheck(
         entry_id=entry.id,
         checks=len(entry.samples),
-        max_err_eval=max_eval,
-        max_err_oracle=max_oracle,
+        max_err_eval=max_err[0],
+        max_err_oracle=max_err[1],
         failures=tuple(failures),
     )
 
@@ -392,39 +389,33 @@ def check_expected_flips(entry: CatalogEntry, tol: float = 1e-10) -> tuple[list[
     """Expected-failure audit of a faithful-original entry on its p < 0 samples.
 
     Returns (findings, failures): findings lists the observed sign flips,
-    failures anything inconsistent with the flip-iff-(m odd and p < 0) law.
+    failures anything inconsistent with the entry's flip_law.
     """
-    if entry.corrected or not entry.flip_samples:
+    if entry.flip_law is None:
         raise ValueError(f"{entry.id} has no expected-failure samples")
     findings: list[str] = []
     failures: list[str] = []
     for args in entry.flip_samples:
         closed = entry.closed_form(*args)
         ora = _sum_binding(entry.binding(*args), oracle_sin, oracle_cos)
-        scale = max(1.0, abs(closed), abs(ora))
-        matches = abs(closed - ora) <= tol * scale
-        flipped = abs(closed + ora) <= tol * scale
-        if matches and flipped:
-            # value is zero on both routes; flip is unobservable here
+        verdict, unobservable, unclassified = sign_verdict(
+            closed, ora, tol * max(1.0, abs(closed), abs(ora)))
+        expected = "SignFlip" if entry.flip_law(*args) else "Agree"
+        if unobservable:
             findings.append(f"{entry.id}{args!r}: value 0, flip unobservable")
-            continue
-        if entry.expect_flip(args):
-            if flipped:
-                findings.append(f"{entry.id}{args!r}: SignFlip as predicted")
-            else:
-                failures.append(f"{entry.id}{args!r}: expected a sign flip, none observed")
+        elif verdict == expected and not unclassified:
+            findings.append(f"{entry.id}{args!r}: {expected} as predicted")
+        elif expected == "SignFlip":
+            failures.append(f"{entry.id}{args!r}: expected a sign flip, none observed")
         else:
-            if matches:
-                findings.append(f"{entry.id}{args!r}: Agree as predicted")
-            else:
-                failures.append(f"{entry.id}{args!r}: expected agreement, got discrepancy")
+            failures.append(f"{entry.id}{args!r}: expected agreement, got discrepancy")
     return findings, tuple(failures)
 
 
 def describe_entry(entry: CatalogEntry) -> str:
     if entry.corrected:
         state = "corrected/generalized"
-    elif entry.flip_samples:
+    elif entry.flip_law is not None:
         state = "faithful original (buggy)"
     else:
         state = "correct as given"

@@ -23,7 +23,7 @@ import click
 import numpy as np
 
 from . import catalog as cat
-from .conditions import SignErrorReport, build_reports
+from .conditions import SignErrorReport, build_reports, sign_verdict
 from .errors import ConvergenceError, DomainError
 from .formulas import (
     eval_complex_cos,
@@ -93,6 +93,13 @@ def _require_real(values: dict[str, complex], method: str) -> RealParams:
             )
     return RealParams(values["p"].real, values["q"].real, values["a"].real,
                       values["b"].real, values["m"])
+
+
+def _tolerance(ctx, param, value: float) -> float:
+    # A NaN tolerance would pass every check, since each comparison with it is False.
+    if not 0.0 <= value < math.inf:
+        raise click.BadParameter(f"must be finite and >= 0, got {value!r}")
+    return value
 
 
 def _param_options(fn):
@@ -221,10 +228,10 @@ def _grid_chunks(base: dict[str, float], axes: list[tuple[str, np.ndarray]]
 
 @dataclass
 class AuditRecord:
-    """One audited point: parameter echo, predicate report, three values,
-    and the original-vs-oracle verdict."""
+    """One audited point: parameter echo (p, q, a, b, m), predicate report,
+    three values, and the original-vs-oracle verdict."""
 
-    params: RealParams
+    params: tuple[float, float, float, float, int]
     report: SignErrorReport
     boundary: bool
     original: complex | None = None
@@ -236,17 +243,8 @@ class AuditRecord:
 
     def to_json_dict(self) -> dict:
         return {
-            "params": {"p": self.params.p, "q": self.params.q, "a": self.params.a,
-                       "b": self.params.b, "m": self.params.m},
-            "report": {
-                "case1": self.report.case1,
-                "case2": self.report.case2,
-                "case3": self.report.case3,
-                "k_constant": self.report.k_constant,
-                "overall": self.report.overall,
-                "flip_applies": self.report.flip_applies,
-                "y_is_zero": self.report.y_is_zero,
-            },
+            "params": dict(zip("pqabm", self.params)),
+            "report": dict(vars(self.report)),
             "boundary": self.boundary,
             "original": None if self.original is None else _cjson(self.original),
             "improved": None if self.improved is None else _cjson(self.improved),
@@ -271,8 +269,8 @@ class AuditRecord:
         i_re, i_im = pair(self.improved)
         r_re, r_im = pair(self.oracle)
         detail = (self.detail or "").replace(",", ";")
-        cells = [repr(self.params.p), repr(self.params.q), repr(self.params.a),
-                 repr(self.params.b), str(self.params.m),
+        *coeffs, m = self.params
+        cells = [*map(repr, coeffs), str(m),
                  f"{self.report.case1:d}", f"{self.report.case2:d}", f"{self.report.case3:d}",
                  repr(self.report.k_constant), f"{self.report.overall:d}",
                  f"{self.report.flip_applies:d}", f"{self.report.y_is_zero:d}",
@@ -290,20 +288,11 @@ def _judge(rec: AuditRecord, tol: float) -> AuditRecord:
         return rec
     original, oracle = rec.original, rec.oracle
     rec.abs_discrepancy = abs(original - oracle)
-    scale = max(abs(original), abs(oracle))
-    tol_abs = max(tol * scale, 1e-11)
-    agree = abs(original - oracle) <= tol_abs
-    flipped = abs(original + oracle) <= tol_abs
-    if agree and flipped:
-        rec.verdict = "Agree"
-        if rec.report.flip_applies:
-            rec.detail = "component is zero; predicted flip unobservable"
-    elif flipped:
-        rec.verdict = "SignFlip"
-    elif agree:
-        rec.verdict = "Agree"
-    else:
-        rec.verdict = "SignFlip" if abs(original + oracle) < abs(original - oracle) else "Agree"
+    tol_abs = max(tol * max(abs(original), abs(oracle)), 1e-11)
+    rec.verdict, unobservable, unclassified = sign_verdict(original, oracle, tol_abs)
+    if unobservable and rec.report.flip_applies:
+        rec.detail = "component is zero; predicted flip unobservable"
+    elif unclassified:
         rec.detail = "unclassified discrepancy; neither match within tolerance"
     return rec
 
@@ -312,7 +301,7 @@ def _audit_point(rp: RealParams, report: SignErrorReport, boundary: bool,
                  kind: str, tol: float) -> AuditRecord:
     """One point through the scalar routes. A refusal by any route is
     recorded in detail, with the values computed before it and no verdict."""
-    rec = AuditRecord(params=rp, report=report, boundary=boundary)
+    rec = AuditRecord(params=(rp.p, rp.q, rp.a, rp.b, rp.m), report=report, boundary=boundary)
     try:
         rec.improved = _route("improved", kind)(rp).value
         rec.oracle = _route("oracle", kind)(rp).value
@@ -345,29 +334,25 @@ def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> Ite
     # np.bool_, and repr(np.float64) is not repr(float) under numpy 2.
     reports = map(SignErrorReport, *(getattr(batch, f.name).tolist() for f in fields(batch)))
     improved, oracle = eval_f_hyp_lanes(p, q, a, b, m), oracle_f_lanes(p, q, a, b, m)
-    ok = improved.ok & oracle.ok
-    judged = np.flatnonzero(ok & ~batch.y_is_zero)
-    original = eval_f_bessel_lanes(p[judged], q[judged], a[judged], b[judged], m)
-    ok[judged] &= original.ok
-    originals = [None] * len(p)
-    for i, z in zip(judged.tolist(), _component(original, kind)):
-        originals[i] = z
-    points = zip(*(x.tolist() for x in (p, q, a, b)))
-    lanes = zip(points, reports, boundary.tolist(), ok.tolist(), originals,
+    original = eval_f_bessel_lanes(p, q, a, b, m)
+    # The original formulas are inapplicable at Y = 0, where no verdict needs them.
+    ok = improved.ok & oracle.ok & (original.ok | batch.y_is_zero)
+    points = zip(*(x.tolist() for x in (p, q, a, b)), itertools.repeat(m))
+    lanes = zip(points, reports, boundary.tolist(), ok.tolist(), _component(original, kind),
                 _component(improved, kind), _component(oracle, kind))
     for pt, report, bnd, lane_ok, orig, imp, orc in lanes:
-        rp = RealParams(*pt, m)
         if lane_ok:
-            yield _judge(AuditRecord(rp, report, bnd, orig, imp, orc), tol)
+            orig = None if report.y_is_zero else orig
+            yield _judge(AuditRecord(pt, report, bnd, orig, imp, orc), tol)
         else:
-            yield _audit_point(rp, report, bnd, kind, tol)
+            yield _audit_point(RealParams(*pt), report, bnd, kind, tol)
 
 
 @main.command("audit")
 @click.option("--kind", type=click.Choice(["sin", "cos", "f"]), default="f", show_default=True)
 @click.option("--grid", "grid_spec", type=str, default=None,
               help="sweep 1 or 2 of p,q,a,b: 'p=-3:3:61,b=-3:3:61'")
-@click.option("--tol", type=float, default=1e-9, show_default=True,
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_tolerance,
               help="relative tolerance for the verdict comparison")
 @click.option("--json/--csv", "as_json", default=True,
               help="JSON lines (default) or flat CSV")
@@ -423,41 +408,32 @@ def cmd_scan(grid_spec: str, as_csv: bool,
         click.echo("".join([cell + suffixes[k] for cell, k in zip(cells, codes.tolist())]), nl=False)
 
 
-def _sweep_real(rng: np.random.Generator, samples: int, rtol: float) -> tuple[float, list[str]]:
+def _sweep(rng: np.random.Generator, samples: int, rtol: float, domain: str) -> tuple[float, list[str]]:
+    """Random points of the "real" (improved routes, coefficients in [-5, 5],
+    m <= 8) or "complex" domain (complex routes, in [-3, 3], m <= 6). Each
+    calls sin, oracle sin, cos, oracle cos through this module's bindings."""
+    real = domain == "real"
+    routes = [(kind, _route("improved" if real else "complex", kind), _route("oracle", kind))
+              for kind in ("sin", "cos")]
+    atol = SWEEP_ATOL_REAL if real else SWEEP_ATOL_COMPLEX
     worst = 0.0
     offenders: list[str] = []
     for i in range(samples):
-        vals = rng.uniform(-5.0, 5.0, size=4)
-        m = int(rng.integers(0, 9))
-        rp = RealParams(float(vals[0]), float(vals[1]), float(vals[2]), float(vals[3]), m)
-        for kind, ev, orc in (("sin", eval_improved_sin, oracle_sin),
-                              ("cos", eval_improved_cos, oracle_cos)):
-            v = ev(rp).value
-            o = orc(rp).value
-            margin = abs(v - o) / max(rtol * abs(o), SWEEP_ATOL_REAL)
+        if real:
+            vals = rng.uniform(-5.0, 5.0, size=4).tolist()
+            params = RealParams(*vals, int(rng.integers(0, 9)))
+        else:
+            vals = rng.uniform(-3.0, 3.0, size=8).tolist()
+            params = ComplexParams(*map(complex, vals[0::2], vals[1::2]), int(rng.integers(0, 7)))
+        for kind, ev, orc in routes:
+            v = ev(params).value
+            o = orc(params).value
+            margin = abs(v - o) / max(rtol * abs(o), atol)
             worst = max(worst, margin)
             if margin > 1.0:
-                offenders.append(f"real sample {i} {kind} p={rp.p:.6g} q={rp.q:.6g} "
-                                 f"a={rp.a:.6g} b={rp.b:.6g} m={m}: margin {margin:.3g}")
-    return worst, offenders
-
-
-def _sweep_complex(rng: np.random.Generator, samples: int, rtol: float) -> tuple[float, list[str]]:
-    worst = 0.0
-    offenders: list[str] = []
-    for i in range(samples):
-        vals = rng.uniform(-3.0, 3.0, size=8)
-        m = int(rng.integers(0, 7))
-        cp = ComplexParams(complex(vals[0], vals[1]), complex(vals[2], vals[3]),
-                           complex(vals[4], vals[5]), complex(vals[6], vals[7]), m)
-        for kind, ev, orc in (("sin", eval_complex_sin, oracle_sin),
-                              ("cos", eval_complex_cos, oracle_cos)):
-            v = ev(cp).value
-            o = orc(cp).value
-            margin = abs(v - o) / max(rtol * abs(o), SWEEP_ATOL_COMPLEX)
-            worst = max(worst, margin)
-            if margin > 1.0:
-                offenders.append(f"complex sample {i} {kind} m={m}: margin {margin:.3g}")
+                at = (f"p={params.p:.6g} q={params.q:.6g} a={params.a:.6g} b={params.b:.6g} "
+                      if real else "")
+                offenders.append(f"{domain} sample {i} {kind} {at}m={params.m}: margin {margin:.3g}")
     return worst, offenders
 
 
@@ -465,7 +441,7 @@ def _sweep_complex(rng: np.random.Generator, samples: int, rtol: float) -> tuple
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--samples", type=int, default=200, show_default=True,
               help="random oracle cross-check points")
-@click.option("--tol", type=float, default=1e-10, show_default=True,
+@click.option("--tol", type=float, default=1e-10, show_default=True, callback=_tolerance,
               help="catalog and real-sweep relative tolerance; the complex sweep uses 10x this")
 @click.option("--complex", "do_complex", is_flag=True, help="add a complex-parameter sweep")
 @click.option("--entry", "entry_id", type=str, default=None,
@@ -483,7 +459,7 @@ def cmd_verify(seed: int, samples: int, tol: float, do_complex: bool,
         raise click.UsageError(str(exc))
 
     if p_negative:
-        originals = [e for e in entries if not e.corrected and e.flip_samples]
+        originals = [e for e in entries if e.flip_law is not None]
         if entry_id and not originals:
             raise click.UsageError(f"{entry_id} is not a faithful-original entry; "
                                    "--p-negative applies to *-original entries")
@@ -504,14 +480,11 @@ def cmd_verify(seed: int, samples: int, tol: float, do_complex: bool,
 
         if entry_id is None and samples > 0:
             rng = np.random.default_rng(seed)
-            worst, bad = _sweep_real(rng, samples, rtol=tol)
-            failures.extend(bad)
-            click.echo(f"sweep real: n={samples} seed={seed} worst_margin={worst:.3e} "
-                       f"{'ok' if not bad else 'FAIL'}")
-            if do_complex:
-                worst, bad = _sweep_complex(rng, samples, rtol=10 * tol)
+            sweeps = [("real", tol), ("complex", 10 * tol)] if do_complex else [("real", tol)]
+            for domain, rtol in sweeps:
+                worst, bad = _sweep(rng, samples, rtol, domain)
                 failures.extend(bad)
-                click.echo(f"sweep complex: n={samples} seed={seed} worst_margin={worst:.3e} "
+                click.echo(f"sweep {domain}: n={samples} seed={seed} worst_margin={worst:.3e} "
                            f"{'ok' if not bad else 'FAIL'}")
 
     if failures:

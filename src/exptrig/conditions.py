@@ -7,7 +7,8 @@ whole result, and the combined region reduces to two clauses built from
 one ratio constant K. Equality comparisons are exact float comparisons:
 the conditions are exact-arithmetic statements, and callers sitting
 within rounding distance of a boundary (p = -bK etc.) should expect
-either answer. build_reports evaluates the same predicates over arrays.
+either answer. build_reports evaluates the same predicates over arrays,
+and sign_verdict checks a predicted flip against a reference value.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "overall_sign_error",
     "build_report",
     "build_reports",
+    "sign_verdict",
 ]
 
 
@@ -174,3 +176,16 @@ def build_reports(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
         flip_applies=overall & (m % 2 == 1),
         y_is_zero=y_is_zero,
     )
+
+
+def sign_verdict(value: complex, reference: complex, tol_abs: float) -> tuple[str, bool, bool]:
+    """(verdict, unobservable, unclassified): "Agree" if value is within
+    tol_abs of reference, "SignFlip" if within tol_abs of -reference.
+    unobservable: both hold, so both are near zero and a flip cannot be
+    seen; the verdict is Agree. unclassified: neither holds; the verdict
+    is the nearer one."""
+    agree = abs(value - reference) <= tol_abs
+    flipped = abs(value + reference) <= tol_abs
+    if agree or flipped:
+        return ("Agree" if agree else "SignFlip"), agree and flipped, False
+    return ("SignFlip" if abs(value + reference) < abs(value - reference) else "Agree"), False, True

@@ -34,14 +34,13 @@ routes do; a lane where the scalar route would raise comes back not ok.
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
 from .complexops import cpow_half, mul_lanes, pow_int_over_factorial, pow_int_over_factorial_lanes
 from .conditions import overall_sign_error
 from .errors import DomainError
-from .params import ComplexParams, EvalResult, Method, OriginalConstants, RealParams
+from .params import ComplexParams, EvalResult, Method, RealParams
 from .series import SeriesLanes, bessel_i, bessel_i_lanes, hyp0f1, hyp0f1_lanes
 
 __all__ = [
@@ -72,10 +71,8 @@ def eval_f_bessel(params: RealParams) -> EvalResult:
     carries the branch-cut sign error wherever the error conditions hold
     and m is odd. Raises DomainError when (b-p)^2 + (a+q)^2 = 0 (Y = 0).
     """
-    k = OriginalConstants.from_params(params)
     m = params.m
-    scale, power, root = _bessel_prefactors(params.p, params.q, params.a, params.b,
-                                            k.A, k.B, k.C, k.D, m)
+    scale, power, root = _bessel_prefactors(params.p, params.q, params.a, params.b, m)
     bes = bessel_i(m, root)
     return EvalResult(
         value=scale * power * bes.value,
@@ -85,15 +82,22 @@ def eval_f_bessel(params: RealParams) -> EvalResult:
     )
 
 
-def _bessel_prefactors(p: float, q: float, a: float, b: float,
-                       A: float, B: float, C: float, D: float, m: int) -> tuple[float, complex, complex]:
+def _book_constants(p: float, q: float, a: float, b: float) -> tuple[float, float, float, float]:
+    """The four constants (A, B, C, D) of the book's closed forms."""
+    # D carries no minus sign; the 8th-edition minus is itself a typo.
+    return (p * p - q * q + a * a - b * b, 2.0 * (p * q + a * b),
+            p * p + q * q - a * a - b * b, 2.0 * (a * p + b * q))
+
+
+def _bessel_prefactors(p: float, q: float, a: float, b: float, m: int) -> tuple[float, complex, complex]:
     """2pi [(b-p)^2+(a+q)^2]^(-m/2), (A-iB)^(m/2) and sqrt(C+iD), each on
-    the principal branch, or DomainError where the first is 1/0 or either
+    the principal branch, or DomainError where the first is 1/0 or a
     power overflows."""
-    ynorm2 = (b - p) ** 2 + (a + q) ** 2
-    if ynorm2 == 0.0:
-        raise DomainError("original formula inapplicable: (b-p)^2 + (a+q)^2 = 0 (Y = 0)")
     try:
+        ynorm2 = (b - p) ** 2 + (a + q) ** 2
+        if ynorm2 == 0.0:
+            raise DomainError("original formula inapplicable: (b-p)^2 + (a+q)^2 = 0 (Y = 0)")
+        A, B, C, D = _book_constants(p, q, a, b)
         return (TWO_PI * ynorm2 ** (-0.5 * m), cpow_half(complex(A, -B), m),
                 cpow_half(complex(C, D), 1))
     except OverflowError:
@@ -105,16 +109,13 @@ def eval_f_bessel_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarr
                         m: int) -> SeriesLanes:
     """eval_f_bessel(RealParams(p, q, a, b, m)).value on every lane.
 
-    The constants are OriginalConstants' own expressions over the arrays
-    and the Bessel factor runs as lanes. The prefactors are libm powers,
+    The Bessel factor runs as lanes. The prefactors are libm powers,
     arguments and exponentials, which numpy need not round as libm does,
     so they are taken lane by lane in Python.
     """
-    with np.errstate(all="ignore"):
-        k = OriginalConstants.from_params(SimpleNamespace(p=p, q=q, a=a, b=b))
     ok = np.ones(len(p), dtype=bool)
     scales, powers, roots = [], [], []
-    for i, args in enumerate(zip(*(x.tolist() for x in (p, q, a, b, k.A, k.B, k.C, k.D)))):
+    for i, args in enumerate(zip(*(x.tolist() for x in (p, q, a, b)))):
         try:
             scale, power, root = _bessel_prefactors(*args, m)
         except DomainError:

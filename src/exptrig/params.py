@@ -18,7 +18,6 @@ from enum import Enum
 __all__ = [
     "RealParams",
     "ComplexParams",
-    "OriginalConstants",
     "IntermediateFactors",
     "Method",
     "EvalResult",
@@ -76,27 +75,6 @@ class ComplexParams:
         if not self.is_real:
             raise ValueError("parameters have nonzero imaginary parts")
         return RealParams(self.p.real, self.q.real, self.a.real, self.b.real, self.m)
-
-
-@dataclass(frozen=True)
-class OriginalConstants:
-    """The four constants of the book's closed forms."""
-
-    A: float
-    B: float
-    C: float
-    D: float
-
-    @classmethod
-    def from_params(cls, params: RealParams) -> "OriginalConstants":
-        p, q, a, b = params.p, params.q, params.a, params.b
-        # D carries no minus sign; the 8th-edition minus is itself a typo.
-        return cls(
-            A=p * p - q * q + a * a - b * b,
-            B=2.0 * (p * q + a * b),
-            C=p * p + q * q - a * a - b * b,
-            D=2.0 * (a * p + b * q),
-        )
 
 
 @dataclass(frozen=True)

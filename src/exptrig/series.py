@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexops import div_lanes, mul_lanes, pow_int_over_factorial_lanes
+from .complexops import div_lanes, mul_lanes, pow_int_over_factorial, pow_int_over_factorial_lanes
 from .errors import ConvergenceError
 
 __all__ = ["SeriesResult", "SeriesLanes", "bessel_i", "bessel_i_lanes", "hyp0f1", "hyp0f1_lanes"]
@@ -167,9 +167,7 @@ def bessel_i(m: int, z: complex) -> SeriesResult:
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"order m must be a non-negative integer, got {m!r}")
     zh = complex(z) / 2.0
-    prefix = complex(1.0, 0.0)
-    for j in range(1, m + 1):
-        prefix = prefix * zh / j
+    prefix = pow_int_over_factorial(zh, m)
     if prefix == 0:
         # z = 0 with m > 0: every term vanishes.
         if zh == 0:

@@ -168,6 +168,18 @@ def test_eval_original_overflow_exit_3():
     assert "overflows" in res.output
 
 
+def test_original_route_refuses_overflowing_y_norm():
+    # (b-p)^2 overflows: a typed refusal, not OverflowError; audit runs the
+    # original route over every lane of a chunk, so it must not raise either
+    res = run("eval", "--kind", "f", "--method", "original", "-p", "1e200", "-m", "1")
+    assert res.exit_code == 3
+    assert "overflows" in res.output
+    res = run("audit", "--grid", "p=-1e200:1e200:3", "-m", "1")
+    assert res.exit_code == 0, res.output
+    verdicts = [json.loads(line)["verdict"] for line in res.output.splitlines()]
+    assert verdicts == [None, "OriginalInapplicable", None]
+
+
 def test_audit_csv_mode():
     res = run("audit", "--csv", "--kind", "cos", "--grid", "p=-2:2:3", "-b", "1", "-m", "1")
     lines = res.output.strip().splitlines()
@@ -352,6 +364,41 @@ def test_verify_absurd_tolerance_fails():
     res = run("verify", "--entry", "GR-3.937-3", "--tol", "1e-18")
     assert res.exit_code == 1
     assert "FAIL" in res.output
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+def test_non_finite_or_negative_tol_is_usage_error(tol):
+    # every comparison with a NaN tolerance is False, so verify would pass everything
+    res = run("verify", "--seed", "42", "--samples", "1", "--tol", tol)
+    assert res.exit_code == 2 and "PASS" not in res.output
+    assert run("audit", "-p", "-2", "-b", "1", "-m", "1", "--tol", tol).exit_code == 2
+
+
+def test_zero_tol_is_accepted():
+    assert run("audit", "-p", "-2", "-b", "1", "-m", "1", "--tol", "0").exit_code == 0
+
+
+def test_verify_sweep_calls_go_through_cli_bindings(monkeypatch):
+    # rebinding these names on exptrig.cli must reach every sweep call, in
+    # the order sin, oracle sin, cos, oracle cos for each sample
+    args = ("verify", "--seed", "5", "--samples", "3", "--complex")
+    unpatched = run(*args)
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(params):
+            calls.append(name)
+            return fn(params)
+        return wrapper
+
+    for name in ("eval_improved_sin", "eval_improved_cos", "eval_complex_sin",
+                 "eval_complex_cos", "oracle_sin", "oracle_cos"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    res = run(*args)
+    assert res.exit_code == 0
+    assert res.output == unpatched.output
+    assert calls == (3 * ["eval_improved_sin", "oracle_sin", "eval_improved_cos", "oracle_cos"]
+                     + 3 * ["eval_complex_sin", "oracle_sin", "eval_complex_cos", "oracle_cos"])
 
 
 def test_list():

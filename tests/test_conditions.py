@@ -19,6 +19,7 @@ from exptrig import (
     overall_sign_error,
     power_combination_flips,
 )
+from exptrig.conditions import sign_verdict
 
 
 def test_case1_examples():
@@ -134,3 +135,15 @@ def test_build_reports_matches_build_report(points, m):
                 assert repr(float(got)) == repr(want), (pt, f.name)
             else:
                 assert bool(got) is want, (pt, f.name)
+
+
+def test_sign_verdict():
+    assert sign_verdict(1.0, 1.0, 1e-9) == ("Agree", False, False)
+    assert sign_verdict(-1.0, 1.0, 1e-9) == ("SignFlip", False, False)
+    assert sign_verdict(1j, -1j, 1e-9) == ("SignFlip", False, False)
+    # both hold: the value is zero, so a flip cannot be seen
+    assert sign_verdict(0.0, 1e-12, 1e-11) == ("Agree", True, False)
+    # neither holds: the nearer verdict
+    assert sign_verdict(2.0, 1.0, 1e-9) == ("Agree", False, True)
+    assert sign_verdict(-2.0, 1.0, 1e-9) == ("SignFlip", False, True)
+    assert sign_verdict(float("nan"), 1.0, 1e-9) == ("Agree", False, True)

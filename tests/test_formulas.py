@@ -13,7 +13,6 @@ from exptrig import (
     DomainError,
     IntermediateFactors,
     Method,
-    OriginalConstants,
     RealParams,
     build_report,
     eval_complex_cos,
@@ -32,7 +31,7 @@ from exptrig import (
     oracle_f,
     oracle_sin,
 )
-from exptrig.formulas import _alpha_w, _f_term, eval_f_bessel_lanes, eval_f_hyp_lanes
+from exptrig.formulas import _alpha_w, _book_constants, _f_term, eval_f_bessel_lanes, eval_f_hyp_lanes
 
 # 0F1(;2;3/4) from independent brute-force partial sums
 F01_2_075 = 1.424917347073156
@@ -55,14 +54,14 @@ def test_params_validation():
 
 def test_constants_and_factors():
     rp = RealParams(1.0, -2.0, 0.5, 3.0, 2)
-    oc = OriginalConstants.from_params(rp)
-    assert oc.A == 1 - 4 + 0.25 - 9
-    assert oc.B == 2 * (1 * -2 + 0.5 * 3)
-    assert oc.C == 1 + 4 - 0.25 - 9
-    assert oc.D == 2 * (0.5 * 1 + 3 * -2)
+    A, B, C, D = _book_constants(rp.p, rp.q, rp.a, rp.b)
+    assert A == 1 - 4 + 0.25 - 9
+    assert B == 2 * (1 * -2 + 0.5 * 3)
+    assert C == 1 + 4 - 0.25 - 9
+    assert D == 2 * (0.5 * 1 + 3 * -2)
     ar, ai, wr, wi = _alpha_w(rp.p, rp.a, rp.q, rp.b)
     assert ar == (1 + 3) / 2 and ai == (0.5 + 2) / 2
-    assert wr == oc.C / 4 and wi == oc.D / 4
+    assert wr == C / 4 and wi == D / 4
     fac = IntermediateFactors.from_params(rp)
     assert fac.X == complex(ar, ai)
     assert cmath.isclose(fac.X * fac.Y, complex(wr, wi), rel_tol=1e-15)
@@ -80,9 +79,9 @@ def test_core_on_real_params_and_their_reflection(coeffs, m):
     ar, ai, wr, wi = _alpha_w(p, a, q, b)
     rp = RealParams(p, q, a, b, m)
     fac = IntermediateFactors.from_params(rp)
-    oc = OriginalConstants.from_params(rp)
+    _, _, C, D = _book_constants(p, q, a, b)
     assert complex(ar, ai) == fac.X
-    assert (wr, wi) == (oc.C / 4, oc.D / 4)
+    assert (wr, wi) == (C / 4, D / 4)
     scale = p * p + q * q + a * a + b * b
     assert cmath.isclose(complex(wr, wi), fac.X * fac.Y, rel_tol=1e-15, abs_tol=1e-15 * scale)
     assert _alpha_w(p, -a, -q, b) == (ar, -ai, wr, -wi)
