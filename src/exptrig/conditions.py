@@ -154,7 +154,7 @@ def build_reports(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
     both_zero = (a == 0) & (q == 0)
     x_is_zero = (a == q) & (p == -b)
     y_is_zero = (a == -q) & (p == b)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r1 = -b * a / q
         r2 = -b * q / a
         k = np.where(both_zero, -1.0, np.where((abs_a >= abs_q) & (a != 0), q / a, a / q))

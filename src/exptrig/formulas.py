@@ -26,6 +26,11 @@ x -> 2pi - x, which maps f to the same term at (p, -q, -a, b):
 cos = (f(p, q, a, b) + f(p, -q, -a, b))/2 and sin is their difference
 over 2i.
 
+The Bessel core and the 0F1 term remember their last results (one point,
+and a term with its reflection), so sin, cos and f at one point cost one
+series: a repeated call returns the stored result, which is bit for bit
+what a fresh evaluation gives.
+
 eval_f_hyp_lanes and eval_f_bessel_lanes evaluate f over arrays of real
 coefficients at one m, one lane per point, bit for bit as the scalar
 routes do; a lane where the scalar route would raise comes back not ok.
@@ -40,7 +45,7 @@ import numpy as np
 from .complexops import cpow_half, mul_lanes, pow_int_over_factorial, pow_int_over_factorial_lanes
 from .conditions import overall_sign_error
 from .errors import DomainError
-from .params import ComplexParams, EvalResult, Method, RealParams
+from .params import ComplexParams, EvalResult, Method, RealParams, _memo
 from .series import SeriesLanes, bessel_i, bessel_i_lanes, hyp0f1, hyp0f1_lanes
 
 __all__ = [
@@ -71,8 +76,14 @@ def eval_f_bessel(params: RealParams) -> EvalResult:
     carries the branch-cut sign error wherever the error conditions hold
     and m is odd. Raises DomainError when (b-p)^2 + (a+q)^2 = 0 (Y = 0).
     """
-    m = params.m
-    scale, power, root = _bessel_prefactors(params.p, params.q, params.a, params.b, m)
+    return _f_bessel(params.p, params.q, params.a, params.b, params.m)
+
+
+@_memo(1)
+def _f_bessel(p: float, q: float, a: float, b: float, m: int) -> EvalResult:
+    # eval_f_bessel's value, kept for the next call at the same point: the
+    # original and corrected sin, cos and f all read this one record.
+    scale, power, root = _bessel_prefactors(p, q, a, b, m)
     bes = bessel_i(m, root)
     return EvalResult(
         value=scale * power * bes.value,
@@ -185,9 +196,14 @@ def _alpha_w(ur, ui, vr, vi):
             (ur * ur + vr * vr - ui * ui - vi * vi) / 4.0, (ui * ur + vi * vr) / 2.0)
 
 
+@_memo(2)
 def _f_term(ur, ui, vr, vi, m: int) -> tuple[complex, int, float]:
     """alpha^m/m! 0F1(; m+1; w), the series' terms_used, and |alpha^m/m!| times
-    its truncation estimate: f/2pi at u = ur + i ui, v = vr + i vi."""
+    its truncation estimate: f/2pi at u = ur + i ui, v = vr + i vi.
+
+    The last two terms are kept, so the real routes' sin, cos and f at
+    one point sum one series, and the complex routes' sin and cos share
+    a term and its reflection."""
     ar, ai, wr, wi = _alpha_w(ur, ui, vr, vi)
     power = pow_int_over_factorial(complex(ar, ai), m)
     ser = hyp0f1(m + 1, complex(wr, wi))

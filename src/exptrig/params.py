@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import wraps
 
 __all__ = [
     "RealParams",
@@ -22,6 +23,51 @@ __all__ = [
     "Method",
     "EvalResult",
 ]
+
+
+def _same_bits(x, y) -> bool:
+    """Whether x and y, already equal under ==, are the same value bit for
+    bit: the same type, zeros of the same sign, part by part for complex
+    numbers and entry by entry for tuples. An int and an equal float
+    differ: the int is squared exactly, the float is not."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, tuple):
+        return all(map(_same_bits, x, y))
+    if isinstance(x, complex):
+        return _same_bits(x.real, y.real) and _same_bits(x.imag, y.imag)
+    return x != 0 or math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def _memo(slots: int):
+    """Remember a pure function's last `slots` results, keyed on its
+    positional arguments.
+
+    A call returns the stored result only when its arguments equal a
+    stored key bit for bit (_same_bits); otherwise it computes, and the
+    newest (key, value) pair displaces the oldest. A call that raises
+    stores nothing, so a refusal is raised again. The function must
+    return an immutable value. Each pair is stored, and the whole table
+    replaced, in one assignment, so concurrent callers see either the
+    old table or the new one. fn itself stays reachable as __wrapped__.
+    """
+    def decorate(fn):
+        table = ()
+
+        @wraps(fn)
+        def memoised(*args):
+            nonlocal table
+            held = table
+            for key, value in held:
+                if key == args and _same_bits(key, args):
+                    return value
+            value = fn(*args)
+            table = ((args, value),) + held[:slots - 1]
+            return value
+
+        return memoised
+
+    return decorate
 
 
 def _require_int_m(m: int) -> None:
@@ -109,7 +155,9 @@ class EvalResult:
 
     terms_used sums over every series evaluation in the route;
     truncation_estimate is each series' first-omitted-term magnitude
-    times its prefactor in the route, summed over them.
+    times its prefactor in the route, summed over them. sin, cos and f
+    at one point share their series: a call that reuses the series of
+    an earlier call at the same point reports that series' bookkeeping.
     """
 
     value: complex

@@ -13,6 +13,9 @@ and at least N_MIN. One pass gives the value, with no convergence test
 that a large m could fool. error_estimate bounds |value - integral|: the
 aliasing bound at order N - m plus u (2pi/N) sum_j |g(x_j)| times the
 rounding growth of the nodes, the exponent (m x included) and the sum.
+The last pass's sums are kept for the next call with the same rows and
+N: oracle_sin and oracle_cos at one point integrate once, and so does
+oracle_f for real coefficients.
 
 oracle_f_lanes integrates many real-coefficient points at one m, one
 lane per point: lanes are grouped by N and each block of at most
@@ -33,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .params import ComplexParams, RealParams
+from .params import ComplexParams, RealParams, _memo
 
 __all__ = ["QuadratureResult", "OracleLanes", "oracle_f", "oracle_f_lanes", "oracle_sin", "oracle_cos"]
 
@@ -105,6 +108,15 @@ def _trapezoid(coeffs: np.ndarray, n: int) -> tuple[list[complex], float]:
     return [h * s for s in g.sum(axis=1).tolist()], h * float(np.abs(g).sum()) / len(g)
 
 
+@_memo(1)
+def _rule(rows: tuple, n: int) -> tuple[tuple[complex, ...], float]:
+    """_trapezoid at the rows (u, v, -ik), kept for the next call with the
+    same rows and n: for real coefficients oracle_f, oracle_sin and
+    oracle_cos share one pass, for complex ones oracle_sin and oracle_cos."""
+    sums, abs_sum = _trapezoid(np.array(rows), n)
+    return tuple(sums), abs_sum
+
+
 def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
     p, q, a, b, m = params.p, params.q, params.a, params.b, params.m
     budget = abs(p) + abs(q) + abs(a) + abs(b)
@@ -112,14 +124,14 @@ def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
         raise DomainError(
             f"|p|+|q|+|a|+|b| = {budget:.3g} exceeds the oracle envelope {ENVELOPE:g}"
         )
-    rows = [(p + 1j * a, q + 1j * b, -1j * m)]
+    rows = ((p + 1j * a, q + 1j * b, -1j * m),)
     if kind != "f" and not (isinstance(params, RealParams) or params.is_real):
-        rows.append((p - 1j * a, q - 1j * b, 1j * m))
+        rows += ((p - 1j * a, q - 1j * b, 1j * m),)
     radius = max(abs(u - 1j * v) + abs(u + 1j * v) for u, v, _ in rows) / 2
     n = _node_count(math.ceil(4 * radius), m)
     if n > N_MAX:
         raise DomainError(f"m = {m} needs {n} trapezoid nodes, above N_MAX = {N_MAX}")
-    sums, abs_sum = _trapezoid(np.array(rows), n)
+    sums, abs_sum = _rule(rows, n)
 
     if kind == "f":
         value = sums[0]

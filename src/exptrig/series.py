@@ -21,6 +21,7 @@ which the scalar function would raise comes back not ok instead.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,6 +36,7 @@ __all__ = ["SeriesResult", "SeriesLanes", "bessel_i", "bessel_i_lanes", "hyp0f1"
 # running partial sum; give up at MAX_TERMS.
 TERM_EPS = 1e-17
 MAX_TERMS = 500
+_FMAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,7 @@ def _sum_ratio_series(w: complex, b1: int, label: str) -> tuple[complex, int, fl
             mag, smag = abs(term), abs(s)
         except OverflowError:  # finite parts whose modulus exceeds the float range
             mag = smag = math.inf
-        if not (math.isfinite(mag) and math.isfinite(smag)):
+        if not (mag <= _FMAX and smag <= _FMAX):  # False for inf and nan alike
             raise ConvergenceError(f"{label}: series terms overflowed at k={k} (|w|={_modulus(w):.3g})")
         if mag == 0.0 or mag < TERM_EPS * smag:
             below += 1

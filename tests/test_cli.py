@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -178,6 +179,18 @@ def test_original_route_refuses_overflowing_y_norm():
     assert res.exit_code == 0, res.output
     verdicts = [json.loads(line)["verdict"] for line in res.output.splitlines()]
     assert verdicts == [None, "OriginalInapplicable", None]
+
+
+@pytest.mark.parametrize("command", [("audit", "--csv"), ("scan",)])
+def test_overflowing_predicate_ratios_warn_nothing(command):
+    # b*q overflows in build_reports' ratios -b*a/q and -b*q/a; the lanes
+    # that read them compare against inf, as the scalar predicates do.
+    args = (*command, "--grid", "p=-1e200:1e200:5,b=-1e300:1e300:7", "-q", "1e154", "-m", "3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run(*args)
+    assert res.exit_code == 0, res.exception
+    assert res.output == run(*args).output
 
 
 def test_audit_csv_mode():
