@@ -33,9 +33,8 @@ from .formulas import (
     eval_corrected_original_f,
     eval_corrected_original_sin,
     eval_f_bessel,
-    eval_f_bessel_lanes,
     eval_f_hyp,
-    eval_f_hyp_lanes,
+    eval_f_lanes,
     eval_improved_cos,
     eval_improved_sin,
     eval_original_cos,
@@ -333,8 +332,7 @@ def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> Ite
     # Python bool and float, as build_report gives: json rejects
     # np.bool_, and repr(np.float64) is not repr(float) under numpy 2.
     reports = map(SignErrorReport, *(getattr(batch, f.name).tolist() for f in fields(batch)))
-    improved, oracle = eval_f_hyp_lanes(p, q, a, b, m), oracle_f_lanes(p, q, a, b, m)
-    original = eval_f_bessel_lanes(p, q, a, b, m)
+    (improved, original), oracle = eval_f_lanes(p, q, a, b, m), oracle_f_lanes(p, q, a, b, m)
     # The original formulas are inapplicable at Y = 0, where no verdict needs them.
     ok = improved.ok & oracle.ok & (original.ok | batch.y_is_zero)
     points = zip(*(x.tolist() for x in (p, q, a, b)), itertools.repeat(m))
@@ -439,7 +437,7 @@ def _sweep(rng: np.random.Generator, samples: int, rtol: float, domain: str) -> 
 
 @main.command("verify")
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--samples", type=int, default=200, show_default=True,
+@click.option("--samples", type=click.IntRange(min=0), default=200, show_default=True,
               help="random oracle cross-check points")
 @click.option("--tol", type=float, default=1e-10, show_default=True, callback=_tolerance,
               help="catalog and real-sweep relative tolerance; the complex sweep uses 10x this")

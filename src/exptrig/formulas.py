@@ -26,14 +26,18 @@ x -> 2pi - x, which maps f to the same term at (p, -q, -a, b):
 cos = (f(p, q, a, b) + f(p, -q, -a, b))/2 and sin is their difference
 over 2i.
 
-The Bessel core and the 0F1 term remember their last results (one point,
-and a term with its reflection), so sin, cos and f at one point cost one
-series: a repeated call returns the stored result, which is bit for bit
-what a fresh evaluation gives.
+The book's I_m(sqrt(C+iD)) is (sqrt(C+iD)/2)^m/m! 0F1(; m+1; (C+iD)/4),
+and (C+iD)/4 is alpha beta at real coefficients, so the original route
+takes its series from the 0F1 term: the two routes differ only in the
+prefactors, where the branch error sits. The Bessel core and the 0F1
+term remember their last results (one point, and a term with its
+reflection), so every real route at one point sums one series: a
+repeated call returns the stored result, which is bit for bit what a
+fresh evaluation gives.
 
-eval_f_hyp_lanes and eval_f_bessel_lanes evaluate f over arrays of real
-coefficients at one m, one lane per point, bit for bit as the scalar
-routes do; a lane where the scalar route would raise comes back not ok.
+eval_f_lanes evaluates f by both routes over arrays of real coefficients
+at one m, one lane per point, bit for bit as the scalar routes do; a
+lane where a scalar route would raise comes back not ok.
 """
 
 from __future__ import annotations
@@ -42,22 +46,21 @@ import math
 
 import numpy as np
 
-from .complexops import cpow_half, mul_lanes, pow_int_over_factorial, pow_int_over_factorial_lanes
+from .complexops import cpow_half, div_lanes, mul_lanes, pow_int_over_factorial, pow_int_over_factorial_lanes
 from .conditions import overall_sign_error
 from .errors import DomainError
 from .params import ComplexParams, EvalResult, Method, RealParams, _memo
-from .series import SeriesLanes, bessel_i, bessel_i_lanes, hyp0f1, hyp0f1_lanes
+from .series import SeriesLanes, SeriesResult, _bessel_prefix, hyp0f1, hyp0f1_lanes
 
 __all__ = [
     "eval_f_bessel",
-    "eval_f_bessel_lanes",
     "eval_original_sin",
     "eval_original_cos",
     "eval_corrected_original_sin",
     "eval_corrected_original_cos",
     "eval_corrected_original_f",
     "eval_f_hyp",
-    "eval_f_hyp_lanes",
+    "eval_f_lanes",
     "eval_improved_sin",
     "eval_improved_cos",
     "eval_complex_f",
@@ -82,14 +85,16 @@ def eval_f_bessel(params: RealParams) -> EvalResult:
 @_memo(1)
 def _f_bessel(p: float, q: float, a: float, b: float, m: int) -> EvalResult:
     # eval_f_bessel's value, kept for the next call at the same point: the
-    # original and corrected sin, cos and f all read this one record.
+    # original and corrected sin, cos and f all read this one record. The
+    # series is the 0F1 term's, whose w is (C + iD)/4 bit for bit.
     scale, power, root = _bessel_prefactors(p, q, a, b, m)
-    bes = bessel_i(m, root)
+    prefix = _bessel_prefix(m, root / 2.0)
+    ser = _f_term(p, a, q, b, m)[1]
     return EvalResult(
-        value=scale * power * bes.value,
+        value=scale * power * (prefix * ser.value),
         method=Method.OriginalBessel,
-        terms_used=bes.terms_used,
-        truncation_estimate=scale * abs(power) * bes.truncation_estimate,
+        terms_used=ser.terms_used,
+        truncation_estimate=scale * abs(power) * (abs(prefix) * ser.truncation_estimate),
     )
 
 
@@ -114,32 +119,6 @@ def _bessel_prefactors(p: float, q: float, a: float, b: float, m: int) -> tuple[
     except OverflowError:
         raise DomainError(f"original formula inapplicable: [(b-p)^2 + (a+q)^2]^(-m/2) or "
                           f"(A-iB)^(m/2) overflows at m = {m}") from None
-
-
-def eval_f_bessel_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
-                        m: int) -> SeriesLanes:
-    """eval_f_bessel(RealParams(p, q, a, b, m)).value on every lane.
-
-    The Bessel factor runs as lanes. The prefactors are libm powers,
-    arguments and exponentials, which numpy need not round as libm does,
-    so they are taken lane by lane in Python.
-    """
-    ok = np.ones(len(p), dtype=bool)
-    scales, powers, roots = [], [], []
-    for i, args in enumerate(zip(*(x.tolist() for x in (p, q, a, b)))):
-        try:
-            scale, power, root = _bessel_prefactors(*args, m)
-        except DomainError:
-            ok[i] = False
-            scale, power, root = 0.0, 0j, 0j
-        scales.append(scale)
-        powers.append(power)
-        roots.append(root)
-    power, root = np.array(powers, dtype=complex), np.array(roots, dtype=complex)
-    bes = bessel_i_lanes(m, root.real, root.imag)
-    with np.errstate(all="ignore"):
-        re, im = mul_lanes(*mul_lanes(np.array(scales), 0.0, power.real, power.imag), bes.re, bes.im)
-    return SeriesLanes(re, im, bes.terms_used, ok & bes.ok)
 
 
 def _part(f: EvalResult, x: float) -> EvalResult:
@@ -197,16 +176,21 @@ def _alpha_w(ur, ui, vr, vi):
 
 
 @_memo(2)
-def _f_term(ur, ui, vr, vi, m: int) -> tuple[complex, int, float]:
-    """alpha^m/m! 0F1(; m+1; w), the series' terms_used, and |alpha^m/m!| times
-    its truncation estimate: f/2pi at u = ur + i ui, v = vr + i vi.
+def _f_term(ur, ui, vr, vi, m: int) -> tuple[complex, SeriesResult]:
+    """alpha^m/m! and 0F1(; m+1; w), whose product is f/2pi at
+    u = ur + i ui, v = vr + i vi.
 
     The last two terms are kept, so the real routes' sin, cos and f at
-    one point sum one series, and the complex routes' sin and cos share
-    a term and its reflection."""
+    one point, the original route's among them, sum one series, and the
+    complex routes' sin and cos share a term and its reflection."""
     ar, ai, wr, wi = _alpha_w(ur, ui, vr, vi)
-    power = pow_int_over_factorial(complex(ar, ai), m)
-    ser = hyp0f1(m + 1, complex(wr, wi))
+    return pow_int_over_factorial(complex(ar, ai), m), hyp0f1(m + 1, complex(wr, wi))
+
+
+def _term(ur, ui, vr, vi, m: int) -> tuple[complex, int, float]:
+    """f/2pi at (u, v), the series' terms_used, and |alpha^m/m!| times its
+    truncation estimate."""
+    power, ser = _f_term(ur, ui, vr, vi, m)
     return power * ser.value, ser.terms_used, abs(power) * ser.truncation_estimate
 
 
@@ -217,20 +201,40 @@ def eval_f_hyp(params: RealParams) -> EvalResult:
     no positivity restriction: this evaluates everywhere, with
     (A'+iB')^m read as 1 when A' = B' = m = 0.
     """
-    t, terms, trunc = _f_term(params.p, params.a, params.q, params.b, params.m)
+    t, terms, trunc = _term(params.p, params.a, params.q, params.b, params.m)
     return EvalResult(TWO_PI * t, Method.Hyp0F1Real, terms, TWO_PI * trunc)
 
 
-def eval_f_hyp_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
-                     m: int) -> SeriesLanes:
-    """eval_f_hyp(RealParams(p, q, a, b, m)).value on every lane, from the
-    same (alpha, w) expressions over the arrays."""
+def eval_f_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
+                 m: int) -> tuple[SeriesLanes, SeriesLanes]:
+    """eval_f_hyp and eval_f_bessel at RealParams(p, q, a, b, m), as their
+    .value on every lane, from one hyp0f1_lanes series.
+
+    The (alpha, w) expressions and the prefixes run over the arrays. The
+    Bessel prefactors are libm powers, arguments and exponentials, which
+    numpy need not round as libm does, so they are taken lane by lane in
+    Python.
+    """
+    ok, pre = np.ones(len(p), dtype=bool), []
+    for i, args in enumerate(zip(*(x.tolist() for x in (p, q, a, b)))):
+        try:
+            pre.append(_bessel_prefactors(*args, m))
+        except DomainError:
+            ok[i] = False
+            pre.append((0.0, 0j, 0j))
+    scale, power, root = np.array(pre, dtype=complex).reshape(-1, 3).T
     with np.errstate(all="ignore"):
         ar, ai, wr, wi = _alpha_w(p, a, q, b)
-        vr, vi = pow_int_over_factorial_lanes(ar, ai, m)
         ser = hyp0f1_lanes(m + 1, wr, wi)
-        re, im = mul_lanes(TWO_PI, 0.0, *mul_lanes(vr, vi, ser.re, ser.im))
-    return ser._replace(re=re, im=im)
+        t = mul_lanes(*pow_int_over_factorial_lanes(ar, ai, m), ser.re, ser.im)
+        zhr, zhi = div_lanes(root.real, root.imag, 2.0)
+        pr, pi = pow_int_over_factorial_lanes(zhr, zhi, m)
+        bes = mul_lanes(*mul_lanes(scale.real, 0.0, power.real, power.imag),
+                        *mul_lanes(pr, pi, ser.re, ser.im))
+    # _bessel_prefix refuses a prefix that underflowed away from z = 0.
+    underflow = (pr == 0.0) & (pi == 0.0) & ((zhr != 0.0) | (zhi != 0.0))
+    return (SeriesLanes(*mul_lanes(TWO_PI, 0.0, *t), ser.terms_used, ser.ok),
+            SeriesLanes(*bes, ser.terms_used, ok & ser.ok & ~underflow))
 
 
 def eval_improved_sin(params: RealParams) -> EvalResult:
@@ -257,8 +261,8 @@ def _uv(p: complex, q: complex, a: complex, b: complex) -> tuple[float, float, f
 def _reflected_terms(c: ComplexParams) -> tuple[complex, complex, int, float]:
     """f/2pi at (p, q, a, b) and at its reflection (p, -q, -a, b), the
     terms both series used, and pi times their summed truncation estimates."""
-    t, n1, e1 = _f_term(*_uv(c.p, c.q, c.a, c.b), c.m)
-    r, n2, e2 = _f_term(*_uv(c.p, -c.q, -c.a, c.b), c.m)
+    t, n1, e1 = _term(*_uv(c.p, c.q, c.a, c.b), c.m)
+    r, n2, e2 = _term(*_uv(c.p, -c.q, -c.a, c.b), c.m)
     return t, r, n1 + n2, math.pi * (e1 + e2)
 
 
@@ -269,7 +273,7 @@ def eval_complex_f(cparams: ComplexParams) -> EvalResult:
     """
     if cparams.is_real:
         return _as_complex_route(eval_f_hyp(cparams.to_real()))
-    t, terms, trunc = _f_term(*_uv(cparams.p, cparams.q, cparams.a, cparams.b), cparams.m)
+    t, terms, trunc = _term(*_uv(cparams.p, cparams.q, cparams.a, cparams.b), cparams.m)
     return EvalResult(TWO_PI * t, Method.Hyp0F1Complex, terms, TWO_PI * trunc)
 
 

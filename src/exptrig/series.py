@@ -1,21 +1,17 @@
-"""Power-series evaluation of I_m and 0F1 on complex arguments.
+"""Power-series evaluation of 0F1 and I_m on complex arguments.
 
 Both series are entire, so plain Taylor summation with factorial-squared
 term decay is adequate for every finite argument this library meets.
 Terms are built incrementally from the previous term (never from
-standalone factorials), partial sums use Kahan compensation, and the
-modified Bessel series is summed in its factored form
+standalone factorials) and partial sums use Kahan compensation. There is
+one series: the modified Bessel function is its prefix times 0F1,
 
-    I_m(z) = (z/2)^m / m! * sum_k (z^2/4)^k / (k! (m+1)_k)
+    I_m(z) = (z/2)^m / m! * 0F1(; m+1; z^2/4)   (DLMF 10.25.2).
 
-which shares its tail with the 0F1 series term for term. That keeps the
-two routes bit-for-bit consistent under the heavy cancellation that sets
-in for arguments near the imaginary axis.
-
-``hyp0f1_lanes`` and ``bessel_i_lanes`` evaluate many arguments at once,
-one lane per argument. Each lane takes the scalar loop's operations in
-the same order, so it returns the scalar value bit for bit; a lane on
-which the scalar function would raise comes back not ok instead.
+``hyp0f1_lanes`` evaluates many arguments at once, one lane per
+argument. Each lane takes the scalar loop's operations in the same
+order, so it returns the scalar value bit for bit; a lane on which the
+scalar function would raise comes back not ok instead.
 """
 
 from __future__ import annotations
@@ -27,10 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexops import div_lanes, mul_lanes, pow_int_over_factorial, pow_int_over_factorial_lanes
+from .complexops import div_lanes, mul_lanes, pow_int_over_factorial
 from .errors import ConvergenceError
 
-__all__ = ["SeriesResult", "SeriesLanes", "bessel_i", "bessel_i_lanes", "hyp0f1", "hyp0f1_lanes"]
+__all__ = ["SeriesResult", "SeriesLanes", "bessel_i", "hyp0f1", "hyp0f1_lanes"]
 
 # Stop once two consecutive terms are each below TERM_EPS times the
 # running partial sum; give up at MAX_TERMS.
@@ -53,45 +49,6 @@ def _modulus(w: complex) -> float:
     return math.hypot(w.real, w.imag)
 
 
-def _sum_ratio_series(w: complex, b1: int, label: str) -> tuple[complex, int, float]:
-    """Kahan-sum 1 + w/(1*b1) + ... with term ratio w/((k+1)(b1+k)).
-
-    Returns (sum, terms_used, |first omitted term|). Raises
-    ConvergenceError if MAX_TERMS is hit, or if a term or a partial sum
-    goes non-finite or has a modulus above the float range.
-    """
-    s = complex(1.0, 0.0)
-    comp = complex(0.0, 0.0)
-    term = complex(1.0, 0.0)
-    below = 0
-    k = 0
-    while True:
-        term = term * w / ((k + 1) * (b1 + k))
-        k += 1
-        try:
-            mag, smag = abs(term), abs(s)
-        except OverflowError:  # finite parts whose modulus exceeds the float range
-            mag = smag = math.inf
-        if not (mag <= _FMAX and smag <= _FMAX):  # False for inf and nan alike
-            raise ConvergenceError(f"{label}: series terms overflowed at k={k} (|w|={_modulus(w):.3g})")
-        if mag == 0.0 or mag < TERM_EPS * smag:
-            below += 1
-        else:
-            below = 0
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        if below >= 2:
-            first_omitted = abs(term * w / ((k + 1) * (b1 + k)))
-            return s, k + 1, first_omitted
-        if k >= MAX_TERMS:
-            raise ConvergenceError(
-                f"{label}: no convergence within {MAX_TERMS} terms (|w|={_modulus(w):.3g}); "
-                "argument too large for the series policy"
-            )
-
-
 class SeriesLanes(NamedTuple):
     """Lane-wise values as real and imaginary parts, with the terms each
     lane's series used. A lane that is not ok (the scalar route would
@@ -106,7 +63,7 @@ class SeriesLanes(NamedTuple):
 def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> SeriesLanes:
     """hyp0f1(b1, zr + i zi) on every lane; b1 is one positive int or one per lane.
 
-    This is _sum_ratio_series, lane by lane. The loop runs over the lanes
+    This is hyp0f1's loop, lane by lane. The loop runs over the lanes
     still summing and drops a lane once its scalar loop would return (ok)
     or raise (not ok: an overflowed term or partial sum, or MAX_TERMS
     reached).
@@ -152,45 +109,58 @@ def hyp0f1(b1: int, z: complex) -> SeriesResult:
     """Confluent hypergeometric limit function 0F1(; b1; z).
 
     Series sum_k z^k / (k! (b1)_k) with (b1)_k the Pochhammer symbol,
-    b1 a positive integer.
+    b1 a positive integer, Kahan-summed with term ratio z/((k+1)(b1+k)).
+    The truncation estimate is |first omitted term|. Raises
+    ConvergenceError if MAX_TERMS is hit, or if a term or a partial sum
+    goes non-finite or has a modulus above the float range.
     """
     if not isinstance(b1, int) or isinstance(b1, bool) or b1 < 1:
         raise ValueError(f"b1 must be a positive integer, got {b1!r}")
-    s, used, omitted = _sum_ratio_series(complex(z), b1, "hyp0f1")
-    return SeriesResult(value=s, terms_used=used, truncation_estimate=omitted)
+    w, s, comp, term = complex(z), complex(1.0, 0.0), complex(0.0, 0.0), complex(1.0, 0.0)
+    below = k = 0
+    while True:
+        term = term * w / ((k + 1) * (b1 + k))
+        k += 1
+        try:
+            mag, smag = abs(term), abs(s)
+        except OverflowError:  # finite parts whose modulus exceeds the float range
+            mag = smag = math.inf
+        if not (mag <= _FMAX and smag <= _FMAX):  # False for inf and nan alike
+            raise ConvergenceError(f"hyp0f1: series terms overflowed at k={k} (|w|={_modulus(w):.3g})")
+        if mag == 0.0 or mag < TERM_EPS * smag:
+            below += 1
+        else:
+            below = 0
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        if below >= 2:
+            omitted = abs(term * w / ((k + 1) * (b1 + k)))
+            return SeriesResult(value=s, terms_used=k + 1, truncation_estimate=omitted)
+        if k >= MAX_TERMS:
+            raise ConvergenceError(
+                f"hyp0f1: no convergence within {MAX_TERMS} terms (|w|={_modulus(w):.3g}); "
+                "argument too large for the series policy"
+            )
+
+
+def _bessel_prefix(m: int, zh: complex) -> complex:
+    """(z/2)^m/m! at zh = z/2, or ConvergenceError where it underflows to 0
+    at a nonzero z (at z = 0 with m > 0 it is exactly 0)."""
+    prefix = pow_int_over_factorial(zh, m)
+    if prefix == 0 and zh != 0:
+        raise ConvergenceError(f"bessel_i: prefactor (z/2)^m/m! underflowed for m={m}")
+    return prefix
 
 
 def bessel_i(m: int, z: complex) -> SeriesResult:
-    """Modified Bessel function of the first kind, integer order m >= 0.
-
-    Series sum_k (z/2)^(m+2k) / (k! (m+k)!), summed as
-    (z/2)^m/m! times the matching 0F1-style tail in (z/2)^2.
-    """
+    """Modified Bessel function of the first kind, integer order m >= 0:
+    (z/2)^m/m! times 0F1(; m+1; (z/2)^2)."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"order m must be a non-negative integer, got {m!r}")
     zh = complex(z) / 2.0
-    prefix = pow_int_over_factorial(zh, m)
-    if prefix == 0:
-        # z = 0 with m > 0: every term vanishes.
-        if zh == 0:
-            return SeriesResult(value=complex(0.0, 0.0), terms_used=1, truncation_estimate=0.0)
-        raise ConvergenceError(f"bessel_i: prefactor (z/2)^m/m! underflowed for m={m}")
-    s, used, omitted = _sum_ratio_series(zh * zh, m + 1, "bessel_i")
-    return SeriesResult(value=prefix * s, terms_used=used, truncation_estimate=abs(prefix) * omitted)
-
-
-def bessel_i_lanes(m: int, zr: np.ndarray, zi: np.ndarray) -> SeriesLanes:
-    """bessel_i(m, zr + i zi) on every lane, for one order m."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"order m must be a non-negative integer, got {m!r}")
-    with np.errstate(all="ignore"):
-        zhr, zhi = div_lanes(np.asarray(zr, dtype=float), np.asarray(zi, dtype=float), 2.0)
-        pr, pi = pow_int_over_factorial_lanes(zhr, zhi, m)
-        ser = hyp0f1_lanes(m + 1, *mul_lanes(zhr, zhi, zhr, zhi))
-        re, im = mul_lanes(pr, pi, ser.re, ser.im)
-    # An underflowed prefactor is exact only at z = 0, where every term vanishes.
-    vanished = (pr == 0.0) & (pi == 0.0)
-    origin = (zhr == 0.0) & (zhi == 0.0)
-    return SeriesLanes(re=np.where(vanished, 0.0, re), im=np.where(vanished, 0.0, im),
-                       terms_used=np.where(vanished, 1, ser.terms_used),
-                       ok=np.where(vanished, origin, ser.ok))
+    prefix = _bessel_prefix(m, zh)
+    ser = hyp0f1(m + 1, zh * zh)
+    return SeriesResult(value=prefix * ser.value, terms_used=ser.terms_used,
+                        truncation_estimate=abs(prefix) * ser.truncation_estimate)

@@ -387,6 +387,19 @@ def test_non_finite_or_negative_tol_is_usage_error(tol):
     assert run("audit", "-p", "-2", "-b", "1", "-m", "1", "--tol", tol).exit_code == 2
 
 
+@pytest.mark.parametrize("samples", ["-3", "-1"])
+def test_negative_samples_is_usage_error(samples):
+    # a negative count would skip the sweep without a word and print PASS
+    res = run("verify", "--seed", "42", "--samples", samples)
+    assert res.exit_code == 2 and "PASS" not in res.output
+
+
+def test_zero_samples_runs_the_catalog_only():
+    res = run("verify", "--seed", "42", "--samples", "0")
+    assert res.exit_code == 0 and "sweep" not in res.output
+    assert res.output.strip().endswith("PASS")
+
+
 def test_zero_tol_is_accepted():
     assert run("audit", "-p", "-2", "-b", "1", "-m", "1", "--tol", "0").exit_code == 0
 

@@ -31,7 +31,7 @@ from exptrig import (
     oracle_f,
     oracle_sin,
 )
-from exptrig.formulas import _alpha_w, _book_constants, _f_term, eval_f_bessel_lanes, eval_f_hyp_lanes
+from exptrig.formulas import _alpha_w, _book_constants, _term, eval_f_lanes
 
 # 0F1(;2;3/4) from independent brute-force partial sums
 F01_2_075 = 1.424917347073156
@@ -85,8 +85,8 @@ def test_core_on_real_params_and_their_reflection(coeffs, m):
     scale = p * p + q * q + a * a + b * b
     assert cmath.isclose(complex(wr, wi), fac.X * fac.Y, rel_tol=1e-15, abs_tol=1e-15 * scale)
     assert _alpha_w(p, -a, -q, b) == (ar, -ai, wr, -wi)
-    t, terms, trunc = _f_term(p, a, q, b, m)
-    assert _f_term(p, -a, -q, b, m) == (t.conjugate(), terms, trunc)
+    t, terms, trunc = _term(p, a, q, b, m)
+    assert _term(p, -a, -q, b, m) == (t.conjugate(), terms, trunc)
 
 
 def test_f_hyp_spot_values():
@@ -118,31 +118,37 @@ def test_f_bessel_domain_error_at_y_zero():
 
 
 def test_f_bessel_agrees_where_no_condition_fires():
-    rng = np.random.default_rng(61)
-    hits = 0
-    while hits < 60:
-        rp = random_real_params(rng)
-        rep = build_report(rp)
-        if rep.y_is_zero or rep.overall:
-            continue
-        hits += 1
-        fb = eval_f_bessel(rp).value
-        fh = eval_f_hyp(rp).value
-        assert cmath.isclose(fb, fh, rel_tol=1e-11, abs_tol=1e-12)
+    # The second sampler reaches the cancelling series at large |a|, |b|
+    # and m, where the two routes must still agree.
+    for span, mmax in ((5.0, 8), (30.0, 40)):
+        rng = np.random.default_rng(61)
+        hits = 0
+        while hits < 60:
+            rp = random_real_params(rng, span=span, mmax=mmax)
+            rep = build_report(rp)
+            if rep.y_is_zero or rep.overall:
+                continue
+            hits += 1
+            fb = eval_f_bessel(rp).value
+            fh = eval_f_hyp(rp).value
+            assert cmath.isclose(fb, fh, rel_tol=1e-11, abs_tol=1e-12)
 
 
 def test_f_bessel_flips_exactly_when_overall_and_odd():
-    rng = np.random.default_rng(67)
-    hits = 0
-    while hits < 60:
-        rp = random_real_params(rng)
-        rep = build_report(rp)
-        if rep.y_is_zero or not rep.overall or rp.m % 2 == 0:
-            continue
-        hits += 1
-        fb = eval_f_bessel(rp).value
-        fh = eval_f_hyp(rp).value
-        assert cmath.isclose(fb, -fh, rel_tol=1e-10, abs_tol=1e-12)
+    # The second sampler reaches the cancelling series at large |a|, |b|
+    # and m, where the two routes must still differ only by the flip.
+    for span, mmax in ((5.0, 8), (30.0, 40)):
+        rng = np.random.default_rng(67)
+        hits = 0
+        while hits < 60:
+            rp = random_real_params(rng, span=span, mmax=mmax)
+            rep = build_report(rp)
+            if rep.y_is_zero or not rep.overall or rp.m % 2 == 0:
+                continue
+            hits += 1
+            fb = eval_f_bessel(rp).value
+            fh = eval_f_hyp(rp).value
+            assert cmath.isclose(fb, -fh, rel_tol=1e-10, abs_tol=1e-12)
 
 
 def test_original_components_zero_component_case():
@@ -383,8 +389,7 @@ def test_eval_result_bookkeeping():
           (1.0, -1.0, 1.0, 1.0), (-0.0, -0.0, -0.0, -0.0)], 171)
 def test_lane_closed_forms_match_scalar_bit_for_bit(points, m):
     p, q, a, b = (np.array(x) for x in zip(*points))
-    for scalar, lanes in ((eval_f_hyp, eval_f_hyp_lanes), (eval_f_bessel, eval_f_bessel_lanes)):
-        out = lanes(p, q, a, b, m)
+    for scalar, out in zip((eval_f_hyp, eval_f_bessel), eval_f_lanes(p, q, a, b, m)):
         for i, pt in enumerate(points):
             try:
                 res = scalar(RealParams(*pt, m))

@@ -1,11 +1,11 @@
 """sin, cos and f at one point share one series and one oracle pass.
 
-The Bessel core (formulas._f_bessel), the 0F1 term (formulas._f_term) and
-the oracle's trapezoid sums (quadrature._rule) remember their last
-results. These tests check that a remembered result is bit for bit what a
-fresh evaluation gives, that it is shared only between calls whose inputs
-are equal bit for bit, that refusals are never remembered, and that the
-sharing really happens.
+The Bessel core (formulas._f_bessel), the 0F1 term (formulas._f_term,
+whose series the Bessel core reads) and the oracle's trapezoid sums
+(quadrature._rule) remember their last results. These tests check that a
+remembered result is bit for bit what a fresh evaluation gives, that it
+is shared only between calls whose inputs are equal bit for bit, that
+refusals are never remembered, and that the sharing really happens.
 """
 
 import contextlib
@@ -37,7 +37,7 @@ from exptrig import (
     oracle_f,
     oracle_sin,
 )
-from exptrig import formulas, quadrature
+from exptrig import formulas, quadrature, series
 
 REAL_ROUTES = (eval_original_sin, eval_original_cos, eval_f_bessel, eval_corrected_original_sin,
                eval_corrected_original_cos, eval_corrected_original_f, eval_improved_sin,
@@ -107,21 +107,27 @@ def test_memo_changes_no_bits(real_points, complex_points, data):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls into the bindings the three memoised cores evaluate through."""
-    tally = {"hyp0f1": 0, "bessel_i": 0, "_trapezoid": 0}
+    """Series summed (calls into the series module's hyp0f1 and bessel_i from
+    the rest of the package), Bessel core evaluations (its prefactors) and
+    oracle passes."""
+    tally = {"series": 0, "_bessel_prefactors": 0, "_trapezoid": 0}
 
-    def counting(module, name):
+    def counting(module, name, key):
         inner = getattr(module, name)
 
         def counted(*args):
-            tally[name] += 1
+            tally[key] += 1
             return inner(*args)
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(formulas, "hyp0f1")
-    counting(formulas, "bessel_i")
-    counting(quadrature, "_trapezoid")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("exptrig.") and module is not series:
+            for attr, value in list(vars(module).items()):
+                if value is series.hyp0f1 or value is series.bessel_i:
+                    counting(module, attr, "series")
+    counting(formulas, "_bessel_prefactors", "_bessel_prefactors")
+    counting(quadrature, "_trapezoid", "_trapezoid")
     return tally
 
 
@@ -129,20 +135,20 @@ def test_real_sin_cos_and_f_sum_one_series(counts):
     rp = RealParams(0.37, -1.21, 0.83, 1.77, 3)
     for fn in (eval_improved_sin, eval_improved_cos, eval_f_hyp):
         fn(rp)
-    assert counts["hyp0f1"] == 1
+    assert counts["series"] == 1
     # The complex route on real coefficients is the same term.
     eval_complex_sin(rp.to_complex())
     eval_complex_cos(rp.to_complex())
-    assert counts["hyp0f1"] == 1
+    assert counts["series"] == 1
 
 
 def test_complex_sin_then_cos_sum_two_series(counts):
     cp = ComplexParams(0.41 + 0.2j, -1.3, 0.6 - 0.7j, 1.9j, 2)
     eval_complex_sin(cp)
-    assert counts["hyp0f1"] == 2
+    assert counts["series"] == 2
     eval_complex_cos(cp)
     eval_complex_sin(cp)
-    assert counts["hyp0f1"] == 2
+    assert counts["series"] == 2
 
 
 def test_original_and_corrected_routes_sum_one_bessel_series(counts):
@@ -150,8 +156,19 @@ def test_original_and_corrected_routes_sum_one_bessel_series(counts):
     for fn in (eval_original_sin, eval_original_cos, eval_f_bessel, eval_corrected_original_sin,
                eval_corrected_original_cos, eval_corrected_original_f):
         fn(rp)
-    assert counts["bessel_i"] == 1
+    assert counts["series"] == 1 and counts["_bessel_prefactors"] == 1
     assert eval_f_bessel(rp) is eval_f_bessel(rp)
+
+
+@pytest.mark.parametrize("rp", [RealParams(-1.37, 0.41, 0.59, 1.21, 1),
+                                RealParams(0.73, -1.19, 0.47, 1.63, 0)])
+def test_every_real_route_sums_one_series(counts, rp):
+    # The original route's I_m series is the improved route's 0F1 series.
+    for fn in (eval_original_sin, eval_original_cos, eval_f_bessel, eval_corrected_original_sin,
+               eval_corrected_original_cos, eval_corrected_original_f, eval_improved_sin,
+               eval_improved_cos, eval_f_hyp, eval_complex_f):
+        fn(rp if fn is not eval_complex_f else rp.to_complex())
+    assert counts["series"] == 1
 
 
 def test_oracle_sin_and_cos_share_one_pass(counts):
@@ -175,7 +192,7 @@ def test_oracle_sin_and_cos_share_one_pass(counts):
 def test_equal_but_not_bit_identical_points_are_not_shared(counts, first, second):
     fns = (eval_f_hyp, eval_f_bessel, oracle_f)
     got = outcomes(fns, (first, second))
-    assert counts["hyp0f1"] == 2 and counts["bessel_i"] == 2
+    assert counts["series"] == 2 and counts["_bessel_prefactors"] == 2
     with fresh():
         assert got == outcomes(fns, (first, second))
 
@@ -194,8 +211,9 @@ def test_oracle_rows_with_other_zero_signs_or_types_are_not_shared(counts, first
 def test_a_b_a_recomputes_and_matches_fresh(counts):
     a, b = RealParams(0.21, 0.32, -0.43, 0.54, 2), RealParams(-0.65, 0.76, 0.87, -0.98, 1)
     got = outcomes(REAL_ROUTES, (a, b, a))
-    # One slot for the Bessel core and the oracle, two for the 0F1 term.
-    assert counts == {"bessel_i": 3, "_trapezoid": 3, "hyp0f1": 2}
+    # One slot for the Bessel core and the oracle, two for the 0F1 term,
+    # which the Bessel core reads.
+    assert counts == {"_bessel_prefactors": 3, "_trapezoid": 3, "series": 2}
     with fresh():
         assert got == outcomes(REAL_ROUTES, (a, b, a))
 

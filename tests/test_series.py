@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from exptrig import ConvergenceError, bessel_i, hyp0f1
-from exptrig.series import bessel_i_lanes, hyp0f1_lanes
+from exptrig.series import hyp0f1_lanes
 
 
 def brute_bessel(m, z, terms=40):
@@ -148,17 +148,15 @@ def _lane(lanes, i):
     return repr(lanes.re[i].item()), repr(lanes.im[i].item()), int(lanes.terms_used[i])
 
 
-@given(LANES, st.lists(st.integers(1, 200), min_size=12, max_size=12), st.integers(0, 199))
-@example([(0.0, 0.0)], [1] * 12, 0)
-@example([(-0.0, -0.0), (0.0, -0.0)], [3] * 12, 2)
-# overflow, MAX_TERMS for hyp0f1 and for bessel_i, and a plain lane
-@example([(1e300, -1e300), (1e7, 0.0), (0.0, 9e4), (0.5, -0.25)], [1] * 12, 2)
-def test_lane_series_match_scalar_bit_for_bit(zs, b1s, m):
+@given(LANES, st.lists(st.integers(1, 200), min_size=12, max_size=12))
+@example([(0.0, 0.0)], [1] * 12)
+@example([(-0.0, -0.0), (0.0, -0.0)], [3] * 12)
+# overflow, MAX_TERMS, a large imaginary argument and a plain lane
+@example([(1e300, -1e300), (1e7, 0.0), (0.0, 9e4), (0.5, -0.25)], [1] * 12)
+def test_lane_series_match_scalar_bit_for_bit(zs, b1s):
     zr, zi = (np.array(part) for part in zip(*zs))
     b1 = np.array(b1s[:len(zs)])
     series = hyp0f1_lanes(b1, zr, zi)
-    bessel = bessel_i_lanes(m, zr, zi)
     for i, (re, im) in enumerate(zs):
         assert _lane(series, i) == _scalar_lane(hyp0f1, b1s[i], complex(re, im))
-        assert _lane(bessel, i) == _scalar_lane(bessel_i, m, complex(re, im))
 
