@@ -29,11 +29,9 @@ over 2i.
 The book's I_m(sqrt(C+iD)) is (sqrt(C+iD)/2)^m/m! 0F1(; m+1; (C+iD)/4),
 and (C+iD)/4 is alpha beta at real coefficients, so the original route
 takes its series from the 0F1 term: the two routes differ only in the
-prefactors, where the branch error sits. The Bessel core and the 0F1
-term remember their last results (one point, and a term with its
-reflection), so every real route at one point sums one series: a
-repeated call returns the stored result, which is bit for bit what a
-fresh evaluation gives.
+prefactors, where the branch error sits. The Bessel record and the 0F1
+term (and its reflection) are stored on the parameter record, so every
+real route called with one record sums one series.
 
 eval_f_lanes evaluates f by both routes over arrays of real coefficients
 at one m, one lane per point, bit for bit as the scalar routes do; a
@@ -49,7 +47,7 @@ import numpy as np
 from .complexops import cpow_half, div_lanes, mul_lanes, pow_int_over_factorial, pow_int_over_factorial_lanes
 from .conditions import overall_sign_error
 from .errors import DomainError
-from .params import ComplexParams, EvalResult, Method, RealParams, _memo
+from .params import ComplexParams, EvalResult, Method, RealParams, _once
 from .series import SeriesLanes, SeriesResult, _bessel_prefix, hyp0f1, hyp0f1_lanes
 
 __all__ = [
@@ -79,17 +77,16 @@ def eval_f_bessel(params: RealParams) -> EvalResult:
     carries the branch-cut sign error wherever the error conditions hold
     and m is odd. Raises DomainError when (b-p)^2 + (a+q)^2 = 0 (Y = 0).
     """
-    return _f_bessel(params.p, params.q, params.a, params.b, params.m)
+    return _once(params, "bessel", lambda: _f_bessel(params))
 
 
-@_memo(1)
-def _f_bessel(p: float, q: float, a: float, b: float, m: int) -> EvalResult:
-    # eval_f_bessel's value, kept for the next call at the same point: the
-    # original and corrected sin, cos and f all read this one record. The
-    # series is the 0F1 term's, whose w is (C + iD)/4 bit for bit.
-    scale, power, root = _bessel_prefactors(p, q, a, b, m)
+def _f_bessel(params: RealParams) -> EvalResult:
+    # The original and corrected sin, cos and f all read this one record.
+    # The series is the 0F1 term's, whose w is (C + iD)/4 bit for bit.
+    m = params.m
+    scale, power, root = _bessel_prefactors(params.p, params.q, params.a, params.b, m)
     prefix = _bessel_prefix(m, root / 2.0)
-    ser = _f_term(p, a, q, b, m)[1]
+    ser = _f_term(params)[1]
     return EvalResult(
         value=scale * power * (prefix * ser.value),
         method=Method.OriginalBessel,
@@ -175,22 +172,33 @@ def _alpha_w(ur, ui, vr, vi):
             (ur * ur + vr * vr - ui * ui - vi * vi) / 4.0, (ui * ur + vi * vr) / 2.0)
 
 
-@_memo(2)
-def _f_term(ur, ui, vr, vi, m: int) -> tuple[complex, SeriesResult]:
-    """alpha^m/m! and 0F1(; m+1; w), whose product is f/2pi at
-    u = ur + i ui, v = vr + i vi.
+def _uv(p: complex, q: complex, a: complex, b: complex) -> tuple[float, float, float, float]:
+    # (Re u, Im u, Re v, Im v) of u = p + ia, v = q + ib.
+    return p.real - a.imag, p.imag + a.real, q.real - b.imag, q.imag + b.real
 
-    The last two terms are kept, so the real routes' sin, cos and f at
+
+def _f_term(params: RealParams | ComplexParams, reflected: bool = False) -> tuple[complex, SeriesResult]:
+    """alpha^m/m! and 0F1(; m+1; w), whose product is f/2pi at the point,
+    or at its reflection (p, -q, -a, b).
+
+    Both are stored on the record, so the real routes' sin, cos and f at
     one point, the original route's among them, sum one series, and the
     complex routes' sin and cos share a term and its reflection."""
-    ar, ai, wr, wi = _alpha_w(ur, ui, vr, vi)
-    return pow_int_over_factorial(complex(ar, ai), m), hyp0f1(m + 1, complex(wr, wi))
+    def compute():
+        p, q, a, b = params.p, params.q, params.a, params.b
+        if reflected:
+            q, a = -q, -a
+        uv = (p, a, q, b) if isinstance(params, RealParams) else _uv(p, q, a, b)
+        ar, ai, wr, wi = _alpha_w(*uv)
+        return pow_int_over_factorial(complex(ar, ai), params.m), hyp0f1(params.m + 1, complex(wr, wi))
+
+    return _once(params, ("term", reflected), compute)
 
 
-def _term(ur, ui, vr, vi, m: int) -> tuple[complex, int, float]:
-    """f/2pi at (u, v), the series' terms_used, and |alpha^m/m!| times its
-    truncation estimate."""
-    power, ser = _f_term(ur, ui, vr, vi, m)
+def _term(params: RealParams | ComplexParams, reflected: bool = False) -> tuple[complex, int, float]:
+    """f/2pi at the point or its reflection, the series' terms_used, and
+    |alpha^m/m!| times its truncation estimate."""
+    power, ser = _f_term(params, reflected)
     return power * ser.value, ser.terms_used, abs(power) * ser.truncation_estimate
 
 
@@ -201,7 +209,7 @@ def eval_f_hyp(params: RealParams) -> EvalResult:
     no positivity restriction: this evaluates everywhere, with
     (A'+iB')^m read as 1 when A' = B' = m = 0.
     """
-    t, terms, trunc = _term(params.p, params.a, params.q, params.b, params.m)
+    t, terms, trunc = _term(params)
     return EvalResult(TWO_PI * t, Method.Hyp0F1Real, terms, TWO_PI * trunc)
 
 
@@ -253,16 +261,11 @@ def _as_complex_route(res: EvalResult) -> EvalResult:
     return EvalResult(res.value, Method.Hyp0F1Complex, res.terms_used, res.truncation_estimate)
 
 
-def _uv(p: complex, q: complex, a: complex, b: complex) -> tuple[float, float, float, float]:
-    # (Re u, Im u, Re v, Im v) of u = p + ia, v = q + ib.
-    return p.real - a.imag, p.imag + a.real, q.real - b.imag, q.imag + b.real
-
-
 def _reflected_terms(c: ComplexParams) -> tuple[complex, complex, int, float]:
     """f/2pi at (p, q, a, b) and at its reflection (p, -q, -a, b), the
     terms both series used, and pi times their summed truncation estimates."""
-    t, n1, e1 = _term(*_uv(c.p, c.q, c.a, c.b), c.m)
-    r, n2, e2 = _term(*_uv(c.p, -c.q, -c.a, c.b), c.m)
+    t, n1, e1 = _term(c)
+    r, n2, e2 = _term(c, reflected=True)
     return t, r, n1 + n2, math.pi * (e1 + e2)
 
 
@@ -273,7 +276,7 @@ def eval_complex_f(cparams: ComplexParams) -> EvalResult:
     """
     if cparams.is_real:
         return _as_complex_route(eval_f_hyp(cparams.to_real()))
-    t, terms, trunc = _term(*_uv(cparams.p, cparams.q, cparams.a, cparams.b), cparams.m)
+    t, terms, trunc = _term(cparams)
     return EvalResult(TWO_PI * t, Method.Hyp0F1Complex, terms, TWO_PI * trunc)
 
 

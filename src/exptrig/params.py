@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import wraps
 
 __all__ = [
     "RealParams",
@@ -25,49 +24,18 @@ __all__ = [
 ]
 
 
-def _same_bits(x, y) -> bool:
-    """Whether x and y, already equal under ==, are the same value bit for
-    bit: the same type, zeros of the same sign, part by part for complex
-    numbers and entry by entry for tuples. An int and an equal float
-    differ: the int is squared exactly, the float is not."""
-    if type(x) is not type(y):
-        return False
-    if isinstance(x, tuple):
-        return all(map(_same_bits, x, y))
-    if isinstance(x, complex):
-        return _same_bits(x.real, y.real) and _same_bits(x.imag, y.imag)
-    return x != 0 or math.copysign(1.0, x) == math.copysign(1.0, y)
+def _once(params: "RealParams | ComplexParams", key, compute):
+    """The value stored on params under key, or compute()'s, stored there
+    unless it raised, so a refusal is raised again. compute() must not
+    return None.
 
-
-def _memo(slots: int):
-    """Remember a pure function's last `slots` results, keyed on its
-    positional arguments.
-
-    A call returns the stored result only when its arguments equal a
-    stored key bit for bit (_same_bits); otherwise it computes, and the
-    newest (key, value) pair displaces the oldest. A call that raises
-    stores nothing, so a refusal is raised again. The function must
-    return an immutable value. Each pair is stored, and the whole table
-    replaced, in one assignment, so concurrent callers see either the
-    old table or the new one. fn itself stays reachable as __wrapped__.
-    """
-    def decorate(fn):
-        table = ()
-
-        @wraps(fn)
-        def memoised(*args):
-            nonlocal table
-            held = table
-            for key, value in held:
-                if key == args and _same_bits(key, args):
-                    return value
-            value = fn(*args)
-            table = ((args, value),) + held[:slots - 1]
-            return value
-
-        return memoised
-
-    return decorate
+    A record is frozen, so a value derived from it holds for as long as
+    the record does. Two threads may both compute a missing value; they
+    store equal values."""
+    value = params._cache.get(key)
+    if value is None:
+        value = params._cache[key] = compute()
+    return value
 
 
 def _require_int_m(m: int) -> None:
@@ -84,6 +52,8 @@ class RealParams:
     a: float
     b: float
     m: int
+    # Values derived from this point by the evaluators (see _once).
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_int_m(self.m)
@@ -93,7 +63,13 @@ class RealParams:
                 raise ValueError(f"parameter {name} must be finite, got {v!r}")
 
     def to_complex(self) -> "ComplexParams":
-        return ComplexParams(complex(self.p), complex(self.q), complex(self.a), complex(self.b), self.m)
+        """The same point with complex coefficients. When all four are
+        floats, its to_real() is this record, so the complex routes read
+        the values stored here; an int coefficient comes back a float."""
+        c = ComplexParams(complex(self.p), complex(self.q), complex(self.a), complex(self.b), self.m)
+        if all(type(v) is float for v in (self.p, self.q, self.a, self.b)):
+            c._cache["real"] = self
+        return c
 
 
 @dataclass(frozen=True)
@@ -105,6 +81,7 @@ class ComplexParams:
     a: complex
     b: complex
     m: int
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_int_m(self.m)
@@ -120,7 +97,8 @@ class ComplexParams:
     def to_real(self) -> RealParams:
         if not self.is_real:
             raise ValueError("parameters have nonzero imaginary parts")
-        return RealParams(self.p.real, self.q.real, self.a.real, self.b.real, self.m)
+        return _once(self, "real", lambda: RealParams(self.p.real, self.q.real, self.a.real,
+                                                      self.b.real, self.m))
 
 
 @dataclass(frozen=True)
@@ -156,8 +134,8 @@ class EvalResult:
     terms_used sums over every series evaluation in the route;
     truncation_estimate is each series' first-omitted-term magnitude
     times its prefactor in the route, summed over them. sin, cos and f
-    at one point share their series: a call that reuses the series of
-    an earlier call at the same point reports that series' bookkeeping.
+    called with one record share their series, so each reports that
+    series' bookkeeping.
     """
 
     value: complex

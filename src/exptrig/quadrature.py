@@ -13,9 +13,9 @@ and at least N_MIN. One pass gives the value, with no convergence test
 that a large m could fool. error_estimate bounds |value - integral|: the
 aliasing bound at order N - m plus u (2pi/N) sum_j |g(x_j)| times the
 rounding growth of the nodes, the exponent (m x included) and the sum.
-The last pass's sums are kept for the next call with the same rows and
-N: oracle_sin and oracle_cos at one point integrate once, and so does
-oracle_f for real coefficients.
+A pass's sums are stored on the parameter record, keyed by its row
+count: oracle_sin and oracle_cos at one point integrate once, and so
+does oracle_f for real coefficients.
 
 oracle_f_lanes integrates many real-coefficient points at one m, one
 lane per point: lanes are grouped by N and each block of at most
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .params import ComplexParams, RealParams, _memo
+from .params import ComplexParams, RealParams, _once
 
 __all__ = ["QuadratureResult", "OracleLanes", "oracle_f", "oracle_f_lanes", "oracle_sin", "oracle_cos"]
 
@@ -99,22 +99,13 @@ def _integrand(coeffs: np.ndarray, n: int) -> np.ndarray:
     return np.exp(np.einsum("kj,jn->kn", coeffs, _nodes(n)))
 
 
-def _trapezoid(coeffs: np.ndarray, n: int) -> tuple[list[complex], float]:
+def _trapezoid(coeffs: np.ndarray, n: int) -> tuple[tuple[complex, ...], float]:
     """n-point rule for each row (u, v, -ik) of coeffs: the integrals of
     g = exp(u cos x + v sin x - ikx) over [0, 2pi], and the mean over rows
     of the rule applied to |g|."""
     g = _integrand(coeffs, n)
     h = 2.0 * math.pi / n
-    return [h * s for s in g.sum(axis=1).tolist()], h * float(np.abs(g).sum()) / len(g)
-
-
-@_memo(1)
-def _rule(rows: tuple, n: int) -> tuple[tuple[complex, ...], float]:
-    """_trapezoid at the rows (u, v, -ik), kept for the next call with the
-    same rows and n: for real coefficients oracle_f, oracle_sin and
-    oracle_cos share one pass, for complex ones oracle_sin and oracle_cos."""
-    sums, abs_sum = _trapezoid(np.array(rows), n)
-    return tuple(sums), abs_sum
+    return tuple(h * s for s in g.sum(axis=1).tolist()), h * float(np.abs(g).sum()) / len(g)
 
 
 def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
@@ -131,7 +122,8 @@ def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
     n = _node_count(math.ceil(4 * radius), m)
     if n > N_MAX:
         raise DomainError(f"m = {m} needs {n} trapezoid nodes, above N_MAX = {N_MAX}")
-    sums, abs_sum = _rule(rows, n)
+    # At complex coefficients oracle_f integrates one row, sin and cos two.
+    sums, abs_sum = _once(params, ("sums", len(rows)), lambda: _trapezoid(np.array(rows), n))
 
     if kind == "f":
         value = sums[0]

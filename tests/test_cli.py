@@ -394,6 +394,12 @@ def test_negative_samples_is_usage_error(samples):
     assert res.exit_code == 2 and "PASS" not in res.output
 
 
+def test_negative_seed_is_usage_error():
+    # numpy's generator would refuse it only after the catalog stage, as a crash
+    res = run("verify", "--seed", "-1", "--samples", "1")
+    assert res.exit_code == 2 and "catalog" not in res.output
+
+
 def test_zero_samples_runs_the_catalog_only():
     res = run("verify", "--seed", "42", "--samples", "0")
     assert res.exit_code == 0 and "sweep" not in res.output

@@ -85,8 +85,8 @@ def test_core_on_real_params_and_their_reflection(coeffs, m):
     scale = p * p + q * q + a * a + b * b
     assert cmath.isclose(complex(wr, wi), fac.X * fac.Y, rel_tol=1e-15, abs_tol=1e-15 * scale)
     assert _alpha_w(p, -a, -q, b) == (ar, -ai, wr, -wi)
-    t, terms, trunc = _term(p, a, q, b, m)
-    assert _term(p, -a, -q, b, m) == (t.conjugate(), terms, trunc)
+    t, terms, trunc = _term(rp)
+    assert _term(rp, reflected=True) == (t.conjugate(), terms, trunc)
 
 
 def test_f_hyp_spot_values():

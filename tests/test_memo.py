@@ -1,14 +1,16 @@
 """sin, cos and f at one point share one series and one oracle pass.
 
-The Bessel core (formulas._f_bessel), the 0F1 term (formulas._f_term,
-whose series the Bessel core reads) and the oracle's trapezoid sums
-(quadrature._rule) remember their last results. These tests check that a
-remembered result is bit for bit what a fresh evaluation gives, that it
-is shared only between calls whose inputs are equal bit for bit, that
-refusals are never remembered, and that the sharing really happens.
+The evaluators store what they derive from a point on its parameter
+record: the 0F1 term (formulas._f_term) and its reflection, the Bessel
+record (eval_f_bessel) and the oracle's trapezoid sums. A real record's
+to_complex() reads the real record's values when its coefficients are
+floats. These tests check that a stored value is bit for bit what a
+fresh, equal record gives, that storing leaves a record's equality, hash
+and repr alone, that refusals are never stored, and that the sharing
+really happens.
 """
 
-import contextlib
+import dataclasses
 import sys
 import threading
 
@@ -43,20 +45,11 @@ REAL_ROUTES = (eval_original_sin, eval_original_cos, eval_f_bessel, eval_correct
                eval_corrected_original_cos, eval_corrected_original_f, eval_improved_sin,
                eval_improved_cos, eval_f_hyp, oracle_f, oracle_sin, oracle_cos)
 COMPLEX_ROUTES = (eval_complex_f, eval_complex_sin, eval_complex_cos, oracle_f, oracle_sin, oracle_cos)
-MEMOISED = ((formulas, "_f_bessel"), (formulas, "_f_term"), (quadrature, "_rule"))
 
 
-@contextlib.contextmanager
-def fresh():
-    """Every memoised core replaced by the function it wraps."""
-    saved = [(mod, name, getattr(mod, name)) for mod, name in MEMOISED]
-    try:
-        for mod, name, fn in saved:
-            setattr(mod, name, fn.__wrapped__)
-        yield
-    finally:
-        for mod, name, fn in saved:
-            setattr(mod, name, fn)
+def fresh(params):
+    """An equal record with nothing stored on it."""
+    return dataclasses.replace(params)
 
 
 def outcome(fn, params):
@@ -77,9 +70,7 @@ def outcomes(fns, points):
 
 
 def assert_matches_fresh(fn, params):
-    got = outcome(fn, params)
-    with fresh():
-        assert got == outcome(fn, params), (fn.__name__, params)
+    assert outcome(fn, params) == outcome(fn, fresh(params)), (fn.__name__, params)
 
 
 COEFF = st.one_of(st.floats(-4.0, 4.0, allow_nan=False),
@@ -96,10 +87,12 @@ COMPLEX_POINT = st.one_of(st.builds(ComplexParams, COMPLEX_COEFF, COMPLEX_COEFF,
 @given(st.lists(REAL_POINT, min_size=1, max_size=3), st.lists(COMPLEX_POINT, min_size=1, max_size=3),
        st.data())
 def test_memo_changes_no_bits(real_points, complex_points, data):
+    # The complex twins of the real points read the real points' values.
+    complex_points = complex_points + [rp.to_complex() for rp in real_points]
     calls = [(fn, point) for point in real_points for fn in REAL_ROUTES]
     calls += [(fn, point) for point in complex_points for fn in COMPLEX_ROUTES]
     # A random interleaving that revisits earlier points, each call checked
-    # against a fresh evaluation that leaves the memo as it was.
+    # against a fresh record.
     order = data.draw(st.lists(st.integers(0, len(calls) - 1), min_size=1, max_size=40))
     for i in order:
         assert_matches_fresh(*calls[i])
@@ -193,29 +186,52 @@ def test_equal_but_not_bit_identical_points_are_not_shared(counts, first, second
     fns = (eval_f_hyp, eval_f_bessel, oracle_f)
     got = outcomes(fns, (first, second))
     assert counts["series"] == 2 and counts["_bessel_prefactors"] == 2
-    with fresh():
-        assert got == outcomes(fns, (first, second))
+    assert got == outcomes(fns, (fresh(first), fresh(second)))
 
 
 @pytest.mark.parametrize("first, second", [
-    ((complex(0.5, 0.0), 1j, -1j), (complex(0.5, -0.0), 1j, -1j)),
-    ((complex(-0.0, 0.5), 1j, -1j), (complex(0.0, 0.5), 1j, -1j)),
-    ((0.5, 1j, -1j), (complex(0.5), 1j, -1j)),
+    # Equal points that differ in the sign of a zero in a, or in p, or in
+    # type: each record integrates once, as a fresh record does.
+    (RealParams(0.5, 0.0, 0.0, 1.0, 1), RealParams(0.5, 0.0, -0.0, 1.0, 1)),
+    (RealParams(-0.0, 0.0, 0.5, 1.0, 1), RealParams(0.0, 0.0, 0.5, 1.0, 1)),
+    (RealParams(0.5, 0.0, 0.0, 1.0, 1), ComplexParams(0.5 + 0j, 0j, 0j, 1.0 + 0j, 1)),
 ])
 def test_oracle_rows_with_other_zero_signs_or_types_are_not_shared(counts, first, second):
-    got = [quadrature._rule((row,), 32) for row in (first, second)]
+    fns = (oracle_f, oracle_sin, oracle_cos)
+    got = outcomes(fns, (first, second))
     assert counts["_trapezoid"] == 2
-    assert repr(got) == repr([quadrature._rule.__wrapped__((row,), 32) for row in (first, second)])
+    assert got == outcomes(fns, (fresh(first), fresh(second)))
 
 
-def test_a_b_a_recomputes_and_matches_fresh(counts):
+def test_a_b_a_reuses_a_and_matches_fresh(counts):
     a, b = RealParams(0.21, 0.32, -0.43, 0.54, 2), RealParams(-0.65, 0.76, 0.87, -0.98, 1)
     got = outcomes(REAL_ROUTES, (a, b, a))
-    # One slot for the Bessel core and the oracle, two for the 0F1 term,
-    # which the Bessel core reads.
-    assert counts == {"_bessel_prefactors": 3, "_trapezoid": 3, "series": 2}
-    with fresh():
-        assert got == outcomes(REAL_ROUTES, (a, b, a))
+    # The second visit to a reads everything from a's record.
+    assert counts == {"_bessel_prefactors": 2, "_trapezoid": 2, "series": 2}
+    assert got == outcomes(REAL_ROUTES, (fresh(a), fresh(b), fresh(a)))
+
+
+def test_filled_record_keeps_eq_hash_and_repr():
+    for point in (RealParams(0.3, -1.1, 0.7, 1.9, 2), ComplexParams(0.3j, -1.1, 0.7, 1.9 + 0.2j, 2)):
+        before = repr(point), hash(point)
+        for fn in REAL_ROUTES if isinstance(point, RealParams) else COMPLEX_ROUTES:
+            fn(point)
+        assert point._cache
+        twin = fresh(point)
+        assert twin._cache == {}
+        assert point == twin and (repr(point), hash(point)) == (repr(twin), hash(twin)) == before
+
+
+def test_int_point_to_complex_sums_its_own_series(counts):
+    # An int coefficient is squared exactly, while to_real() gives floats,
+    # so the complex twin keeps its own values.
+    rp = RealParams(3, 0.5, -1, 2.0, 3)
+    eval_improved_sin(rp)
+    cp = rp.to_complex()
+    got = outcomes((eval_complex_sin, eval_complex_cos), [cp])
+    assert counts["series"] == 2
+    assert got == outcomes((eval_complex_sin, eval_complex_cos),
+                           [ComplexParams(3 + 0j, 0.5 + 0j, -1 + 0j, 2.0 + 0j, 3)])
 
 
 @pytest.mark.parametrize("fn, params, error", [
@@ -232,13 +248,12 @@ def test_refusal_is_raised_every_time(fn, params, error):
 
 
 def test_threads_sharing_the_memo_read_only_their_own_points():
-    # Every thread walks the same few points, so threads often ask for a
-    # point that another is storing at that moment.
+    # Every thread walks the same few records, so threads often ask for a
+    # value that another is storing at that moment.
     points = [RealParams(0.1 * i, -0.3, 0.7 - 0.2 * i, 1.1, i) for i in range(3)]
     cpoints = [ComplexParams(0.2j * i, -0.3, 0.7, 1.1 - 0.1j, i) for i in range(1, 4)]
-    with fresh():
-        expected = [(outcomes(REAL_ROUTES, [rp]), outcomes(COMPLEX_ROUTES, [cp]))
-                    for rp, cp in zip(points, cpoints)]
+    expected = [(outcomes(REAL_ROUTES, [fresh(rp)]), outcomes(COMPLEX_ROUTES, [fresh(cp)]))
+                for rp, cp in zip(points, cpoints)]
     mismatches = []
 
     def worker():
