@@ -39,15 +39,18 @@ from .formulas import (
     eval_improved_sin,
     eval_original_cos,
     eval_original_sin,
+    fill_terms,
 )
 from .params import ComplexParams, RealParams
-from .quadrature import oracle_cos, oracle_f, oracle_f_lanes, oracle_sin
+from .quadrature import fill_passes, oracle_cos, oracle_f, oracle_f_lanes, oracle_sin
 
 BOUNDARY_EPS = 1e-12
 # Grid points per chunk that scan and audit evaluate and write at once
 # (whole rows of the outer axis, at least one row): memory stays flat as
 # the grid grows.
 CHUNK_POINTS = 4096
+# Samples per chunk that verify draws and fills as lanes at once.
+SWEEP_CHUNK = 256
 SWEEP_ATOL_REAL = 1e-12
 SWEEP_ATOL_COMPLEX = 1e-11
 
@@ -409,29 +412,37 @@ def cmd_scan(grid_spec: str, as_csv: bool,
 def _sweep(rng: np.random.Generator, samples: int, rtol: float, domain: str) -> tuple[float, list[str]]:
     """Random points of the "real" (improved routes, coefficients in [-5, 5],
     m <= 8) or "complex" domain (complex routes, in [-3, 3], m <= 6). Each
-    calls sin, oracle sin, cos, oracle cos through this module's bindings."""
+    calls sin, oracle sin, cos, oracle cos through this module's bindings.
+
+    Points are drawn SWEEP_CHUNK at a time, and each chunk's series and
+    oracle passes are filled as lanes first, so those calls read them."""
     real = domain == "real"
     routes = [(kind, _route("improved" if real else "complex", kind), _route("oracle", kind))
               for kind in ("sin", "cos")]
     atol = SWEEP_ATOL_REAL if real else SWEEP_ATOL_COMPLEX
     worst = 0.0
     offenders: list[str] = []
-    for i in range(samples):
-        if real:
-            vals = rng.uniform(-5.0, 5.0, size=4).tolist()
-            params = RealParams(*vals, int(rng.integers(0, 9)))
-        else:
-            vals = rng.uniform(-3.0, 3.0, size=8).tolist()
-            params = ComplexParams(*map(complex, vals[0::2], vals[1::2]), int(rng.integers(0, 7)))
-        for kind, ev, orc in routes:
-            v = ev(params).value
-            o = orc(params).value
-            margin = abs(v - o) / max(rtol * abs(o), atol)
-            worst = max(worst, margin)
-            if margin > 1.0:
-                at = (f"p={params.p:.6g} q={params.q:.6g} a={params.a:.6g} b={params.b:.6g} "
-                      if real else "")
-                offenders.append(f"{domain} sample {i} {kind} {at}m={params.m}: margin {margin:.3g}")
+    for start in range(0, samples, SWEEP_CHUNK):
+        chunk = []
+        for _ in range(min(SWEEP_CHUNK, samples - start)):
+            if real:
+                vals = rng.uniform(-5.0, 5.0, size=4).tolist()
+                chunk.append(RealParams(*vals, int(rng.integers(0, 9))))
+            else:
+                vals = rng.uniform(-3.0, 3.0, size=8).tolist()
+                chunk.append(ComplexParams(*map(complex, vals[0::2], vals[1::2]), int(rng.integers(0, 7))))
+        fill_terms(chunk)
+        fill_passes(chunk)
+        for i, params in enumerate(chunk, start):
+            for kind, ev, orc in routes:
+                v = ev(params).value
+                o = orc(params).value
+                margin = abs(v - o) / max(rtol * abs(o), atol)
+                worst = max(worst, margin)
+                if margin > 1.0:
+                    at = (f"p={params.p:.6g} q={params.q:.6g} a={params.a:.6g} b={params.b:.6g} "
+                          if real else "")
+                    offenders.append(f"{domain} sample {i} {kind} {at}m={params.m}: margin {margin:.3g}")
     return worst, offenders
 
 

@@ -31,7 +31,8 @@ and (C+iD)/4 is alpha beta at real coefficients, so the original route
 takes its series from the 0F1 term: the two routes differ only in the
 prefactors, where the branch error sits. The Bessel record and the 0F1
 term (and its reflection) are stored on the parameter record, so every
-real route called with one record sums one series.
+real route called with one record sums one series; fill_terms stores the
+terms of many records at once, from one hyp0f1_lanes call.
 
 eval_f_lanes evaluates f by both routes over arrays of real coefficients
 at one m, one lane per point, bit for bit as the scalar routes do; a
@@ -64,6 +65,7 @@ __all__ = [
     "eval_complex_f",
     "eval_complex_sin",
     "eval_complex_cos",
+    "fill_terms",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -177,22 +179,73 @@ def _uv(p: complex, q: complex, a: complex, b: complex) -> tuple[float, float, f
     return p.real - a.imag, p.imag + a.real, q.real - b.imag, q.imag + b.real
 
 
+def _term_uv(params: RealParams | ComplexParams, reflected: bool) -> tuple:
+    """(Re u, Im u, Re v, Im v) at the point, or at its reflection (p, -q, -a, b)."""
+    p, q, a, b = params.p, params.q, params.a, params.b
+    if reflected:
+        q, a = -q, -a
+    return (p, a, q, b) if isinstance(params, RealParams) else _uv(p, q, a, b)
+
+
+def _same_bits(x: tuple, y: tuple) -> bool:
+    """Whether two tuples of floats are equal bit for bit, signed zeros included."""
+    return x == y and all(math.copysign(1.0, s) == math.copysign(1.0, t) for s, t in zip(x, y))
+
+
+def _power_and_w(m: int, uv: tuple) -> tuple[complex, complex]:
+    """alpha^m/m! and w = alpha beta at (Re u, Im u, Re v, Im v) = uv."""
+    ar, ai, wr, wi = _alpha_w(*uv)
+    return pow_int_over_factorial(complex(ar, ai), m), complex(wr, wi)
+
+
 def _f_term(params: RealParams | ComplexParams, reflected: bool = False) -> tuple[complex, SeriesResult]:
     """alpha^m/m! and 0F1(; m+1; w), whose product is f/2pi at the point,
     or at its reflection (p, -q, -a, b).
 
     Both are stored on the record, so the real routes' sin, cos and f at
     one point, the original route's among them, sum one series, and the
-    complex routes' sin and cos share a term and its reflection."""
+    complex routes' sin and cos share a term and its reflection. Where
+    the reflection's (u, v) is the point's bit for bit (q = a = 0, say),
+    it is the point's term."""
     def compute():
-        p, q, a, b = params.p, params.q, params.a, params.b
-        if reflected:
-            q, a = -q, -a
-        uv = (p, a, q, b) if isinstance(params, RealParams) else _uv(p, q, a, b)
-        ar, ai, wr, wi = _alpha_w(*uv)
-        return pow_int_over_factorial(complex(ar, ai), params.m), hyp0f1(params.m + 1, complex(wr, wi))
+        uv = _term_uv(params, reflected)
+        if reflected and _same_bits(uv, _term_uv(params, False)):
+            return _f_term(params)
+        power, w = _power_and_w(params.m, uv)
+        return power, hyp0f1(params.m + 1, w)
 
     return _once(params, ("term", reflected), compute)
+
+
+def fill_terms(records: list[RealParams | ComplexParams]) -> None:
+    """Store _f_term on each record that has none, and the reflection's on
+    a non-real ComplexParams, summing every series in one hyp0f1_lanes call.
+
+    A real-valued ComplexParams is filled through to_real(), which its
+    routes read. A lane whose series the scalar path would refuse stays
+    unfilled, so its route raises as before.
+    """
+    todo, ws = [], []
+    for params in records:
+        if isinstance(params, ComplexParams) and params.is_real:
+            params = params.to_real()
+        uvs = [_term_uv(params, False)]
+        if isinstance(params, ComplexParams):
+            reflection = _term_uv(params, True)
+            if not _same_bits(uvs[0], reflection):
+                uvs.append(reflection)
+        for reflected, uv in zip((False, True), uvs):
+            if ("term", reflected) not in params._cache:
+                power, w = _power_and_w(params.m, uv)
+                todo.append((params, reflected, power))
+                ws.append(w)
+    if not todo:
+        return
+    w = np.array(ws)
+    lanes = hyp0f1_lanes([params.m + 1 for params, _, _ in todo], w.real, w.imag)
+    for (params, reflected, power), re, im, used, ok, omitted in zip(todo, *(x.tolist() for x in lanes)):
+        if ok:
+            params._cache["term", reflected] = power, SeriesResult(complex(re, im), used, omitted)
 
 
 def _term(params: RealParams | ComplexParams, reflected: bool = False) -> tuple[complex, int, float]:

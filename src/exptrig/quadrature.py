@@ -13,14 +13,17 @@ and at least N_MIN. One pass gives the value, with no convergence test
 that a large m could fool. error_estimate bounds |value - integral|: the
 aliasing bound at order N - m plus u (2pi/N) sum_j |g(x_j)| times the
 rounding growth of the nodes, the exponent (m x included) and the sum.
-A pass's sums are stored on the parameter record, keyed by its row
-count: oracle_sin and oracle_cos at one point integrate once, and so
-does oracle_f for real coefficients.
+A point's pass (its sums, error_estimate and N) is stored on the
+parameter record, keyed by its row count: oracle_sin and oracle_cos at
+one point integrate once, and so does oracle_f for real coefficients.
+A refusal (outside ENVELOPE, N above N_MAX) is stored nowhere and raised
+on every call.
 
-oracle_f_lanes integrates many real-coefficient points at one m, one
-lane per point: lanes are grouped by N and each block of at most
-BLOCK_NODES nodes takes one exponential, row by row the same operations
-as the scalar path, so every lane returns oracle_f's value bit for bit.
+The rule is taken over blocks of points, one exponential per block, and
+no point's sums depend on the rest of its block. So the scalar path (a
+block of one), fill_passes (many records, grouped by N and row count, in
+blocks of at most BLOCK_NODES nodes) and oracle_f_lanes (real
+coefficients at one m, values only) agree bit for bit.
 
 This module deliberately never imports the closed-form evaluators: it has
 to be able to falsify them.
@@ -38,7 +41,8 @@ import numpy as np
 from .errors import DomainError
 from .params import ComplexParams, RealParams, _once
 
-__all__ = ["QuadratureResult", "OracleLanes", "oracle_f", "oracle_f_lanes", "oracle_sin", "oracle_cos"]
+__all__ = ["QuadratureResult", "OracleLanes", "fill_passes", "oracle_f", "oracle_f_lanes", "oracle_sin",
+           "oracle_cos"]
 
 N_MIN = 32
 N_MAX = 2**20
@@ -48,7 +52,8 @@ UNIT_ROUNDOFF = ALIAS_EPS / 2
 # Beyond this coefficient budget exp(p cos x + ...) strains binary64;
 # refuse rather than quietly degrade.
 ENVELOPE = 50.0
-# Lanes times nodes per exponential in oracle_f_lanes: bounds its memory.
+# Rows times nodes per exponential in fill_passes and oracle_f_lanes:
+# bounds their memory.
 BLOCK_NODES = 8192
 
 
@@ -99,16 +104,41 @@ def _integrand(coeffs: np.ndarray, n: int) -> np.ndarray:
     return np.exp(np.einsum("kj,jn->kn", coeffs, _nodes(n)))
 
 
-def _trapezoid(coeffs: np.ndarray, n: int) -> tuple[tuple[complex, ...], float]:
-    """n-point rule for each row (u, v, -ik) of coeffs: the integrals of
+def _trapezoids(coeffs: np.ndarray, n: int) -> list[tuple[tuple[complex, ...], float]]:
+    """n-point rule for each point's rows (u, v, -ik), coeffs of shape
+    (points, rows, 3): per point, the integrals of
     g = exp(u cos x + v sin x - ikx) over [0, 2pi], and the mean over rows
-    of the rule applied to |g|."""
-    g = _integrand(coeffs, n)
+    of the rule applied to |g|, whose sum is one pairwise sum over the
+    point's rows * n values, as np.abs(g).sum() takes it at one point."""
+    points, rows = coeffs.shape[:2]
+    g = _integrand(coeffs.reshape(points * rows, 3), n)
     h = 2.0 * math.pi / n
-    return tuple(h * s for s in g.sum(axis=1).tolist()), h * float(np.abs(g).sum()) / len(g)
+    sums = g.sum(axis=1).reshape(points, rows).tolist()
+    abs_sums = np.abs(g).reshape(points, rows * n).sum(axis=1).tolist()
+    return [(tuple(h * s for s in row), h * a / rows) for row, a in zip(sums, abs_sums)]
 
 
-def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
+def _trapezoid(coeffs: np.ndarray, n: int) -> tuple[tuple[complex, ...], float]:
+    """_trapezoids at one point, whose rows are coeffs."""
+    return _trapezoids(coeffs[np.newaxis], n)[0]
+
+
+class _Plan(NamedTuple):
+    """A point's pass before integration: its rows (u, v, -ik), N, the
+    aliasing bound and the rounding growth that multiplies the |g| rule."""
+
+    rows: tuple[tuple[complex, complex, complex], ...]
+    n: int
+    alias: float
+    growth: float
+
+    def finish(self, sums: tuple[complex, ...], abs_sum: float) -> tuple:
+        """The stored pass: sums, error_estimate and N."""
+        return sums, self.alias + self.growth * abs_sum, self.n
+
+
+def _plan(params: RealParams | ComplexParams, two_rows: bool) -> _Plan:
+    """The pass's plan, or DomainError outside ENVELOPE or where N > N_MAX."""
     p, q, a, b, m = params.p, params.q, params.a, params.b, params.m
     budget = abs(p) + abs(q) + abs(a) + abs(b)
     if budget > ENVELOPE:
@@ -116,28 +146,62 @@ def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
             f"|p|+|q|+|a|+|b| = {budget:.3g} exceeds the oracle envelope {ENVELOPE:g}"
         )
     rows = ((p + 1j * a, q + 1j * b, -1j * m),)
-    if kind != "f" and not (isinstance(params, RealParams) or params.is_real):
+    if two_rows:
         rows += ((p - 1j * a, q - 1j * b, 1j * m),)
     radius = max(abs(u - 1j * v) + abs(u + 1j * v) for u, v, _ in rows) / 2
     n = _node_count(math.ceil(4 * radius), m)
     if n > N_MAX:
         raise DomainError(f"m = {m} needs {n} trapezoid nodes, above N_MAX = {N_MAX}")
-    # At complex coefficients oracle_f integrates one row, sin and cos two.
-    sums, abs_sum = _once(params, ("sums", len(rows)), lambda: _trapezoid(np.array(rows), n))
-
-    if kind == "f":
-        value = sums[0]
-    elif len(rows) == 1:
-        value = complex(sums[0].real if kind == "cos" else sums[0].imag)
-    else:
-        value = (sums[0] + sums[1]) / 2 if kind == "cos" else (sums[0] - sums[1]) / 2j
-
     k = n - m  # 2pi times the tails on both sides, each <= 2 e^R R^k / k!
     alias = 8 * math.pi * math.exp(radius + k * math.log(radius) - math.lgamma(k + 1)) if radius else 0.0
     # Rounding growth: numpy's pairwise sum (log2 n + 16), the nodes and
     # products with the coefficients (20 per unit of budget), and m x_j (19 m).
-    rounding = UNIT_ROUNDOFF * (16 + math.log2(n) + 20 * budget + 19 * m) * abs_sum
-    return QuadratureResult(value=value, error_estimate=alias + rounding, evaluations=n)
+    return _Plan(rows, n, alias, UNIT_ROUNDOFF * (16 + math.log2(n) + 20 * budget + 19 * m))
+
+
+def _two_rows(params: RealParams | ComplexParams) -> bool:
+    # At complex coefficients oracle_sin and oracle_cos integrate g- too.
+    return not (isinstance(params, RealParams) or params.is_real)
+
+
+def fill_passes(records: list[RealParams | ComplexParams]) -> None:
+    """Store the pass that oracle_sin and oracle_cos read (oracle_f's too,
+    at real coefficients) on each record that has none. A record the
+    scalar path would refuse stays unfilled, so its oracle call raises."""
+    groups: dict[tuple[int, int], list] = {}
+    for params in records:
+        two_rows = _two_rows(params)
+        if ("pass", 1 + two_rows) in params._cache:
+            continue
+        try:
+            plan = _plan(params, two_rows)
+        except DomainError:
+            continue
+        groups.setdefault((plan.n, len(plan.rows)), []).append((params, plan))
+    for (n, rows), group in groups.items():
+        per_block = max(1, BLOCK_NODES // (rows * n))
+        for start in range(0, len(group), per_block):
+            block = group[start:start + per_block]
+            coeffs = np.array([plan.rows for _, plan in block])
+            for (params, plan), (sums, abs_sum) in zip(block, _trapezoids(coeffs, n)):
+                params._cache["pass", rows] = plan.finish(sums, abs_sum)
+
+
+def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
+    two_rows = kind != "f" and _two_rows(params)
+
+    def integrate():
+        plan = _plan(params, two_rows)
+        return plan.finish(*_trapezoid(np.array(plan.rows), plan.n))
+
+    sums, error_estimate, n = _once(params, ("pass", 1 + two_rows), integrate)
+    if kind == "f":
+        value = sums[0]
+    elif len(sums) == 1:
+        value = complex(sums[0].real if kind == "cos" else sums[0].imag)
+    else:
+        value = (sums[0] + sums[1]) / 2 if kind == "cos" else (sums[0] - sums[1]) / 2j
+    return QuadratureResult(value=value, error_estimate=error_estimate, evaluations=n)
 
 
 def oracle_f(params: RealParams | ComplexParams) -> QuadratureResult:

@@ -10,8 +10,9 @@ one series: the modified Bessel function is its prefix times 0F1,
 
 ``hyp0f1_lanes`` evaluates many arguments at once, one lane per
 argument. Each lane takes the scalar loop's operations in the same
-order, so it returns the scalar value bit for bit; a lane on which the
-scalar function would raise comes back not ok instead.
+order, so it returns the scalar value, and the scalar truncation
+estimate |first omitted term|, bit for bit; a lane on which the scalar
+function would raise comes back not ok instead.
 """
 
 from __future__ import annotations
@@ -52,12 +53,15 @@ def _modulus(w: complex) -> float:
 class SeriesLanes(NamedTuple):
     """Lane-wise values as real and imaginary parts, with the terms each
     lane's series used. A lane that is not ok (the scalar route would
-    raise there) holds no value."""
+    raise there) holds no value. hyp0f1_lanes also gives each lane's
+    truncation estimate; lanes that are products of series, as
+    eval_f_lanes's are, leave it None."""
 
     re: np.ndarray
     im: np.ndarray
     terms_used: np.ndarray
     ok: np.ndarray
+    truncation_estimate: np.ndarray | None = None
 
 
 def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> SeriesLanes:
@@ -74,7 +78,7 @@ def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> SeriesLanes:
                                      np.asarray(b1, dtype=np.int64))
     n = wr.size
     re, im = np.zeros(n), np.zeros(n)
-    used, ok = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    used, ok, omitted = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool), np.zeros(n)
     live = np.arange(n)
     wr, wi, b1 = wr.ravel(), wi.ravel(), b1.ravel()
     sr, si, cr, ci = np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n)
@@ -98,11 +102,13 @@ def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> SeriesLanes:
             if stop.any():
                 lanes = live[done]
                 re[lanes], im[lanes], used[lanes], ok[lanes] = sr[done], si[done], k + 1, True
+                omitted[lanes] = np.hypot(*div_lanes(*mul_lanes(tr[done], ti[done], wr[done], wi[done]),
+                                                     ((k + 1) * (b1[done] + k)).astype(float)))
                 keep = ~stop
                 live = live[keep]
                 wr, wi, b1, sr, si, cr, ci, tr, ti, below = (
                     x[keep] for x in (wr, wi, b1, sr, si, cr, ci, tr, ti, below))
-    return SeriesLanes(re, im, used, ok)
+    return SeriesLanes(re, im, used, ok, omitted)
 
 
 def hyp0f1(b1: int, z: complex) -> SeriesResult:

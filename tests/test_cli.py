@@ -433,6 +433,43 @@ def test_verify_sweep_calls_go_through_cli_bindings(monkeypatch):
                      + 3 * ["eval_complex_sin", "oracle_sin", "eval_complex_cos", "oracle_cos"])
 
 
+# The six bindings the sweep calls, as bench/worker.py's Recorder wraps them,
+# and the order of one sample's calls in each domain.
+SWEEP_BINDINGS = ("eval_improved_sin", "eval_improved_cos", "eval_complex_sin",
+                  "eval_complex_cos", "oracle_sin", "oracle_cos")
+SWEEP_CALLS = {
+    "real": ("eval_improved_sin", "oracle_sin", "eval_improved_cos", "oracle_cos"),
+    "complex": ("eval_complex_sin", "oracle_sin", "eval_complex_cos", "oracle_cos"),
+}
+
+
+def test_verify_sweep_results_match_fresh_records(monkeypatch):
+    # Every recorded sweep call, whatever the sweep stored on its record
+    # beforehand, is what the scalar route gives on a new record.
+    samples = 300
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(params):
+            res = fn(params)
+            calls.append((name, params, res))
+            return res
+        return wrapper
+
+    scalar = {name: getattr(cli, name) for name in SWEEP_BINDINGS}
+    for name, fn in scalar.items():
+        monkeypatch.setattr(cli, name, recording(name, fn))
+    res = run("verify", "--seed", "7", "--samples", str(samples), "--complex")
+    assert res.exit_code == 0, res.output
+    names = [name for name, _, _ in calls]
+    assert names == samples * list(SWEEP_CALLS["real"]) + samples * list(SWEEP_CALLS["complex"])
+    for i in range(0, len(calls), 4):
+        assert len({id(params) for _, params, _ in calls[i:i + 4]}) == 1
+    for name, params, got in calls:
+        point = type(params)(params.p, params.q, params.a, params.b, params.m)
+        assert repr(scalar[name](point)) == repr(got), (name, params)
+
+
 def test_list():
     res = run("list")
     lines = res.output.strip().splitlines()

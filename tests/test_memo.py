@@ -2,12 +2,13 @@
 
 The evaluators store what they derive from a point on its parameter
 record: the 0F1 term (formulas._f_term) and its reflection, the Bessel
-record (eval_f_bessel) and the oracle's trapezoid sums. A real record's
+record (eval_f_bessel) and the oracle's pass. A real record's
 to_complex() reads the real record's values when its coefficients are
-floats. These tests check that a stored value is bit for bit what a
-fresh, equal record gives, that storing leaves a record's equality, hash
-and repr alone, that refusals are never stored, and that the sharing
-really happens.
+floats. formulas.fill_terms and quadrature.fill_passes store the terms
+and passes of many records at once, as lanes. These tests check that a
+stored value is bit for bit what a fresh, equal record gives, that
+storing leaves a record's equality, hash and repr alone, that refusals
+are never stored, and that the sharing really happens.
 """
 
 import dataclasses
@@ -40,6 +41,8 @@ from exptrig import (
     oracle_sin,
 )
 from exptrig import formulas, quadrature, series
+from exptrig.formulas import fill_terms
+from exptrig.quadrature import fill_passes
 
 REAL_ROUTES = (eval_original_sin, eval_original_cos, eval_f_bessel, eval_corrected_original_sin,
                eval_corrected_original_cos, eval_corrected_original_f, eval_improved_sin,
@@ -135,6 +138,16 @@ def test_real_sin_cos_and_f_sum_one_series(counts):
     assert counts["series"] == 1
 
 
+@pytest.mark.parametrize("p, series_summed", [(1 + 2j, 1), (complex(-0.0, 2), 2)])
+def test_self_reflected_point_sums_one_series(counts, p, series_summed):
+    # At q = a = 0 the reflection (p, -q, -a, b) has the point's (u, v) bit
+    # for bit, except that Re u = p.real - a.imag turns -0.0 into 0.0.
+    cp = ComplexParams(p, 0j, 0j, 1 + 2j, 3)
+    got = outcomes((eval_complex_sin, eval_complex_cos), [cp])
+    assert counts["series"] == series_summed
+    assert got == outcomes((eval_complex_sin, eval_complex_cos), [fresh(cp)])
+
+
 def test_complex_sin_then_cos_sum_two_series(counts):
     cp = ComplexParams(0.41 + 0.2j, -1.3, 0.6 - 0.7j, 1.9j, 2)
     eval_complex_sin(cp)
@@ -174,6 +187,46 @@ def test_oracle_sin_and_cos_share_one_pass(counts):
     oracle_sin(cp)
     oracle_cos(cp)
     assert counts["_trapezoid"] == 2
+
+
+def test_filled_records_sum_no_series_and_no_pass(counts):
+    points = [RealParams(0.37, -1.21, 0.83, 1.77, 3), RealParams(2, 0.5, -1, 0.0, 0),
+              ComplexParams(0.41 + 0.2j, -1.3, 0.6 - 0.7j, 1.9j, 2),
+              ComplexParams(1 + 2j, 0j, 0j, 1 + 2j, 3), RealParams(0.3, 0.1, 0.2, 0.4, 1).to_complex()]
+    fill_terms(points)
+    fill_passes(points)
+    for point in points:
+        for fn in REAL_ROUTES if isinstance(point, RealParams) else COMPLEX_ROUTES:
+            # At non-real coefficients oracle_f integrates a pass of its own.
+            if not (fn is oracle_f and isinstance(point, ComplexParams) and not point.is_real):
+                fn(point)
+    assert counts["series"] == 0 and counts["_trapezoid"] == 0
+
+
+# Coefficients past the oracle envelope, and far enough out that a series
+# overflows or runs to MAX_TERMS.
+WIDE_COEFF = st.one_of(COEFF, st.floats(-40.0, 40.0, allow_nan=False),
+                       st.sampled_from([60.0, -700.0, 4000.0, 1e155, -1e200]))
+WIDE_REAL_POINT = st.builds(RealParams, WIDE_COEFF, WIDE_COEFF, WIDE_COEFF, WIDE_COEFF, st.integers(0, 40))
+WIDE_COMPLEX_COEFF = st.one_of(WIDE_COEFF, st.builds(complex, WIDE_COEFF, WIDE_COEFF),
+                               st.builds(complex, st.sampled_from([0.0, -0.0]), COEFF))
+WIDE_COMPLEX_POINT = st.one_of(
+    st.builds(ComplexParams, WIDE_COMPLEX_COEFF, WIDE_COMPLEX_COEFF, WIDE_COMPLEX_COEFF,
+              WIDE_COMPLEX_COEFF, st.integers(0, 40)),
+    # q = a = 0, where the reflection may be the point itself
+    st.builds(ComplexParams, WIDE_COMPLEX_COEFF, st.just(0j), st.sampled_from([0j, -0j]),
+              WIDE_COMPLEX_COEFF, st.integers(0, 40)),
+    WIDE_REAL_POINT.map(RealParams.to_complex))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(WIDE_REAL_POINT, WIDE_COMPLEX_POINT), min_size=1, max_size=8))
+def test_filled_records_match_fresh(points):
+    fill_terms(points)
+    fill_passes(points)
+    for point in points:
+        for fn in REAL_ROUTES if isinstance(point, RealParams) else COMPLEX_ROUTES:
+            assert_matches_fresh(fn, point)
 
 
 @pytest.mark.parametrize("first, second", [
