@@ -189,7 +189,7 @@ def _parse_grid(text: str) -> list[tuple[str, np.ndarray]]:
         except ValueError:
             raise click.BadParameter(f"bad grid chunk {chunk!r}; expected var=lo:hi:count")
         var = var.strip()
-        if var not in "pqab":
+        if var not in ("p", "q", "a", "b"):
             raise click.BadParameter(f"grid variable must be one of p,q,a,b, got {var!r}")
         if n < 1:
             raise click.BadParameter("grid count must be >= 1")
@@ -331,7 +331,8 @@ def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> Ite
     refuses goes through _audit_point, which records the refusal."""
     p, q, a, b = (c[v] for v in "pqab")
     batch = build_reports(p, q, a, b, m)
-    boundary = np.abs(p + b * batch.k_constant) < BOUNDARY_EPS * np.maximum(1.0, np.abs(p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        boundary = np.abs(p + b * batch.k_constant) < BOUNDARY_EPS * np.maximum(1.0, np.abs(p))
     # Python bool and float, as build_report gives: json rejects
     # np.bool_, and repr(np.float64) is not repr(float) under numpy 2.
     reports = map(SignErrorReport, *(getattr(batch, f.name).tolist() for f in fields(batch)))

@@ -19,11 +19,10 @@ one point integrate once, and so does oracle_f for real coefficients.
 A refusal (outside ENVELOPE, N above N_MAX) is stored nowhere and raised
 on every call.
 
-The rule is taken over blocks of points, one exponential per block, and
-no point's sums depend on the rest of its block. So the scalar path (a
-block of one), fill_passes (many records, grouped by N and row count, in
-blocks of at most BLOCK_NODES nodes) and oracle_f_lanes (real
-coefficients at one m, values only) agree bit for bit.
+One driver, _trapezoids, takes the rule over points grouped by N, in
+blocks of at most BLOCK_NODES nodes, and no point's sums depend on the
+rest of its block. The scalar path (a block of one), fill_passes and
+oracle_f_lanes all call it, so they agree bit for bit.
 
 This module deliberately never imports the closed-form evaluators: it has
 to be able to falsify them.
@@ -52,8 +51,7 @@ UNIT_ROUNDOFF = ALIAS_EPS / 2
 # Beyond this coefficient budget exp(p cos x + ...) strains binary64;
 # refuse rather than quietly degrade.
 ENVELOPE = 50.0
-# Rows times nodes per exponential in fill_passes and oracle_f_lanes:
-# bounds their memory.
+# Rows times nodes per exponential in _trapezoids: bounds its memory.
 BLOCK_NODES = 8192
 
 
@@ -104,23 +102,32 @@ def _integrand(coeffs: np.ndarray, n: int) -> np.ndarray:
     return np.exp(np.einsum("kj,jn->kn", coeffs, _nodes(n)))
 
 
-def _trapezoids(coeffs: np.ndarray, n: int) -> list[tuple[tuple[complex, ...], float]]:
-    """n-point rule for each point's rows (u, v, -ik), coeffs of shape
-    (points, rows, 3): per point, the integrals of
-    g = exp(u cos x + v sin x - ikx) over [0, 2pi], and the mean over rows
-    of the rule applied to |g|, whose sum is one pairwise sum over the
-    point's rows * n values, as np.abs(g).sum() takes it at one point."""
-    points, rows = coeffs.shape[:2]
-    g = _integrand(coeffs.reshape(points * rows, 3), n)
-    h = 2.0 * math.pi / n
-    sums = g.sum(axis=1).reshape(points, rows).tolist()
-    abs_sums = np.abs(g).reshape(points, rows * n).sum(axis=1).tolist()
-    return [(tuple(h * s for s in row), h * a / rows) for row, a in zip(sums, abs_sums)]
-
-
-def _trapezoid(coeffs: np.ndarray, n: int) -> tuple[tuple[complex, ...], float]:
-    """_trapezoids at one point, whose rows are coeffs."""
-    return _trapezoids(coeffs[np.newaxis], n)[0]
+def _trapezoids(coeffs: np.ndarray, nodes: list[int]) -> list[tuple[tuple[complex, ...], float]]:
+    """The rule for each point's rows (u, v, -ik), coeffs of shape
+    (points, rows, 3), at the point's node count in nodes: per point, the
+    integrals of g = exp(u cos x + v sin x - ikx) over [0, 2pi], and the
+    mean over rows of the rule applied to |g|, whose sum is one pairwise
+    sum over the point's rows * n values, as np.abs(g).sum() takes it at
+    one point. Points with one N are integrated in blocks of at most
+    BLOCK_NODES nodes, one exponential per block."""
+    rows = coeffs.shape[1]
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(nodes):
+        groups.setdefault(n, []).append(i)
+    out: list = [None] * len(nodes)
+    for n, points in groups.items():
+        per_block, h = max(1, BLOCK_NODES // (rows * n)), 2.0 * math.pi / n
+        # With one N the points are coeffs, in order: no copy.
+        grouped = coeffs if len(groups) == 1 else coeffs[points]
+        for start in range(0, len(points), per_block):
+            block = points[start:start + per_block]
+            g = _integrand(grouped[start:start + per_block].reshape(-1, 3), n)
+            sums = [h * s for s in g.sum(axis=1).tolist()]
+            abs_sums = np.abs(g).reshape(len(block), rows * n).sum(axis=1).tolist()
+            # Each point's sums: the next rows of them, in order.
+            for i, point, a in zip(block, zip(*[iter(sums)] * rows), abs_sums):
+                out[i] = point, h * a / rows
+    return out
 
 
 class _Plan(NamedTuple):
@@ -131,10 +138,6 @@ class _Plan(NamedTuple):
     n: int
     alias: float
     growth: float
-
-    def finish(self, sums: tuple[complex, ...], abs_sum: float) -> tuple:
-        """The stored pass: sums, error_estimate and N."""
-        return sums, self.alias + self.growth * abs_sum, self.n
 
 
 def _plan(params: RealParams | ComplexParams, two_rows: bool) -> _Plan:
@@ -164,11 +167,19 @@ def _two_rows(params: RealParams | ComplexParams) -> bool:
     return not (isinstance(params, RealParams) or params.is_real)
 
 
+def _passes(plans: list[_Plan]) -> list[tuple]:
+    """Each plan's stored pass: sums, error_estimate and N. The plans
+    have one row count."""
+    integrals = _trapezoids(np.array([plan.rows for plan in plans]), [plan.n for plan in plans])
+    return [(sums, plan.alias + plan.growth * abs_sum, plan.n)
+            for plan, (sums, abs_sum) in zip(plans, integrals)]
+
+
 def fill_passes(records: list[RealParams | ComplexParams]) -> None:
     """Store the pass that oracle_sin and oracle_cos read (oracle_f's too,
     at real coefficients) on each record that has none. A record the
     scalar path would refuse stays unfilled, so its oracle call raises."""
-    groups: dict[tuple[int, int], list] = {}
+    groups: dict[int, list] = {}
     for params in records:
         two_rows = _two_rows(params)
         if ("pass", 1 + two_rows) in params._cache:
@@ -177,24 +188,15 @@ def fill_passes(records: list[RealParams | ComplexParams]) -> None:
             plan = _plan(params, two_rows)
         except DomainError:
             continue
-        groups.setdefault((plan.n, len(plan.rows)), []).append((params, plan))
-    for (n, rows), group in groups.items():
-        per_block = max(1, BLOCK_NODES // (rows * n))
-        for start in range(0, len(group), per_block):
-            block = group[start:start + per_block]
-            coeffs = np.array([plan.rows for _, plan in block])
-            for (params, plan), (sums, abs_sum) in zip(block, _trapezoids(coeffs, n)):
-                params._cache["pass", rows] = plan.finish(sums, abs_sum)
+        groups.setdefault(1 + two_rows, []).append((params, plan))
+    for rows, group in groups.items():
+        for (params, _), stored in zip(group, _passes([plan for _, plan in group])):
+            params._cache["pass", rows] = stored
 
 
 def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
     two_rows = kind != "f" and _two_rows(params)
-
-    def integrate():
-        plan = _plan(params, two_rows)
-        return plan.finish(*_trapezoid(np.array(plan.rows), plan.n))
-
-    sums, error_estimate, n = _once(params, ("pass", 1 + two_rows), integrate)
+    sums, error_estimate, n = _once(params, ("pass", 1 + two_rows), lambda: _passes([_plan(params, two_rows)])[0])
     if kind == "f":
         value = sums[0]
     elif len(sums) == 1:
@@ -257,12 +259,6 @@ def oracle_f_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
     nodes[ok] = counts[np.searchsorted(distinct, quarters)]
     ok &= nodes <= N_MAX
     nodes[~ok] = 0
-    re, im = np.zeros(len(p)), np.zeros(len(p))
-    for n in sorted(set(nodes[ok].tolist())):
-        lanes, per_block, h = np.flatnonzero(nodes == n), max(1, BLOCK_NODES // n), 2.0 * math.pi / n
-        for start in range(0, len(lanes), per_block):
-            block = lanes[start:start + per_block]
-            sums = _integrand(coeffs[block], n).sum(axis=1)
-            # h * s, a float times a complex, as CPython takes it
-            re[block], im[block] = h * sums.real - 0.0 * sums.imag, h * sums.imag + 0.0 * sums.real
-    return OracleLanes(re, im, nodes, ok)
+    f = np.zeros(len(p), dtype=complex)
+    f[ok] = [sums[0] for sums, _ in _trapezoids(coeffs[ok, np.newaxis], nodes[ok].tolist())]
+    return OracleLanes(f.real, f.imag, nodes, ok)

@@ -181,16 +181,22 @@ def test_original_route_refuses_overflowing_y_norm():
     assert verdicts == [None, "OriginalInapplicable", None]
 
 
-@pytest.mark.parametrize("command", [("audit", "--csv"), ("scan",)])
+# b*q overflows in build_reports' ratios -b*a/q and -b*q/a; the lanes
+# that read them compare against inf, as the scalar predicates do.
+OVERFLOWING_RATIOS = ("--grid", "p=-1e200:1e200:5,b=-1e300:1e300:7", "-q", "1e154", "-m", "3")
+
+
+@pytest.mark.parametrize("command", [
+    ("audit", "--csv", *OVERFLOWING_RATIOS), ("scan", *OVERFLOWING_RATIOS),
+    # p + b*K overflows in audit's boundary flag.
+    ("audit", "--csv", "-p", "1e308", "-b", "-1e308", "-m", "1"),
+])
 def test_overflowing_predicate_ratios_warn_nothing(command):
-    # b*q overflows in build_reports' ratios -b*a/q and -b*q/a; the lanes
-    # that read them compare against inf, as the scalar predicates do.
-    args = (*command, "--grid", "p=-1e200:1e200:5,b=-1e300:1e300:7", "-q", "1e154", "-m", "3")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = run(*args)
+        res = run(*command)
     assert res.exit_code == 0, res.exception
-    assert res.output == run(*args).output
+    assert res.output == run(*command).output
 
 
 def test_audit_csv_mode():
@@ -244,6 +250,10 @@ def test_scan_usage_errors():
     assert run("scan", "--grid", "p=-3:3:5,p=-1:1:3").exit_code == 2
     assert run("scan", "--grid", "z=-3:3:5,b=-1:1:3").exit_code == 2
     assert run("scan", "--grid", "p=-3:3:5,b=oops:1:3").exit_code == 2
+    # The variable is exactly one of p, q, a and b.
+    for spec in ("pq=0:1:2,b=0:1:2", "=0:1:2", "ab=0:1:2"):
+        assert run("scan", "--grid", spec).exit_code == 2, spec
+    assert run("audit", "--grid", "=0:1:2").exit_code == 2
 
 
 def test_grid_rejects_non_finite_bounds():

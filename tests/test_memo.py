@@ -106,7 +106,7 @@ def counts(monkeypatch):
     """Series summed (calls into the series module's hyp0f1 and bessel_i from
     the rest of the package), Bessel core evaluations (its prefactors) and
     oracle passes."""
-    tally = {"series": 0, "_bessel_prefactors": 0, "_trapezoid": 0}
+    tally = {"series": 0, "_bessel_prefactors": 0, "_trapezoids": 0}
 
     def counting(module, name, key):
         inner = getattr(module, name)
@@ -123,7 +123,7 @@ def counts(monkeypatch):
                 if value is series.hyp0f1 or value is series.bessel_i:
                     counting(module, attr, "series")
     counting(formulas, "_bessel_prefactors", "_bessel_prefactors")
-    counting(quadrature, "_trapezoid", "_trapezoid")
+    counting(quadrature, "_trapezoids", "_trapezoids")
     return tally
 
 
@@ -182,11 +182,11 @@ def test_oracle_sin_and_cos_share_one_pass(counts):
     oracle_sin(rp)
     oracle_cos(rp)
     oracle_f(rp)
-    assert counts["_trapezoid"] == 1
+    assert counts["_trapezoids"] == 1
     cp = ComplexParams(0.53 + 0.1j, -0.91, 1.27, -0.33j, 2)
     oracle_sin(cp)
     oracle_cos(cp)
-    assert counts["_trapezoid"] == 2
+    assert counts["_trapezoids"] == 2
 
 
 def test_filled_records_sum_no_series_and_no_pass(counts):
@@ -195,12 +195,13 @@ def test_filled_records_sum_no_series_and_no_pass(counts):
               ComplexParams(1 + 2j, 0j, 0j, 1 + 2j, 3), RealParams(0.3, 0.1, 0.2, 0.4, 1).to_complex()]
     fill_terms(points)
     fill_passes(points)
+    counts["_trapezoids"] = 0  # the fills' own passes
     for point in points:
         for fn in REAL_ROUTES if isinstance(point, RealParams) else COMPLEX_ROUTES:
             # At non-real coefficients oracle_f integrates a pass of its own.
             if not (fn is oracle_f and isinstance(point, ComplexParams) and not point.is_real):
                 fn(point)
-    assert counts["series"] == 0 and counts["_trapezoid"] == 0
+    assert counts["series"] == 0 and counts["_trapezoids"] == 0
 
 
 # Coefficients past the oracle envelope, and far enough out that a series
@@ -229,6 +230,25 @@ def test_filled_records_match_fresh(points):
             assert_matches_fresh(fn, point)
 
 
+@pytest.mark.parametrize("block_nodes", [quadrature.BLOCK_NODES, 100])
+def test_filled_blocks_match_fresh(monkeypatch, counts, block_nodes):
+    # One and two rows at N = 32 to 256: at BLOCK_NODES = 100 a block holds
+    # three points (one row, N = 32) or one. The largest budgets are past
+    # the envelope.
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
+    points = [point for s in (0.0, 0.5, 3.0, 9.0, 20.0, 40.0, 55.0) for m in (0, 2, 30)
+              for point in (RealParams(-s / 2, 0.0, s / 4, s / 4, m),
+                            ComplexParams(complex(s / 2, -s / 4), s / 4, 0j, complex(0.0, s / 4), m))]
+    fill_passes(points)
+    assert counts["_trapezoids"] == 2
+    got = outcomes((oracle_sin, oracle_cos), points)
+    assert counts["_trapezoids"] == 2
+    assert got == outcomes((oracle_sin, oracle_cos), map(fresh, points))
+    assert outcomes((oracle_f,), points) == outcomes((oracle_f,), map(fresh, points))
+    refused = [o for o in got if o[0] == "DomainError"]
+    assert refused and {32, 64, 128, 256} <= {o[-1] for o in got if o not in refused}
+
+
 @pytest.mark.parametrize("first, second", [
     (RealParams(0.0, 1.1, -0.7, 0.4, 1), RealParams(-0.0, 1.1, -0.7, 0.4, 1)),
     (RealParams(0.4, -0.0, 1.3, 0.0, 3), RealParams(0.4, 0.0, 1.3, -0.0, 3)),
@@ -252,7 +272,7 @@ def test_equal_but_not_bit_identical_points_are_not_shared(counts, first, second
 def test_oracle_rows_with_other_zero_signs_or_types_are_not_shared(counts, first, second):
     fns = (oracle_f, oracle_sin, oracle_cos)
     got = outcomes(fns, (first, second))
-    assert counts["_trapezoid"] == 2
+    assert counts["_trapezoids"] == 2
     assert got == outcomes(fns, (fresh(first), fresh(second)))
 
 
@@ -260,7 +280,7 @@ def test_a_b_a_reuses_a_and_matches_fresh(counts):
     a, b = RealParams(0.21, 0.32, -0.43, 0.54, 2), RealParams(-0.65, 0.76, 0.87, -0.98, 1)
     got = outcomes(REAL_ROUTES, (a, b, a))
     # The second visit to a reads everything from a's record.
-    assert counts == {"_bessel_prefactors": 2, "_trapezoid": 2, "series": 2}
+    assert counts == {"_bessel_prefactors": 2, "_trapezoids": 2, "series": 2}
     assert got == outcomes(REAL_ROUTES, (fresh(a), fresh(b), fresh(a)))
 
 

@@ -21,7 +21,7 @@ from exptrig import (
     oracle_sin,
 )
 from exptrig import quadrature
-from exptrig.quadrature import N_MAX, _trapezoid, oracle_f_lanes
+from exptrig.quadrature import N_MAX, _trapezoids, oracle_f_lanes
 
 ORACLES = {"f": oracle_f, "sin": oracle_sin, "cos": oracle_cos}
 
@@ -48,8 +48,8 @@ def _mp_family(p, q, a, b, m: int) -> dict[str, complex]:
 
 
 def _f_coeffs(rp: RealParams) -> np.ndarray:
-    """The (u, v, -im) row of the f integrand exp(u cos x + v sin x - imx)."""
-    return np.array([[rp.p + 1j * rp.a, rp.q + 1j * rp.b, -1j * rp.m]])
+    """The (u, v, -im) row of the f integrand exp(u cos x + v sin x - imx), as one point."""
+    return np.array([[[rp.p + 1j * rp.a, rp.q + 1j * rp.b, -1j * rp.m]]])
 
 
 def test_trivial_values():
@@ -115,7 +115,7 @@ def test_half_range_symmetry_for_even_integrands():
 
 def test_refinement_is_spectral():
     coeffs = _f_coeffs(RealParams(2.5, -1.0, 0.5, 1.0, 2))
-    values = {n: _trapezoid(coeffs, n)[0][0] for n in (16 * 2**k for k in range(8))}
+    values = {n: _trapezoids(coeffs, [n])[0][0][0] for n in (16 * 2**k for k in range(8))}
     budget = 4 * (2.5 + 1.0 + 0.5 + 1.0 + 2)
     ns = sorted(values)
     deltas = {n: abs(values[n] - values[n // 2]) for n in ns[1:]}
@@ -129,7 +129,7 @@ def test_refinement_is_spectral():
 def test_self_consistency_after_convergence():
     rp = RealParams(1.0, 2.0, -1.0, 0.5, 3)
     res = oracle_f(rp)
-    doubled = _trapezoid(_f_coeffs(rp), 4 * res.evaluations)[0][0]
+    doubled = _trapezoids(_f_coeffs(rp), [4 * res.evaluations])[0][0][0]
     assert abs(doubled - res.value) < 1e-12 * max(1.0, abs(res.value))
 
 
