@@ -21,9 +21,9 @@ from typing import Callable
 from .complexops import atan2_full, pow_int_over_factorial
 from .conditions import sign_verdict
 from .errors import DomainError
-from .formulas import eval_complex_cos, eval_complex_sin
+from .formulas import eval_complex_cos, eval_complex_sin, fill_terms
 from .params import ComplexParams
-from .quadrature import oracle_cos, oracle_sin
+from .quadrature import fill_passes, oracle_cos, oracle_sin
 
 __all__ = [
     "gr_3_931_4",
@@ -368,9 +368,12 @@ def check_entry(entry: CatalogEntry, tol: float = 1e-10) -> EntryCheck:
     references = (("evaluator", eval_complex_sin, eval_complex_cos), ("oracle", oracle_sin, oracle_cos))
     max_err = [0.0, 0.0]
     failures: list[str] = []
-    for args in entry.samples:
+    bindings = [entry.binding(*args) for args in entry.samples]
+    records = [params for binding in bindings for _, _, params in binding]
+    fill_terms(records)
+    fill_passes(records)
+    for args, binding in zip(entry.samples, bindings):
         closed = entry.closed_form(*args)
-        binding = entry.binding(*args)
         for j, (name, sin_fn, cos_fn) in enumerate(references):
             err = _scaled_err(closed, _sum_binding(binding, sin_fn, cos_fn))
             max_err[j] = max(max_err[j], err)
@@ -395,9 +398,11 @@ def check_expected_flips(entry: CatalogEntry, tol: float = 1e-10) -> tuple[list[
         raise ValueError(f"{entry.id} has no expected-failure samples")
     findings: list[str] = []
     failures: list[str] = []
-    for args in entry.flip_samples:
+    bindings = [entry.binding(*args) for args in entry.flip_samples]
+    fill_passes([params for binding in bindings for _, _, params in binding])
+    for args, binding in zip(entry.flip_samples, bindings):
         closed = entry.closed_form(*args)
-        ora = _sum_binding(entry.binding(*args), oracle_sin, oracle_cos)
+        ora = _sum_binding(binding, oracle_sin, oracle_cos)
         verdict, unobservable, unclassified = sign_verdict(
             closed, ora, tol * max(1.0, abs(closed), abs(ora)))
         expected = "SignFlip" if entry.flip_law(*args) else "Agree"

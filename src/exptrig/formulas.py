@@ -77,7 +77,7 @@ def eval_f_bessel(params: RealParams) -> EvalResult:
     f = 2pi [(b-p)^2+(a+q)^2]^(-m/2) (A-iB)^(m/2) I_m(sqrt(C+iD)),
     every fractional power on its principal branch. By construction this
     carries the branch-cut sign error wherever the error conditions hold
-    and m is odd. Raises DomainError when (b-p)^2 + (a+q)^2 = 0 (Y = 0).
+    and m is odd. Raises DomainError when (b-p)^2 + (a+q)^2 is 0 or underflows.
     """
     return _once(params, "bessel", lambda: _f_bessel(params))
 
@@ -111,7 +111,8 @@ def _bessel_prefactors(p: float, q: float, a: float, b: float, m: int) -> tuple[
     try:
         ynorm2 = (b - p) ** 2 + (a + q) ** 2
         if ynorm2 == 0.0:
-            raise DomainError("original formula inapplicable: (b-p)^2 + (a+q)^2 = 0 (Y = 0)")
+            why = "= 0 (Y = 0)" if b == p and a == -q else "underflows to 0, though Y != 0"
+            raise DomainError(f"original formula inapplicable: (b-p)^2 + (a+q)^2 {why}")
         A, B, C, D = _book_constants(p, q, a, b)
         return (TWO_PI * ynorm2 ** (-0.5 * m), cpow_half(complex(A, -B), m),
                 cpow_half(complex(C, D), 1))

@@ -19,10 +19,11 @@ one point integrate once, and so does oracle_f for real coefficients.
 A refusal (outside ENVELOPE, N above N_MAX) is stored nowhere and raised
 on every call.
 
-One driver, _trapezoids, takes the rule over points grouped by N, in
-blocks of at most BLOCK_NODES nodes, and no point's sums depend on the
-rest of its block. The scalar path (a block of one), fill_passes and
-oracle_f_lanes all call it, so they agree bit for bit.
+One function, _integrate, plans and takes the passes of many points:
+their rows (u, v, -ik), R, N, refusals and error_estimate. The scalar
+oracle (a batch of one), fill_passes (verify, catalog) and oracle_f_lanes
+(audit) only call it, and no point's sums depend on the rest of its
+batch, so the three agree bit for bit.
 
 This module deliberately never imports the closed-form evaluators: it has
 to be able to falsify them.
@@ -38,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .params import ComplexParams, RealParams, _once
+from .params import ComplexParams, RealParams
 
 __all__ = ["QuadratureResult", "OracleLanes", "fill_passes", "oracle_f", "oracle_f_lanes", "oracle_sin",
            "oracle_cos"]
@@ -104,12 +105,11 @@ def _integrand(coeffs: np.ndarray, n: int) -> np.ndarray:
 
 def _trapezoids(coeffs: np.ndarray, nodes: list[int]) -> list[tuple[tuple[complex, ...], float]]:
     """The rule for each point's rows (u, v, -ik), coeffs of shape
-    (points, rows, 3), at the point's node count in nodes: per point, the
-    integrals of g = exp(u cos x + v sin x - ikx) over [0, 2pi], and the
-    mean over rows of the rule applied to |g|, whose sum is one pairwise
-    sum over the point's rows * n values, as np.abs(g).sum() takes it at
-    one point. Points with one N are integrated in blocks of at most
-    BLOCK_NODES nodes, one exponential per block."""
+    (points, rows, 3), at the point's N in nodes: per point, the integrals
+    of g = exp(u cos x + v sin x - ikx) over [0, 2pi], and the mean over
+    rows of the rule applied to |g| (one pairwise sum of its rows * N
+    values). Points with one N go in blocks of at most BLOCK_NODES nodes,
+    one exponential per block."""
     rows = coeffs.shape[1]
     groups: dict[int, list[int]] = {}
     for i, n in enumerate(nodes):
@@ -130,36 +130,54 @@ def _trapezoids(coeffs: np.ndarray, nodes: list[int]) -> list[tuple[tuple[comple
     return out
 
 
-class _Plan(NamedTuple):
-    """A point's pass before integration: its rows (u, v, -ik), N, the
-    aliasing bound and the rounding growth that multiplies the |g| rule."""
-
-    rows: tuple[tuple[complex, complex, complex], ...]
-    n: int
-    alias: float
-    growth: float
-
-
-def _plan(params: RealParams | ComplexParams, two_rows: bool) -> _Plan:
-    """The pass's plan, or DomainError outside ENVELOPE or where N > N_MAX."""
-    p, q, a, b, m = params.p, params.q, params.a, params.b, params.m
-    budget = abs(p) + abs(q) + abs(a) + abs(b)
-    if budget > ENVELOPE:
-        raise DomainError(
-            f"|p|+|q|+|a|+|b| = {budget:.3g} exceeds the oracle envelope {ENVELOPE:g}"
-        )
-    rows = ((p + 1j * a, q + 1j * b, -1j * m),)
-    if two_rows:
-        rows += ((p - 1j * a, q - 1j * b, 1j * m),)
-    radius = max(abs(u - 1j * v) + abs(u + 1j * v) for u, v, _ in rows) / 2
-    n = _node_count(math.ceil(4 * radius), m)
-    if n > N_MAX:
-        raise DomainError(f"m = {m} needs {n} trapezoid nodes, above N_MAX = {N_MAX}")
-    k = n - m  # 2pi times the tails on both sides, each <= 2 e^R R^k / k!
-    alias = 8 * math.pi * math.exp(radius + k * math.log(radius) - math.lgamma(k + 1)) if radius else 0.0
-    # Rounding growth: numpy's pairwise sum (log2 n + 16), the nodes and
-    # products with the coefficients (20 per unit of budget), and m x_j (19 m).
-    return _Plan(rows, n, alias, UNIT_ROUNDOFF * (16 + math.log2(n) + 20 * budget + 19 * m))
+def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np.ndarray,
+               rows: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """The passes of many points, one lane each: complex arrays p, q, a, b
+    and an integer array m, with the row (u, v, -ik) of g+ and, at rows = 2,
+    that of g- too. Per lane: its sums, error_estimate and N, or, where it
+    is refused (outside ENVELOPE, or N above N_MAX), its message, 0 and 0."""
+    signs = (1.0, -1.0)[:rows]
+    with np.errstate(all="ignore"):
+        # abs of a Python complex is hypot of its parts; np.abs may differ by an ulp.
+        budget = sum(np.hypot(x.real, x.imag) for x in (p, q, a, b))
+        inside = budget <= ENVELOPE
+        # The rows' u = p -+ 1j*a and v = q -+ 1j*b as CPython forms them, part by part.
+        coeffs = np.zeros((len(p), rows, 3), dtype=complex)
+        for col, (x, y) in enumerate(((p, a), (q, b))):
+            coeffs[..., col].real = x.real[:, None] + np.outer(0.0 * y.real - y.imag, signs)
+            coeffs[..., col].imag = x.imag[:, None] + np.outer(0.0 * y.imag + y.real, signs)
+        # R = max over rows of (|u - iv| + |u + iv|) / 2.
+        u, v = coeffs[..., 0], coeffs[..., 1]
+        radius = (np.hypot(u.real + v.imag, u.imag - v.real)
+                  + np.hypot(u.real - v.imag, u.imag + v.real)).max(axis=1) / 2
+    # Only lanes inside ENVELOPE are sized: past it ceil(4R) can be too
+    # large to count to. N past N_MAX is held as N_MAX + 1, which fits an int64.
+    sized = np.flatnonzero(inside)
+    keys = list(zip(np.ceil(4 * radius[sized]).tolist(), m[sized].tolist()))
+    counts = {key: min(_node_count(int(key[0]), key[1]), N_MAX + 1) for key in set(keys)}
+    nodes = np.zeros(len(p), dtype=np.int64)
+    nodes[sized] = [counts[key] for key in keys]
+    ok = inside & (nodes <= N_MAX)
+    sums: list = [None] * len(p)
+    for i in np.flatnonzero(~ok).tolist():
+        sums[i] = (f"|p|+|q|+|a|+|b| = {budget[i]:.3g} exceeds the oracle envelope {ENVELOPE:g}"
+                   if not inside[i] else f"m = {m[i]} needs {_node_count(math.ceil(4 * radius[i]), int(m[i]))} "
+                   f"trapezoid nodes, above N_MAX = {N_MAX}")
+    nodes[~ok], error_estimate, lanes = 0, np.zeros(len(p)), np.flatnonzero(ok)
+    if len(lanes):
+        n, m, coeffs = nodes[lanes], m[lanes].astype(np.int64), coeffs[lanes]
+        coeffs[..., 2].imag = -np.outer(m, signs)  # -+1j*m
+        integrals, abs_sums = zip(*_trapezoids(coeffs, n.tolist()))
+        for i, point in zip(lanes.tolist(), integrals):
+            sums[i] = point
+        # 2pi times the aliasing tails on both sides, each <= 2 e^R R^k / k!
+        alias = [8 * math.pi * math.exp(r + k * math.log(r) - math.lgamma(k + 1)) if r else 0.0
+                 for r, k in zip(radius[lanes].tolist(), (n - m).tolist())]
+        # Rounding growth: numpy's pairwise sum (log2 N + 16), the nodes and
+        # products with the coefficients (20 per unit of budget), and m x_j (19 m).
+        growth = UNIT_ROUNDOFF * (16 + np.log2(n) + 20 * budget[lanes] + 19 * m)
+        error_estimate[lanes] = np.array(alias) + growth * np.array(abs_sums)
+    return sums, error_estimate, nodes
 
 
 def _two_rows(params: RealParams | ComplexParams) -> bool:
@@ -167,36 +185,31 @@ def _two_rows(params: RealParams | ComplexParams) -> bool:
     return not (isinstance(params, RealParams) or params.is_real)
 
 
-def _passes(plans: list[_Plan]) -> list[tuple]:
-    """Each plan's stored pass: sums, error_estimate and N. The plans
-    have one row count."""
-    integrals = _trapezoids(np.array([plan.rows for plan in plans]), [plan.n for plan in plans])
-    return [(sums, plan.alias + plan.growth * abs_sum, plan.n)
-            for plan, (sums, abs_sum) in zip(plans, integrals)]
+def _record_passes(records: list[RealParams | ComplexParams], rows: int) -> list:
+    """Each record's pass (sums, error_estimate, N), or the message of its refusal."""
+    p, q, a, b = (np.array([getattr(params, x) for params in records], dtype=complex) for x in "pqab")
+    sums, error_estimate, nodes = _integrate(p, q, a, b, np.array([params.m for params in records]), rows)
+    return [(s, e, n) if n else s for s, e, n in zip(sums, error_estimate.tolist(), nodes.tolist())]
 
 
 def fill_passes(records: list[RealParams | ComplexParams]) -> None:
     """Store the pass that oracle_sin and oracle_cos read (oracle_f's too,
     at real coefficients) on each record that has none. A record the
     scalar path would refuse stays unfilled, so its oracle call raises."""
-    groups: dict[int, list] = {}
-    for params in records:
-        two_rows = _two_rows(params)
-        if ("pass", 1 + two_rows) in params._cache:
-            continue
-        try:
-            plan = _plan(params, two_rows)
-        except DomainError:
-            continue
-        groups.setdefault(1 + two_rows, []).append((params, plan))
-    for rows, group in groups.items():
-        for (params, _), stored in zip(group, _passes([plan for _, plan in group])):
-            params._cache["pass", rows] = stored
+    for rows in {1 + _two_rows(params) for params in records}:
+        group = [params for params in records
+                 if 1 + _two_rows(params) == rows and ("pass", rows) not in params._cache]
+        for params, stored in zip(group, _record_passes(group, rows)):
+            if not isinstance(stored, str):
+                params._cache["pass", rows] = stored
 
 
 def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
-    two_rows = kind != "f" and _two_rows(params)
-    sums, error_estimate, n = _once(params, ("pass", 1 + two_rows), lambda: _passes([_plan(params, two_rows)])[0])
+    rows = 1 + (kind != "f" and _two_rows(params))
+    stored = params._cache.get(("pass", rows)) or _record_passes([params], rows)[0]
+    if isinstance(stored, str):
+        raise DomainError(stored)
+    sums, error_estimate, n = params._cache["pass", rows] = stored
     if kind == "f":
         value = sums[0]
     elif len(sums) == 1:
@@ -224,41 +237,21 @@ def oracle_cos(params: RealParams | ComplexParams) -> QuadratureResult:
 
 class OracleLanes(NamedTuple):
     """Lane-wise oracle_f values as real and imaginary parts, with each
-    lane's N. A lane that is not ok (outside ENVELOPE, or N above N_MAX)
-    holds no value."""
+    lane's N and error_estimate. A lane that is not ok (outside ENVELOPE,
+    or N above N_MAX) holds no value."""
 
     re: np.ndarray
     im: np.ndarray
     evaluations: np.ndarray
     ok: np.ndarray
+    error_estimate: np.ndarray
 
 
-def oracle_f_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
-                   m: int) -> OracleLanes:
-    """oracle_f(RealParams(p, q, a, b, m)).value on every lane, bit for bit.
-
-    For real coefficients oracle_cos and oracle_sin are the real and
-    imaginary parts of it. u = p + ia and v = q + ib are formed with
-    CPython's complex operations, signed zeros included, and
-    |u -+ iv| = hypot(p +- b, a -+ q).
-    """
-    with np.errstate(all="ignore"):
-        ok = np.abs(p) + np.abs(q) + np.abs(a) + np.abs(b) <= ENVELOPE
-        radius = (np.hypot(p + b, a - q) + np.hypot(p - b, a + q)) / 2
-        # The rows (p + 1j*a, q + 1j*b, -1j*m) of the scalar path, part by part.
-        coeffs = np.empty((len(p), 3), dtype=complex)
-        coeffs[:, 0].real, coeffs[:, 0].imag = p + (0.0 * a - 0.0), 0.0 + (0.0 + a)
-        coeffs[:, 1].real, coeffs[:, 1].imag = q + (0.0 * b - 0.0), 0.0 + (0.0 + b)
-        coeffs[:, 2] = -1j * m
-    # Distinct values by set, not np.unique: its first call imports numpy.ma,
-    # which costs a fresh interpreter tens of milliseconds.
-    quarters = np.ceil(4 * radius[ok])
-    distinct = sorted(set(quarters.tolist()))
-    counts = np.array([_node_count(int(r), m) for r in distinct], dtype=np.int64)
-    nodes = np.zeros(len(p), dtype=np.int64)
-    nodes[ok] = counts[np.searchsorted(distinct, quarters)]
-    ok &= nodes <= N_MAX
-    nodes[~ok] = 0
+def oracle_f_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: int) -> OracleLanes:
+    """oracle_f(RealParams(p, q, a, b, m)) on every lane, bit for bit: its
+    value, error_estimate and N. For real coefficients oracle_cos and
+    oracle_sin are the real and imaginary parts of the value."""
+    sums, error_estimate, nodes = _integrate(*(x.astype(complex) for x in (p, q, a, b)), np.full(len(p), m), 1)
     f = np.zeros(len(p), dtype=complex)
-    f[ok] = [sums[0] for sums, _ in _trapezoids(coeffs[ok, np.newaxis], nodes[ok].tolist())]
-    return OracleLanes(f.real, f.imag, nodes, ok)
+    f[nodes > 0] = [point[0] for point, n in zip(sums, nodes.tolist()) if n]
+    return OracleLanes(f.real, f.imag, nodes, nodes > 0, error_estimate)

@@ -148,11 +148,13 @@ def test_audit_point_error_is_recorded_not_fatal():
     # bessel_i's prefactor (z/2)^m/m! underflows
     (("-p", "0.5", "-b", "1", "-m", "171"), "underflowed"),
     # (b-p)^2 + (a+q)^2 underflows to 0 though Y != 0
-    (("-p", "1e-170", "-a", "1e-170", "-m", "1"), "= 0 (Y = 0)"),
+    (("-p", "1e-170", "-a", "1e-170", "-m", "1"), "underflows to 0"),
     # [(b-p)^2 + (a+q)^2]^(-m/2) overflows
     (("-p", "1e-160", "-m", "3"), "overflows"),
     # (A-iB)^(m/2) overflows
     (("-p", "40", "-m", "400"), "overflows"),
+    # the same underflow at an odd m, near the case 1 boundary
+    (("-p", "-1e-200", "-q", "1e-200", "-b", "1e-200", "-m", "3"), "underflows to 0"),
 ])
 def test_audit_records_original_refusal(args, reason):
     res = run("audit", *args)
@@ -161,6 +163,14 @@ def test_audit_records_original_refusal(args, reason):
     assert rec["original"] is None and rec["verdict"] is None and rec["abs_discrepancy"] is None
     assert rec["improved"] is not None and rec["oracle"] is not None
     assert rec["detail"].startswith("error: ") and reason in rec["detail"]
+    assert rec["report"]["y_is_zero"] is False and "Y = 0" not in rec["detail"]
+
+
+def test_eval_original_underflowed_y_norm_is_not_called_y_zero():
+    res = run("eval", "--kind", "f", "--method", "original", "-p", "-1e-200", "-q", "1e-200",
+              "-b", "1e-200", "-m", "3")
+    assert res.exit_code == 3
+    assert "underflows to 0, though Y != 0" in res.output and "(Y = 0)" not in res.output
 
 
 def test_eval_original_overflow_exit_3():

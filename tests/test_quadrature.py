@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath as mp
@@ -21,7 +22,7 @@ from exptrig import (
     oracle_sin,
 )
 from exptrig import quadrature
-from exptrig.quadrature import N_MAX, _trapezoids, oracle_f_lanes
+from exptrig.quadrature import N_MAX, _trapezoids, fill_passes, oracle_f_lanes
 
 ORACLES = {"f": oracle_f, "sin": oracle_sin, "cos": oracle_cos}
 
@@ -281,5 +282,81 @@ def test_lane_oracle_matches_scalar_bit_for_bit(monkeypatch, block_nodes, m):
         f, re, im = oracle_f(rp), lanes.re[i].item(), lanes.im[i].item()
         assert (repr(f.value.real), repr(f.value.imag)) == (repr(re), repr(im))
         assert f.evaluations == lanes.evaluations[i]
+        assert repr(f.error_estimate) == repr(lanes.error_estimate[i].item())
         assert repr(oracle_cos(rp).value) == repr(complex(re, 0.0))
         assert repr(oracle_sin(rp).value) == repr(complex(im, 0.0))
+
+
+def _outcome(orc, params):
+    """The value's and error_estimate's repr and N, or the refusal's message."""
+    try:
+        res = orc(params)
+    except DomainError as exc:
+        return str(exc)
+    return repr(res.value), repr(res.error_estimate), res.evaluations
+
+
+def _reference_cos(params):
+    """_outcome(oracle_cos, params) from a per-point plan in plain Python:
+    the reference that the array planner must match bit for bit."""
+    p, q, a, b, m = params.p, params.q, params.a, params.b, params.m
+    budget = abs(p) + abs(q) + abs(a) + abs(b)
+    if budget > quadrature.ENVELOPE:
+        return f"|p|+|q|+|a|+|b| = {budget:.3g} exceeds the oracle envelope {quadrature.ENVELOPE:g}"
+    rows = ((p + 1j * a, q + 1j * b, -1j * m),)
+    if isinstance(params, ComplexParams) and not params.is_real:
+        rows += ((p - 1j * a, q - 1j * b, 1j * m),)
+    radius = max(abs(u - 1j * v) + abs(u + 1j * v) for u, v, _ in rows) / 2
+    n = quadrature._node_count(math.ceil(4 * radius), m)
+    if n > N_MAX:
+        return f"m = {m} needs {n} trapezoid nodes, above N_MAX = {N_MAX}"
+    ((sums, abs_sum),) = _trapezoids(np.array([rows]), [n])
+    k = n - m
+    alias = 8 * math.pi * math.exp(radius + k * math.log(radius) - math.lgamma(k + 1)) if radius else 0.0
+    growth = quadrature.UNIT_ROUNDOFF * (16 + math.log2(n) + 20 * budget + 19 * m)
+    value = complex(sums[0].real) if len(sums) == 1 else (sums[0] + sums[1]) / 2
+    return repr(value), repr(alias + growth * abs_sum), n
+
+
+@st.composite
+def oracle_lane(draw):
+    """A real or complex record with a budget from 0 to past the envelope,
+    at times +-1e308 or integer coefficients, and m up to 400 or past N_MAX."""
+    parts = draw(st.lists(unit, min_size=8, max_size=8))
+    real = draw(st.booleans())
+    if real:
+        parts[1::2] = [0.0] * 4
+    coeffs = [complex(parts[2 * i], parts[2 * i + 1]) for i in range(4)]
+    total = sum(abs(c) for c in coeffs)
+    budget = draw(st.one_of(st.floats(0.0, 60.0), st.sampled_from([49.999, 50.0, 50.001, 1e308])))
+    coeffs = [c / total * budget if total > 1e-9 else 0j for c in coeffs]
+    for i in draw(st.lists(st.integers(0, 3), max_size=2)):
+        coeffs[i] = draw(st.sampled_from([1e308, -1e308, 3, -2]))
+    m = draw(st.one_of(st.integers(0, 400), st.integers(N_MAX, 2 * N_MAX), st.just(2**64)))
+    if real:
+        return RealParams(*(c.real if isinstance(c, complex) else c for c in coeffs), m)
+    return ComplexParams(*map(complex, coeffs), m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(oracle_lane(), min_size=1, max_size=10))
+def test_lanes_fills_and_scalar_calls_agree_bit_for_bit(points):
+    # A fresh scalar call matches the plain-Python plan; a filled record
+    # matches a fresh one; a lane of oracle_f_lanes matches oracle_f.
+    filled = [dataclasses.replace(pt) for pt in points]
+    fill_passes(filled)
+    for pt, record in zip(points, filled):
+        assert _outcome(oracle_cos, dataclasses.replace(pt)) == _reference_cos(pt)
+        for orc in ORACLES.values():
+            assert _outcome(orc, record) == _outcome(orc, dataclasses.replace(pt))
+    real = [pt for pt in points if isinstance(pt, RealParams)]
+    for m in {pt.m for pt in real}:
+        group = [pt for pt in real if pt.m == m]
+        lanes = oracle_f_lanes(*(np.array([getattr(pt, x) for pt in group], dtype=float) for x in "pqab"), m)
+        for i, pt in enumerate(group):
+            want = _outcome(oracle_f, RealParams(pt.p, pt.q, pt.a, pt.b, m))
+            if not lanes.ok[i]:
+                assert isinstance(want, str) and lanes.evaluations[i] == 0
+                continue
+            got = complex(lanes.re[i], lanes.im[i]), lanes.error_estimate[i].item(), lanes.evaluations[i]
+            assert want == (repr(got[0]), repr(got[1]), got[2])
