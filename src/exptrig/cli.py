@@ -16,8 +16,8 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
-from typing import Iterator
+from dataclasses import fields
+from typing import Iterator, NamedTuple
 
 import click
 import numpy as np
@@ -42,7 +42,7 @@ from .formulas import (
     fill_terms,
 )
 from .params import ComplexParams, RealParams
-from .quadrature import fill_passes, oracle_cos, oracle_f, oracle_f_lanes, oracle_sin
+from .quadrature import N_MAX, fill_passes, oracle_cos, oracle_f, oracle_f_lanes, oracle_sin
 
 BOUNDARY_EPS = 1e-12
 # Grid points per chunk that scan and audit evaluate and write at once
@@ -104,6 +104,12 @@ def _tolerance(ctx, param, value: float) -> float:
     return value
 
 
+def _refuse(exc: DomainError | ConvergenceError) -> None:
+    """Report a typed refusal on stderr and exit 3."""
+    click.echo(f"error: {exc}", err=True)
+    sys.exit(3)
+
+
 def _param_options(fn):
     for name in ("b", "a", "q", "p"):
         fn = click.option(f"-{name}", name, type=PARAM, default="0", show_default=True,
@@ -159,8 +165,7 @@ def cmd_eval(kind: str, method: str, p: complex, q: complex, a: complex, b: comp
     try:
         res = _route(method, kind)(params)
     except (DomainError, ConvergenceError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
+        _refuse(exc)
     if method == "oracle":
         click.echo(_dump({
             "kind": kind,
@@ -228,126 +233,150 @@ def _grid_chunks(base: dict[str, float], axes: list[tuple[str, np.ndarray]]
         yield rows, coeffs
 
 
-@dataclass
-class AuditRecord:
-    """One audited point: parameter echo (p, q, a, b, m), predicate report,
-    three values, and the original-vs-oracle verdict."""
+CSV_HEADER = ("p,q,a,b,m,case1,case2,case3,k_constant,overall,flip_applies,"
+              "y_is_zero,boundary,original_re,original_im,improved_re,improved_im,"
+              "oracle_re,oracle_im,abs_discrepancy,verdict,detail")
+JSON_KEYS = ("params", "report", "boundary", "original", "improved", "oracle", "abs_discrepancy",
+             "verdict", "detail")
+UNOBSERVABLE = "component is zero; predicted flip unobservable"
+UNCLASSIFIED = "unclassified discrepancy; neither match within tolerance"
 
-    params: tuple[float, float, float, float, int]
+
+class AuditChunk(NamedTuple):
+    """One chunk of audited points as columns, one entry per point.
+
+    coeffs holds the p, q, a, b arrays and report the build_reports
+    arrays. values has three rows, the kind's component of the original,
+    improved and oracle values, and computed says where each was
+    computed: not the original at Y = 0, and no value from a refusing
+    route on. ok marks the points with a verdict and an abs_discrepancy;
+    verdict and detail are None where absent, and a point without a
+    verdict has its refusal in detail.
+    """
+
+    coeffs: dict[str, np.ndarray]
     report: SignErrorReport
-    boundary: bool
-    original: complex | None = None
-    improved: complex | None = None
-    oracle: complex | None = None
-    abs_discrepancy: float | None = None
-    verdict: str | None = None
-    detail: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": dict(zip("pqabm", self.params)),
-            "report": dict(vars(self.report)),
-            "boundary": self.boundary,
-            "original": None if self.original is None else _cjson(self.original),
-            "improved": None if self.improved is None else _cjson(self.improved),
-            "oracle": None if self.oracle is None else _cjson(self.oracle),
-            "abs_discrepancy": self.abs_discrepancy,
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
-
-    CSV_HEADER = ("p,q,a,b,m,case1,case2,case3,k_constant,overall,flip_applies,"
-                  "y_is_zero,boundary,original_re,original_im,improved_re,improved_im,"
-                  "oracle_re,oracle_im,abs_discrepancy,verdict,detail")
-
-    def to_csv_row(self) -> str:
-        def num(v):
-            return "" if v is None else repr(v)
-
-        def pair(z):
-            return ("", "") if z is None else (repr(z.real), repr(z.imag))
-
-        o_re, o_im = pair(self.original)
-        i_re, i_im = pair(self.improved)
-        r_re, r_im = pair(self.oracle)
-        detail = (self.detail or "").replace(",", ";")
-        *coeffs, m = self.params
-        cells = [*map(repr, coeffs), str(m),
-                 f"{self.report.case1:d}", f"{self.report.case2:d}", f"{self.report.case3:d}",
-                 repr(self.report.k_constant), f"{self.report.overall:d}",
-                 f"{self.report.flip_applies:d}", f"{self.report.y_is_zero:d}",
-                 f"{self.boundary:d}", o_re, o_im, i_re, i_im, r_re, r_im,
-                 num(self.abs_discrepancy), self.verdict or "", detail]
-        return ",".join(cells)
+    boundary: np.ndarray
+    values: np.ndarray
+    computed: np.ndarray
+    abs_discrepancy: np.ndarray
+    verdict: list
+    detail: list
+    ok: np.ndarray
 
 
-def _judge(rec: AuditRecord, tol: float) -> AuditRecord:
-    """The verdict rule: fill in rec's discrepancy, verdict and detail from
-    its improved, oracle and (unless Y = 0) original values."""
-    if rec.report.y_is_zero:
-        rec.abs_discrepancy = abs(rec.improved - rec.oracle)
-        rec.verdict = "OriginalInapplicable"
-        return rec
-    original, oracle = rec.original, rec.oracle
-    rec.abs_discrepancy = abs(original - oracle)
-    tol_abs = max(tol * max(abs(original), abs(oracle)), 1e-11)
-    rec.verdict, unobservable, unclassified = sign_verdict(original, oracle, tol_abs)
-    if unobservable and rec.report.flip_applies:
-        rec.detail = "component is zero; predicted flip unobservable"
-    elif unclassified:
-        rec.detail = "unclassified discrepancy; neither match within tolerance"
-    return rec
-
-
-def _audit_point(rp: RealParams, report: SignErrorReport, boundary: bool,
-                 kind: str, tol: float) -> AuditRecord:
-    """One point through the scalar routes. A refusal by any route is
-    recorded in detail, with the values computed before it and no verdict."""
-    rec = AuditRecord(params=(rp.p, rp.q, rp.a, rp.b, rp.m), report=report, boundary=boundary)
+def _audit_point(rp: RealParams, y_is_zero: bool, kind: str) -> tuple:
+    """One point through the scalar routes: its original, improved and
+    oracle values and the message of the first refusal. A value is None
+    where its route was not reached, the original at Y = 0 too."""
+    values: list = [None, None, None]
     try:
-        rec.improved = _route("improved", kind)(rp).value
-        rec.oracle = _route("oracle", kind)(rp).value
-        if not report.y_is_zero:
-            rec.original = _route("original", kind)(rp).value
+        values[1] = _route("improved", kind)(rp).value
+        values[2] = _route("oracle", kind)(rp).value
+        if not y_is_zero:
+            values[0] = _route("original", kind)(rp).value
     except (DomainError, ConvergenceError) as exc:
-        rec.detail = f"error: {exc}"
-        return rec
-    return _judge(rec, tol)
+        return (*values, f"error: {exc}")
+    return (*values, None)
 
 
-def _component(lanes, kind: str) -> list[complex]:
+def _component(lanes, kind: str) -> np.ndarray:
     """Each lane's f, or its sin (Im f) or cos (Re f) component as a real complex."""
     z = np.zeros(len(lanes.re), dtype=complex)
     if kind == "f":
         z.real, z.imag = lanes.re, lanes.im
     else:
         z.real = lanes.im if kind == "sin" else lanes.re
-    return z.tolist()
+    return z
 
 
-def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> Iterator[AuditRecord]:
-    """The records of one chunk of coefficient arrays. The predicates and
-    every route run over all its lanes at once; a lane that any route
-    refuses goes through _audit_point, which records the refusal."""
+def _first_max(x: np.ndarray, y) -> np.ndarray:
+    """Python's max(x, y) lane by lane: x unless y > x (np.maximum would
+    take a NaN y)."""
+    return np.where(y > x, y, x)
+
+
+def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> AuditChunk:
+    """The columns of one chunk of coefficient arrays. The predicates,
+    every route and the verdict rule run over all its lanes at once; a
+    lane that any route refuses goes through _audit_point, which records
+    the refusal."""
     p, q, a, b = (c[v] for v in "pqab")
-    batch = build_reports(p, q, a, b, m)
+    report = build_reports(p, q, a, b, m)
+    y_is_zero = report.y_is_zero
     with np.errstate(over="ignore", invalid="ignore"):
-        boundary = np.abs(p + b * batch.k_constant) < BOUNDARY_EPS * np.maximum(1.0, np.abs(p))
-    # Python bool and float, as build_report gives: json rejects
-    # np.bool_, and repr(np.float64) is not repr(float) under numpy 2.
-    reports = map(SignErrorReport, *(getattr(batch, f.name).tolist() for f in fields(batch)))
+        boundary = np.abs(p + b * report.k_constant) < BOUNDARY_EPS * np.maximum(1.0, np.abs(p))
     (improved, original), oracle = eval_f_lanes(p, q, a, b, m), oracle_f_lanes(p, q, a, b, m)
     # The original formulas are inapplicable at Y = 0, where no verdict needs them.
-    ok = improved.ok & oracle.ok & (original.ok | batch.y_is_zero)
-    points = zip(*(x.tolist() for x in (p, q, a, b)), itertools.repeat(m))
-    lanes = zip(points, reports, boundary.tolist(), ok.tolist(), _component(original, kind),
-                _component(improved, kind), _component(oracle, kind))
-    for pt, report, bnd, lane_ok, orig, imp, orc in lanes:
-        if lane_ok:
-            orig = None if report.y_is_zero else orig
-            yield _judge(AuditRecord(pt, report, bnd, orig, imp, orc), tol)
-        else:
-            yield _audit_point(RealParams(*pt), report, bnd, kind, tol)
+    ok = improved.ok & oracle.ok & (original.ok | y_is_zero)
+    values = np.array([_component(lanes, kind) for lanes in (original, improved, oracle)])
+    computed = np.array([~y_is_zero, ok, ok]) & ok
+    detail = np.full(len(p), None, dtype=object)
+    for i in np.flatnonzero(~ok).tolist():
+        *point, detail[i] = _audit_point(RealParams(*(float(x[i]) for x in (p, q, a, b)), m),
+                                         bool(y_is_zero[i]), kind)
+        computed[:, i] = [z is not None for z in point]
+        values[:, i] = [0.0 if z is None else z for z in point]
+        ok[i] = detail[i] is None
+    orig, imp, orc = values
+    with np.errstate(over="ignore", invalid="ignore"):
+        tol_abs = _first_max(tol * _first_max(np.hypot(orig.real, orig.imag), np.hypot(orc.real, orc.imag)),
+                             1e-11)
+        miss = np.where(y_is_zero, imp, orig) - orc
+        discrepancy = np.hypot(miss.real, miss.imag)
+    verdict, unobservable, unclassified = sign_verdict(orig, orc, tol_abs)
+    applicable = ok & ~y_is_zero
+    detail[applicable & unclassified] = UNCLASSIFIED
+    detail[applicable & unobservable & report.flip_applies] = UNOBSERVABLE
+    verdict = np.where(ok, np.where(y_is_zero, "OriginalInapplicable", verdict), None)
+    return AuditChunk(c, report, boundary, values, computed, discrepancy, verdict.tolist(), detail.tolist(), ok)
+
+
+def _reprs(x: np.ndarray, shown: np.ndarray | None = None) -> list[str]:
+    """repr of each float of x, or "" where shown is False. Each repr is
+    taken once per distinct bit pattern: the int64 view keeps -0.0 and
+    0.0 apart."""
+    bits, where = np.unique(np.asarray(x, dtype=float).view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[where]
+    if shown is not None:
+        texts[~shown] = ""
+    return texts.tolist()
+
+
+def _flag_cells(*flags: np.ndarray) -> list[str]:
+    """Each lane's flags as comma-separated 0 and 1 cells."""
+    code = np.zeros(len(flags[0]), dtype=np.intp)
+    for flag in flags:
+        code = 2 * code + flag
+    cells = [",".join(f"{bit:d}" for bit in bits) for bits in itertools.product((0, 1), repeat=len(flags))]
+    return [cells[k] for k in code.tolist()]
+
+
+def _csv_rows(ch: AuditChunk, m: int) -> str:
+    r = ch.report
+    parts = [_reprs(part, shown) for z, shown in zip(ch.values, ch.computed) for part in (z.real, z.imag)]
+    columns = zip(*(_reprs(ch.coeffs[v]) for v in "pqab"), _flag_cells(r.case1, r.case2, r.case3),
+                  _reprs(r.k_constant), _flag_cells(r.overall, r.flip_applies, r.y_is_zero, ch.boundary),
+                  *parts, _reprs(ch.abs_discrepancy, ch.ok),
+                  ["" if v is None else v for v in ch.verdict],
+                  ["" if d is None else d.replace(",", ";") for d in ch.detail])
+    return "\n".join([f"{p},{q},{a},{b},{m},{cases},{k},{flags},{o_re},{o_im},{i_re},{i_im},"
+                      f"{r_re},{r_im},{d},{verdict},{detail}"
+                      for p, q, a, b, cases, k, flags, o_re, o_im, i_re, i_im, r_re, r_im, d, verdict, detail
+                      in columns])
+
+
+def _json_rows(ch: AuditChunk, m: int) -> str:
+    names = [f.name for f in fields(SignErrorReport)]
+    points = zip(*(ch.coeffs[v].tolist() for v in "pqab"), itertools.repeat(m))
+    reports = zip(*(getattr(ch.report, name).tolist() for name in names))
+    values = ([_cjson(z) if shown else None for z, shown in zip(row.tolist(), computed.tolist())]
+              for row, computed in zip(ch.values, ch.computed))
+    columns = ((dict(zip("pqabm", point)) for point in points), (dict(zip(names, rep)) for rep in reports),
+               ch.boundary.tolist(), *values,
+               [d if ok else None for d, ok in zip(ch.abs_discrepancy.tolist(), ch.ok.tolist())],
+               ch.verdict, ch.detail)
+    return "\n".join([_dump(dict(zip(JSON_KEYS, row))) for row in zip(*columns)])
 
 
 @main.command("audit")
@@ -366,11 +395,15 @@ def cmd_audit(kind: str, grid_spec: str | None, tol: float, as_json: bool,
     rp = _require_real(values, "audit")
     base = {"p": rp.p, "q": rp.q, "a": rp.a, "b": rp.b}
     axes = _parse_grid(grid_spec) if grid_spec else []
+    if m >= N_MAX:
+        # N > m at every point, so the oracle refuses them all; the lanes
+        # would take m steps each to find that out.
+        _refuse(DomainError(f"m = {m} needs more than N_MAX = {N_MAX} trapezoid nodes at every point"))
     if not as_json:
-        click.echo(AuditRecord.CSV_HEADER)
+        click.echo(CSV_HEADER)
+    write = _json_rows if as_json else _csv_rows
     for _, c in _grid_chunks(base, axes):
-        click.echo("\n".join(_dump(rec.to_json_dict()) if as_json else rec.to_csv_row()
-                              for rec in _audit_chunk(c, m, kind, tol)))
+        click.echo(write(_audit_chunk(c, m, kind, tol), m))
 
 
 @main.command("scan")

@@ -8,7 +8,8 @@ one ratio constant K. Equality comparisons are exact float comparisons:
 the conditions are exact-arithmetic statements, and callers sitting
 within rounding distance of a boundary (p = -bK etc.) should expect
 either answer. build_reports evaluates the same predicates over arrays,
-and sign_verdict checks a predicted flip against a reference value.
+and sign_verdict checks a predicted flip against a reference value,
+one number or one array lane at a time.
 """
 
 from __future__ import annotations
@@ -178,14 +179,24 @@ def build_reports(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
     )
 
 
-def sign_verdict(value: complex, reference: complex, tol_abs: float) -> tuple[str, bool, bool]:
+def sign_verdict(value, reference, tol_abs):
     """(verdict, unobservable, unclassified): "Agree" if value is within
     tol_abs of reference, "SignFlip" if within tol_abs of -reference.
     unobservable: both hold, so both are near zero and a flip cannot be
     seen; the verdict is Agree. unclassified: neither holds; the verdict
-    is the nearer one."""
-    agree = abs(value - reference) <= tol_abs
-    flipped = abs(value + reference) <= tol_abs
-    if agree or flipped:
-        return ("Agree" if agree else "SignFlip"), agree and flipped, False
-    return ("SignFlip" if abs(value + reference) < abs(value - reference) else "Agree"), False, True
+    is the nearer one.
+
+    Takes numbers (a str and two bools back) or arrays, broadcast together
+    (three arrays back, lane by lane the scalar result). |.| is np.hypot
+    of the parts, which is abs of a Python complex bit for bit, where that
+    abs does not overflow.
+    """
+    v, r = np.asarray(value, dtype=complex), np.asarray(reference, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        miss = np.hypot(v.real - r.real, v.imag - r.imag)
+        flip = np.hypot(v.real + r.real, v.imag + r.imag)
+    agree, flipped = miss <= tol_abs, flip <= tol_abs
+    decided = agree | flipped
+    verdict = np.where(np.where(decided, ~agree, flip < miss), "SignFlip", "Agree")
+    out = verdict, agree & flipped, ~decided
+    return tuple(x.item() for x in out) if verdict.ndim == 0 else out

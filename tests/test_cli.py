@@ -3,12 +3,29 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from exptrig import ENTRIES, RealParams, build_report
+from exptrig import (
+    ENTRIES,
+    ConvergenceError,
+    DomainError,
+    RealParams,
+    build_report,
+    eval_f_bessel,
+    eval_f_hyp,
+    eval_improved_cos,
+    eval_improved_sin,
+    eval_original_cos,
+    eval_original_sin,
+    oracle_cos,
+    oracle_f,
+    oracle_sin,
+)
 from exptrig import cli
-from exptrig.cli import BOUNDARY_EPS, _audit_point, _parse_grid, main
+from exptrig.cli import BOUNDARY_EPS, _parse_grid, _reprs, main
+from exptrig.quadrature import N_MAX
 
 
 def run(*args):
@@ -191,6 +208,17 @@ def test_original_route_refuses_overflowing_y_norm():
     assert verdicts == [None, "OriginalInapplicable", None]
 
 
+@pytest.mark.parametrize("m", [str(N_MAX), "10000000", "100000000000000000000"])
+@pytest.mark.parametrize("fmt", ["--csv", "--json"])
+def test_audit_refuses_m_past_n_max_before_any_row(m, fmt):
+    # N > m at every point, so the oracle would refuse each one; audit
+    # says so once, as eval --method oracle does, and writes no row.
+    res = run("audit", fmt, "--grid", "p=-3:3:61,b=-3:3:61", "-m", m)
+    assert res.exit_code == 3, res.output
+    assert res.stdout == ""
+    assert f"m = {m}" in res.stderr and f"N_MAX = {N_MAX}" in res.stderr
+
+
 # b*q overflows in build_reports' ratios -b*a/q and -b*q/a; the lanes
 # that read them compare against inf, as the scalar predicates do.
 OVERFLOWING_RATIOS = ("--grid", "p=-1e200:1e200:5,b=-1e300:1e300:7", "-q", "1e154", "-m", "3")
@@ -299,15 +327,72 @@ def _scan_reference(grid, base, m, as_csv):
     return "".join(line + "\n" for line in lines)
 
 
-def _audit_reference(grid, base, m, kind, as_json):
-    lines = [] if as_json else [cli.AuditRecord.CSV_HEADER]
+AUDIT_CSV_HEADER = ("p,q,a,b,m,case1,case2,case3,k_constant,overall,flip_applies,"
+                    "y_is_zero,boundary,original_re,original_im,improved_re,improved_im,"
+                    "oracle_re,oracle_im,abs_discrepancy,verdict,detail")
+# Each kind's (improved, oracle, original) route, in the order audit calls them.
+AUDIT_ROUTES = {
+    "f": (eval_f_hyp, oracle_f, eval_f_bessel),
+    "sin": (eval_improved_sin, oracle_sin, eval_original_sin),
+    "cos": (eval_improved_cos, oracle_cos, eval_original_cos),
+}
+
+
+def _audit_point_reference(rp, kind, tol):
+    """One audit record, as a dict in output order, from the public scalar
+    routes and build_report, with the verdict rule written out."""
+    rep = build_report(rp)
+    rec = {"params": dict(zip("pqabm", (rp.p, rp.q, rp.a, rp.b, rp.m))), "report": vars(rep),
+           "boundary": abs(rp.p + rp.b * rep.k_constant) < BOUNDARY_EPS * max(1.0, abs(rp.p)),
+           "original": None, "improved": None, "oracle": None,
+           "abs_discrepancy": None, "verdict": None, "detail": None}
+    improved, oracle, original = AUDIT_ROUTES[kind]
+    try:
+        rec["improved"] = improved(rp).value
+        rec["oracle"] = orc = oracle(rp).value
+        if not rep.y_is_zero:
+            rec["original"] = orig = original(rp).value
+    except (DomainError, ConvergenceError) as exc:
+        rec["detail"] = f"error: {exc}"
+        return rec
+    if rep.y_is_zero:
+        rec["abs_discrepancy"] = abs(rec["improved"] - orc)
+        rec["verdict"] = "OriginalInapplicable"
+        return rec
+    rec["abs_discrepancy"] = miss = abs(orig - orc)
+    tol_abs = max(tol * max(abs(orig), abs(orc)), 1e-11)
+    flip = abs(orig + orc)
+    agree, flipped = miss <= tol_abs, flip <= tol_abs
+    if agree or flipped:
+        rec["verdict"] = "Agree" if agree else "SignFlip"
+        if agree and flipped and rep.flip_applies:
+            rec["detail"] = "component is zero; predicted flip unobservable"
+    else:
+        rec["verdict"] = "SignFlip" if flip < miss else "Agree"
+        rec["detail"] = "unclassified discrepancy; neither match within tolerance"
+    return rec
+
+
+def _audit_reference(grid, base, m, kind, as_json, tol=1e-9):
+    lines = [] if as_json else [AUDIT_CSV_HEADER]
     for pt, _ in _grid_coefficients(grid, base):
-        rp = RealParams(*pt, m)
-        rep = build_report(rp)
-        boundary = abs(rp.p + rp.b * rep.k_constant) < BOUNDARY_EPS * max(1.0, abs(rp.p))
-        rec = _audit_point(rp, rep, boundary, kind, 1e-9)
-        lines.append(json.dumps(rec.to_json_dict(), separators=(",", ":")) if as_json
-                     else rec.to_csv_row())
+        rec = _audit_point_reference(RealParams(*pt, m), kind, tol)
+        if as_json:
+            for name in ("original", "improved", "oracle"):
+                z = rec[name]
+                rec[name] = None if z is None else {"re": z.real, "im": z.imag}
+            lines.append(json.dumps(rec, separators=(",", ":")))
+            continue
+        cells = [repr(x) for x in pt] + [str(m)]
+        cells += [repr(v) if name == "k_constant" else f"{v:d}" for name, v in rec["report"].items()]
+        cells.append(f"{rec['boundary']:d}")
+        for name in ("original", "improved", "oracle"):
+            z = rec[name]
+            cells += ["", ""] if z is None else [repr(z.real), repr(z.imag)]
+        disc = rec["abs_discrepancy"]
+        cells += ["" if disc is None else repr(disc), rec["verdict"] or "",
+                  (rec["detail"] or "").replace(",", ";")]
+        lines.append(",".join(cells))
     return "".join(line + "\n" for line in lines)
 
 
@@ -349,6 +434,14 @@ def test_scan_matches_scalar_predicates_byte_for_byte(monkeypatch, chunk, grid, 
     # oracle envelope and a refused original at p ~ 1e-15: its front power
     # overflows at b = 0 and the Bessel prefactor underflows at b = 1
     ("b=0:1:2,p=-60:60:23", {"q": -0.0}, 171),
+    # 0.0 and -0.0 in one chunk's p column
+    ("p=0:-0.0:2,b=-1:1:3", {"q": -0.0}, 1),
+    # K = q/a or a/q varies per lane, and is 0.0 or -0.0 where q = 0 or a = 0
+    ("a=-2:2:5,q=-1:1:3", {"p": -1.0, "b": 1.0}, 3),
+    # K = a/q = 0.5: five lanes on p = -bK carry the boundary flag
+    ("p=-1:1:5,b=-2:2:5", {"q": 1.0, "a": 0.5}, 1),
+    # a = -q != 0: Y = 0 on the diagonal p = b
+    ("p=-2:2:5,b=-2:2:5", {"q": 1.0, "a": -1.0}, 3),
 ])
 def test_audit_matches_scalar_path_byte_for_byte(monkeypatch, kind, grid, base, m):
     monkeypatch.setattr(cli, "CHUNK_POINTS", 12)
@@ -358,6 +451,26 @@ def test_audit_matches_scalar_path_byte_for_byte(monkeypatch, kind, grid, base, 
                   *_base_args(base), "-m", str(m))
         assert res.exit_code == 0
         assert res.output == _audit_reference(grid, base, m, kind, as_json)
+
+
+def test_reprs_keeps_signed_zeros_apart():
+    x = np.array([0.0, -0.0, 1.5, 0.0, -0.0, math.nan, 0.1 + 0.2])
+    assert _reprs(x) == [repr(v) for v in x.tolist()]
+    assert _reprs(x)[:2] == ["0.0", "-0.0"]
+
+
+def _csv_column(output, name):
+    lines = output.splitlines()
+    return [row.split(",")[lines[0].split(",").index(name)] for row in lines[1:]]
+
+
+def test_audit_csv_rows_carry_signed_zeros_and_boundary_lanes():
+    res = run("audit", "--csv", "--grid", "p=0:-0.0:2,b=-1:1:3", "-m", "1")
+    assert _csv_column(res.output, "p") == 3 * ["0.0"] + 3 * ["-0.0"]
+    res = run("audit", "--csv", "--grid", "a=-2:2:5,q=-1:1:3", "-p", "-1", "-b", "1", "-m", "3")
+    assert {"0.0", "-0.0", "0.5", "-0.5", "1.0", "-1.0"} <= set(_csv_column(res.output, "k_constant"))
+    res = run("audit", "--csv", "--grid", "p=-1:1:5,b=-2:2:5", "-q", "1", "-a", "0.5", "-m", "1")
+    assert _csv_column(res.output, "boundary").count("1") == 5
 
 
 def test_verify_passes_and_is_deterministic():

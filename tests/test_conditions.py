@@ -1,3 +1,5 @@
+import itertools
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -147,3 +149,30 @@ def test_sign_verdict():
     assert sign_verdict(2.0, 1.0, 1e-9) == ("Agree", False, True)
     assert sign_verdict(-2.0, 1.0, 1e-9) == ("SignFlip", False, True)
     assert sign_verdict(float("nan"), 1.0, 1e-9) == ("Agree", False, True)
+
+
+def _verdict_reference(value, reference, tol_abs):
+    # The rule with Python's complex abs, one pair at a time.
+    miss, flip = abs(value - reference), abs(value + reference)
+    agree, flipped = miss <= tol_abs, flip <= tol_abs
+    if agree or flipped:
+        return ("Agree" if agree else "SignFlip"), agree and flipped, False
+    return ("SignFlip" if flip < miss else "Agree"), False, True
+
+
+def test_sign_verdict_over_arrays_is_the_scalar_rule_per_lane():
+    # Ties (|v - r| or |v + r| exactly tol_abs, |v + r| = |v - r|), zero
+    # components, signed zeros, NaN and inf, real and complex values.
+    values = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-12, 2.0, 1 + 1j, -1 - 1j, 1j, math.nan, math.inf,
+              complex(0.1 + 0.2, -0.3)]
+    tols = [0.0, 1e-11, 0.5, 1.0, math.inf]
+    triples = list(itertools.product(values, values, tols))
+    value, reference, tol_abs = (np.array(x, dtype=complex if i < 2 else float)
+                                 for i, x in enumerate(zip(*triples)))
+    verdict, unobservable, unclassified = sign_verdict(value, reference, tol_abs)
+    assert verdict.shape == unobservable.shape == unclassified.shape == (len(triples),)
+    lanes = zip(verdict.tolist(), unobservable.tolist(), unclassified.tolist())
+    for (v, r, t), lane in zip(triples, lanes):
+        assert lane == sign_verdict(v, r, t) == _verdict_reference(complex(v), complex(r), t), (v, r, t)
+    kinds = {sign_verdict(v, r, t)[1:] for v, r, t in triples}
+    assert kinds == {(False, False), (True, False), (False, True)}
