@@ -46,11 +46,10 @@ from .quadrature import N_MAX, fill_passes, oracle_cos, oracle_f, oracle_f_lanes
 
 BOUNDARY_EPS = 1e-12
 # Grid points per chunk that scan and audit evaluate and write at once
-# (whole rows of the outer axis, at least one row): memory stays flat as
-# the grid grows.
+# (whole rows of the outer axis, at least one row), and samples per chunk
+# that verify draws and fills as lanes at once: memory stays flat as the
+# grid or the sample count grows.
 CHUNK_POINTS = 4096
-# Samples per chunk that verify draws and fills as lanes at once.
-SWEEP_CHUNK = 256
 SWEEP_ATOL_REAL = 1e-12
 SWEEP_ATOL_COMPLEX = 1e-11
 
@@ -265,21 +264,6 @@ class AuditChunk(NamedTuple):
     ok: np.ndarray
 
 
-def _audit_point(rp: RealParams, y_is_zero: bool, kind: str) -> tuple:
-    """One point through the scalar routes: its original, improved and
-    oracle values and the message of the first refusal. A value is None
-    where its route was not reached, the original at Y = 0 too."""
-    values: list = [None, None, None]
-    try:
-        values[1] = _route("improved", kind)(rp).value
-        values[2] = _route("oracle", kind)(rp).value
-        if not y_is_zero:
-            values[0] = _route("original", kind)(rp).value
-    except (DomainError, ConvergenceError) as exc:
-        return (*values, f"error: {exc}")
-    return (*values, None)
-
-
 def _component(lanes, kind: str) -> np.ndarray:
     """Each lane's f, or its sin (Im f) or cos (Re f) component as a real complex."""
     z = np.zeros(len(lanes.re), dtype=complex)
@@ -298,26 +282,24 @@ def _first_max(x: np.ndarray, y) -> np.ndarray:
 
 def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> AuditChunk:
     """The columns of one chunk of coefficient arrays. The predicates,
-    every route and the verdict rule run over all its lanes at once; a
-    lane that any route refuses goes through _audit_point, which records
-    the refusal."""
+    every route and the verdict rule run over all its lanes at once. The
+    routes are read in the scalar order, improved, oracle, then original
+    (inapplicable at Y = 0, where no verdict needs it): a lane has the
+    values of the routes before its first refusal, whose message is its
+    detail."""
     p, q, a, b = (c[v] for v in "pqab")
     report = build_reports(p, q, a, b, m)
     y_is_zero = report.y_is_zero
     with np.errstate(over="ignore", invalid="ignore"):
         boundary = np.abs(p + b * report.k_constant) < BOUNDARY_EPS * np.maximum(1.0, np.abs(p))
     (improved, original), oracle = eval_f_lanes(p, q, a, b, m), oracle_f_lanes(p, q, a, b, m)
-    # The original formulas are inapplicable at Y = 0, where no verdict needs them.
-    ok = improved.ok & oracle.ok & (original.ok | y_is_zero)
-    values = np.array([_component(lanes, kind) for lanes in (original, improved, oracle)])
-    computed = np.array([~y_is_zero, ok, ok]) & ok
+    reached = improved.ok & oracle.ok
+    ok = reached & (original.ok | y_is_zero)
+    computed = np.array([reached & original.ok & ~y_is_zero, improved.ok, reached])
+    values = np.where(computed, [_component(lanes, kind) for lanes in (original, improved, oracle)], 0.0)
     detail = np.full(len(p), None, dtype=object)
     for i in np.flatnonzero(~ok).tolist():
-        *point, detail[i] = _audit_point(RealParams(*(float(x[i]) for x in (p, q, a, b)), m),
-                                         bool(y_is_zero[i]), kind)
-        computed[:, i] = [z is not None for z in point]
-        values[:, i] = [0.0 if z is None else z for z in point]
-        ok[i] = detail[i] is None
+        detail[i] = f"error: {improved.error[i] or oracle.error[i] or original.error[i]}"
     orig, imp, orc = values
     with np.errstate(over="ignore", invalid="ignore"):
         tol_abs = _first_max(tol * _first_max(np.hypot(orig.real, orig.imag), np.hypot(orc.real, orc.imag)),
@@ -448,7 +430,7 @@ def _sweep(rng: np.random.Generator, samples: int, rtol: float, domain: str) -> 
     m <= 8) or "complex" domain (complex routes, in [-3, 3], m <= 6). Each
     calls sin, oracle sin, cos, oracle cos through this module's bindings.
 
-    Points are drawn SWEEP_CHUNK at a time, and each chunk's series and
+    Points are drawn CHUNK_POINTS at a time, and each chunk's series and
     oracle passes are filled as lanes first, so those calls read them."""
     real = domain == "real"
     routes = [(kind, _route("improved" if real else "complex", kind), _route("oracle", kind))
@@ -456,9 +438,9 @@ def _sweep(rng: np.random.Generator, samples: int, rtol: float, domain: str) -> 
     atol = SWEEP_ATOL_REAL if real else SWEEP_ATOL_COMPLEX
     worst = 0.0
     offenders: list[str] = []
-    for start in range(0, samples, SWEEP_CHUNK):
+    for start in range(0, samples, CHUNK_POINTS):
         chunk = []
-        for _ in range(min(SWEEP_CHUNK, samples - start)):
+        for _ in range(min(CHUNK_POINTS, samples - start)):
             if real:
                 vals = rng.uniform(-5.0, 5.0, size=4).tolist()
                 chunk.append(RealParams(*vals, int(rng.integers(0, 9))))

@@ -36,7 +36,7 @@ terms of many records at once, from one hyp0f1_lanes call.
 
 eval_f_lanes evaluates f by both routes over arrays of real coefficients
 at one m, one lane per point, bit for bit as the scalar routes do; a
-lane where a scalar route would raise comes back not ok.
+lane where a scalar route would raise holds its message instead.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .complexops import cpow_half, div_lanes, mul_lanes, pow_int_over_factorial,
 from .conditions import overall_sign_error
 from .errors import DomainError
 from .params import ComplexParams, EvalResult, Method, RealParams, _once
-from .series import SeriesLanes, SeriesResult, _bessel_prefix, hyp0f1, hyp0f1_lanes
+from .series import PREFIX_UNDERFLOW, SeriesLanes, SeriesResult, _bessel_prefix, hyp0f1, hyp0f1_lanes
 
 __all__ = [
     "eval_f_bessel",
@@ -244,7 +244,8 @@ def fill_terms(records: list[RealParams | ComplexParams]) -> None:
         return
     w = np.array(ws)
     lanes = hyp0f1_lanes([params.m + 1 for params, _, _ in todo], w.real, w.imag)
-    for (params, reflected, power), re, im, used, ok, omitted in zip(todo, *(x.tolist() for x in lanes)):
+    columns = (lanes.re, lanes.im, lanes.terms_used, lanes.ok, lanes.truncation_estimate)
+    for (params, reflected, power), re, im, used, ok, omitted in zip(todo, *(x.tolist() for x in columns)):
         if ok:
             params._cache["term", reflected] = power, SeriesResult(complex(re, im), used, omitted)
 
@@ -270,19 +271,20 @@ def eval_f_hyp(params: RealParams) -> EvalResult:
 def eval_f_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
                  m: int) -> tuple[SeriesLanes, SeriesLanes]:
     """eval_f_hyp and eval_f_bessel at RealParams(p, q, a, b, m), as their
-    .value on every lane, from one hyp0f1_lanes series.
+    .value on every lane, from one hyp0f1_lanes series. A lane that is not
+    ok has as its error the message of the scalar route's first refusal.
 
     The (alpha, w) expressions and the prefixes run over the arrays. The
     Bessel prefactors are libm powers, arguments and exponentials, which
     numpy need not round as libm does, so they are taken lane by lane in
     Python.
     """
-    ok, pre = np.ones(len(p), dtype=bool), []
+    ok, pre, error = np.ones(len(p), dtype=bool), [], [None] * len(p)
     for i, args in enumerate(zip(*(x.tolist() for x in (p, q, a, b)))):
         try:
             pre.append(_bessel_prefactors(*args, m))
-        except DomainError:
-            ok[i] = False
+        except DomainError as exc:
+            ok[i], error[i] = False, str(exc)
             pre.append((0.0, 0j, 0j))
     scale, power, root = np.array(pre, dtype=complex).reshape(-1, 3).T
     with np.errstate(all="ignore"):
@@ -293,10 +295,13 @@ def eval_f_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
         pr, pi = pow_int_over_factorial_lanes(zhr, zhi, m)
         bes = mul_lanes(*mul_lanes(scale.real, 0.0, power.real, power.imag),
                         *mul_lanes(pr, pi, ser.re, ser.im))
-    # _bessel_prefix refuses a prefix that underflowed away from z = 0.
+    # _bessel_prefix refuses a prefix that underflowed away from z = 0,
+    # after the prefactors and before the series.
     underflow = (pr == 0.0) & (pi == 0.0) & ((zhr != 0.0) | (zhi != 0.0))
-    return (SeriesLanes(*mul_lanes(TWO_PI, 0.0, *t), ser.terms_used, ser.ok),
-            SeriesLanes(*bes, ser.terms_used, ok & ser.ok & ~underflow))
+    for i in np.flatnonzero(ok & (underflow | ~ser.ok)).tolist():
+        error[i] = PREFIX_UNDERFLOW.format(m=m) if underflow[i] else ser.error[i]
+    return (SeriesLanes(*mul_lanes(TWO_PI, 0.0, *t), ser.terms_used, ser.ok, ser.error),
+            SeriesLanes(*bes, ser.terms_used, ok & ser.ok & ~underflow, error))
 
 
 def eval_improved_sin(params: RealParams) -> EvalResult:

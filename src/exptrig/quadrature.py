@@ -238,20 +238,21 @@ def oracle_cos(params: RealParams | ComplexParams) -> QuadratureResult:
 class OracleLanes(NamedTuple):
     """Lane-wise oracle_f values as real and imaginary parts, with each
     lane's N and error_estimate. A lane that is not ok (outside ENVELOPE,
-    or N above N_MAX) holds no value."""
+    or N above N_MAX) holds no value; its error is oracle_f's message."""
 
     re: np.ndarray
     im: np.ndarray
     evaluations: np.ndarray
     ok: np.ndarray
     error_estimate: np.ndarray
+    error: list[str | None]
 
 
 def oracle_f_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: int) -> OracleLanes:
     """oracle_f(RealParams(p, q, a, b, m)) on every lane, bit for bit: its
-    value, error_estimate and N. For real coefficients oracle_cos and
-    oracle_sin are the real and imaginary parts of the value."""
+    value, error_estimate and N, or its refusal's message. For real
+    coefficients oracle_cos and oracle_sin are Re and Im of the value."""
     sums, error_estimate, nodes = _integrate(*(x.astype(complex) for x in (p, q, a, b)), np.full(len(p), m), 1)
-    f = np.zeros(len(p), dtype=complex)
+    f, error = np.zeros(len(p), dtype=complex), [None if n else s for s, n in zip(sums, nodes.tolist())]
     f[nodes > 0] = [point[0] for point, n in zip(sums, nodes.tolist()) if n]
-    return OracleLanes(f.real, f.imag, nodes, nodes > 0, error_estimate)
+    return OracleLanes(f.real, f.imag, nodes, nodes > 0, error_estimate, error)

@@ -12,7 +12,7 @@ one series: the modified Bessel function is its prefix times 0F1,
 argument. Each lane takes the scalar loop's operations in the same
 order, so it returns the scalar value, and the scalar truncation
 estimate |first omitted term|, bit for bit; a lane on which the scalar
-function would raise comes back not ok instead.
+function would raise comes back not ok, with the message it raises.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ __all__ = ["SeriesResult", "SeriesLanes", "bessel_i", "hyp0f1", "hyp0f1_lanes"]
 TERM_EPS = 1e-17
 MAX_TERMS = 500
 _FMAX = sys.float_info.max
+# _bessel_prefix's message, which eval_f_lanes gives its lanes too.
+PREFIX_UNDERFLOW = "bessel_i: prefactor (z/2)^m/m! underflowed for m={m}"
 
 
 @dataclass(frozen=True)
@@ -45,22 +47,26 @@ class SeriesResult:
     truncation_estimate: float
 
 
-def _modulus(w: complex) -> float:
-    # |w| for messages: inf where abs(w) would raise OverflowError.
-    return math.hypot(w.real, w.imag)
+def _refusal(w: complex, k: int, overflowed: bool) -> str:
+    """hyp0f1's message at term k. |w| is inf where abs(w) would raise OverflowError."""
+    size = f"|w|={math.hypot(w.real, w.imag):.3g}"
+    if overflowed:
+        return f"hyp0f1: series terms overflowed at k={k} ({size})"
+    return f"hyp0f1: no convergence within {MAX_TERMS} terms ({size}); argument too large for the series policy"
 
 
 class SeriesLanes(NamedTuple):
     """Lane-wise values as real and imaginary parts, with the terms each
-    lane's series used. A lane that is not ok (the scalar route would
-    raise there) holds no value. hyp0f1_lanes also gives each lane's
-    truncation estimate; lanes that are products of series, as
-    eval_f_lanes's are, leave it None."""
+    lane's series used. A lane that is not ok holds no value, and its
+    error is the message the scalar route raises there (None if ok).
+    hyp0f1_lanes also gives each lane's truncation estimate; lanes that
+    are products of series, as eval_f_lanes's are, leave it None."""
 
     re: np.ndarray
     im: np.ndarray
     terms_used: np.ndarray
     ok: np.ndarray
+    error: list[str | None]
     truncation_estimate: np.ndarray | None = None
 
 
@@ -70,7 +76,7 @@ def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> SeriesLanes:
     This is hyp0f1's loop, lane by lane. The loop runs over the lanes
     still summing and drops a lane once its scalar loop would return (ok)
     or raise (not ok: an overflowed term or partial sum, or MAX_TERMS
-    reached).
+    reached). A lane that is not ok gets hyp0f1's message as its error.
     """
     if np.any(np.asarray(b1) < 1):
         raise ValueError(f"b1 must be positive integers, got {b1!r}")
@@ -79,7 +85,7 @@ def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> SeriesLanes:
     n = wr.size
     re, im = np.zeros(n), np.zeros(n)
     used, ok, omitted = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool), np.zeros(n)
-    live = np.arange(n)
+    live, error = np.arange(n), [None] * n
     wr, wi, b1 = wr.ravel(), wi.ravel(), b1.ravel()
     sr, si, cr, ci = np.ones(n), np.zeros(n), np.zeros(n), np.zeros(n)
     tr, ti = np.ones(n), np.zeros(n)
@@ -104,11 +110,13 @@ def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> SeriesLanes:
                 re[lanes], im[lanes], used[lanes], ok[lanes] = sr[done], si[done], k + 1, True
                 omitted[lanes] = np.hypot(*div_lanes(*mul_lanes(tr[done], ti[done], wr[done], wi[done]),
                                                      ((k + 1) * (b1[done] + k)).astype(float)))
+                for j in np.flatnonzero(stop & ~done).tolist():
+                    error[live[j]] = _refusal(complex(wr[j], wi[j]), k, not finite[j])
                 keep = ~stop
                 live = live[keep]
                 wr, wi, b1, sr, si, cr, ci, tr, ti, below = (
                     x[keep] for x in (wr, wi, b1, sr, si, cr, ci, tr, ti, below))
-    return SeriesLanes(re, im, used, ok, omitted)
+    return SeriesLanes(re, im, used, ok, error, omitted)
 
 
 def hyp0f1(b1: int, z: complex) -> SeriesResult:
@@ -132,7 +140,7 @@ def hyp0f1(b1: int, z: complex) -> SeriesResult:
         except OverflowError:  # finite parts whose modulus exceeds the float range
             mag = smag = math.inf
         if not (mag <= _FMAX and smag <= _FMAX):  # False for inf and nan alike
-            raise ConvergenceError(f"hyp0f1: series terms overflowed at k={k} (|w|={_modulus(w):.3g})")
+            raise ConvergenceError(_refusal(w, k, True))
         if mag == 0.0 or mag < TERM_EPS * smag:
             below += 1
         else:
@@ -145,10 +153,7 @@ def hyp0f1(b1: int, z: complex) -> SeriesResult:
             omitted = abs(term * w / ((k + 1) * (b1 + k)))
             return SeriesResult(value=s, terms_used=k + 1, truncation_estimate=omitted)
         if k >= MAX_TERMS:
-            raise ConvergenceError(
-                f"hyp0f1: no convergence within {MAX_TERMS} terms (|w|={_modulus(w):.3g}); "
-                "argument too large for the series policy"
-            )
+            raise ConvergenceError(_refusal(w, k, False))
 
 
 def _bessel_prefix(m: int, zh: complex) -> complex:
@@ -156,7 +161,7 @@ def _bessel_prefix(m: int, zh: complex) -> complex:
     at a nonzero z (at z = 0 with m > 0 it is exactly 0)."""
     prefix = pow_int_over_factorial(zh, m)
     if prefix == 0 and zh != 0:
-        raise ConvergenceError(f"bessel_i: prefactor (z/2)^m/m! underflowed for m={m}")
+        raise ConvergenceError(PREFIX_UNDERFLOW.format(m=m))
     return prefix
 
 

@@ -442,6 +442,12 @@ def test_scan_matches_scalar_predicates_byte_for_byte(monkeypatch, chunk, grid, 
     ("p=-1:1:5,b=-2:2:5", {"q": 1.0, "a": 0.5}, 1),
     # a = -q != 0: Y = 0 on the diagonal p = b
     ("p=-2:2:5,b=-2:2:5", {"q": 1.0, "a": -1.0}, 3),
+    # series terms that overflow, past the oracle envelope too
+    ("a=-1e200:1e200:3,b=-1e150:1e150:3", {}, 2),
+    # series that need more than MAX_TERMS terms
+    ("a=400:500:3,b=400:500:3", {}, 1),
+    # (b-p)^2 + (a+q)^2 underflows to 0 at p = 0, a = +-1e-170, next to Y = 0
+    ("p=-1e-150:1e-150:3,a=-1e-170:1e-170:3", {}, 1),
 ])
 def test_audit_matches_scalar_path_byte_for_byte(monkeypatch, kind, grid, base, m):
     monkeypatch.setattr(cli, "CHUNK_POINTS", 12)

@@ -394,8 +394,8 @@ def test_lane_closed_forms_match_scalar_bit_for_bit(points, m):
             try:
                 res = scalar(RealParams(*pt, m))
                 want = repr(res.value.real), repr(res.value.imag), res.terms_used
-            except (DomainError, ConvergenceError):
-                want = None
+            except (DomainError, ConvergenceError) as exc:
+                want = str(exc)
             got = ((repr(out.re[i].item()), repr(out.im[i].item()), int(out.terms_used[i]))
-                   if out.ok[i] else None)
+                   if out.ok[i] else out.error[i])
             assert got == want, (scalar.__name__, pt)

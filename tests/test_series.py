@@ -135,17 +135,17 @@ LANES = st.lists(st.tuples(PARTS, PARTS), min_size=1, max_size=12)
 
 def _scalar_lane(fn, order, z):
     """repr of both parts, terms_used and repr of the truncation estimate of
-    the scalar result, or None where it raises."""
+    the scalar result, or its message where it raises."""
     try:
         res = fn(order, z)
-    except ConvergenceError:
-        return None
+    except ConvergenceError as exc:
+        return str(exc)
     return repr(res.value.real), repr(res.value.imag), res.terms_used, repr(res.truncation_estimate)
 
 
 def _lane(lanes, i):
     if not lanes.ok[i]:
-        return None
+        return lanes.error[i]
     return (repr(lanes.re[i].item()), repr(lanes.im[i].item()), int(lanes.terms_used[i]),
             repr(lanes.truncation_estimate[i].item()))
 
