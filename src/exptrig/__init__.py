@@ -33,7 +33,6 @@ from .catalog import (
 from .complexops import (
     atan2_full,
     cpow_half,
-    cpow_int,
     pow_int_over_factorial,
     power_combination_flips,
     principal_arg,

@@ -42,7 +42,7 @@ from .formulas import (
     fill_terms,
 )
 from .params import ComplexParams, RealParams
-from .quadrature import N_MAX, fill_passes, oracle_cos, oracle_f, oracle_f_lanes, oracle_sin
+from .quadrature import N_MAX, fill_passes, oracle_cos, oracle_f, oracle_f_lanes, oracle_sin, refuses_every_point
 
 BOUNDARY_EPS = 1e-12
 # Grid points per chunk that scan and audit evaluate and write at once
@@ -274,12 +274,6 @@ def _component(lanes, kind: str) -> np.ndarray:
     return z
 
 
-def _first_max(x: np.ndarray, y) -> np.ndarray:
-    """Python's max(x, y) lane by lane: x unless y > x (np.maximum would
-    take a NaN y)."""
-    return np.where(y > x, y, x)
-
-
 def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> AuditChunk:
     """The columns of one chunk of coefficient arrays. The predicates,
     every route and the verdict rule run over all its lanes at once. The
@@ -292,7 +286,7 @@ def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> Aud
     y_is_zero = report.y_is_zero
     with np.errstate(over="ignore", invalid="ignore"):
         boundary = np.abs(p + b * report.k_constant) < BOUNDARY_EPS * np.maximum(1.0, np.abs(p))
-    (improved, original), oracle = eval_f_lanes(p, q, a, b, m), oracle_f_lanes(p, q, a, b, m)
+    (improved, original), oracle = eval_f_lanes(p, q, a, b, m, kind), oracle_f_lanes(p, q, a, b, m)
     reached = improved.ok & oracle.ok
     ok = reached & (original.ok | y_is_zero)
     computed = np.array([reached & original.ok & ~y_is_zero, improved.ok, reached])
@@ -302,7 +296,7 @@ def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> Aud
         detail[i] = f"error: {improved.error[i] or oracle.error[i] or original.error[i]}"
     orig, imp, orc = values
     with np.errstate(over="ignore", invalid="ignore"):
-        tol_abs = _first_max(tol * _first_max(np.hypot(orig.real, orig.imag), np.hypot(orc.real, orc.imag)),
+        tol_abs = np.maximum(tol * np.maximum(np.hypot(orig.real, orig.imag), np.hypot(orc.real, orc.imag)),
                              1e-11)
         miss = np.where(y_is_zero, imp, orig) - orc
         discrepancy = np.hypot(miss.real, miss.imag)
@@ -377,9 +371,8 @@ def cmd_audit(kind: str, grid_spec: str | None, tol: float, as_json: bool,
     rp = _require_real(values, "audit")
     base = {"p": rp.p, "q": rp.q, "a": rp.a, "b": rp.b}
     axes = _parse_grid(grid_spec) if grid_spec else []
-    if m >= N_MAX:
-        # N > m at every point, so the oracle refuses them all; the lanes
-        # would take m steps each to find that out.
+    if refuses_every_point(m):
+        # The lanes would take m steps each to find that out.
         _refuse(DomainError(f"m = {m} needs more than N_MAX = {N_MAX} trapezoid nodes at every point"))
     if not as_json:
         click.echo(CSV_HEADER)

@@ -14,7 +14,9 @@ The ``*_lanes`` functions do complex arithmetic over arrays of real and
 imaginary parts, one lane per element, with the same IEEE operations as
 CPython's complex type (its product, and its quotient by a complex
 whose imaginary part is zero), so each lane rounds exactly as the
-scalar code does, signed zeros included.
+scalar code does, signed zeros included. The one integer power is
+z**m/m! (``pow_int_over_factorial``), whose lanes may each have their
+own m.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import DomainError
 __all__ = [
     "principal_arg",
     "atan2_full",
-    "cpow_int",
     "pow_int_over_factorial",
     "mul_lanes",
     "div_lanes",
@@ -62,28 +63,11 @@ def atan2_full(y: float, x: float) -> float:
     return principal_arg(complex(x, y))
 
 
-def cpow_int(z: complex, n: int) -> complex:
-    """z**n by repeated multiplication (division for n < 0); single-valued.
-
-    Raises DomainError for 0 raised to a non-positive power; the z**0
-    limit convention belongs to the evaluators (pow_int_over_factorial,
-    cpow_half), which opt into it explicitly.
-    """
-    if z == 0 and n <= 0:
-        raise DomainError(f"0**{n} is undefined")
-    out = complex(1.0, 0.0)
-    for _ in range(abs(n)):
-        out *= z
-    if n < 0:
-        out = 1.0 / out
-    return out
-
-
 def pow_int_over_factorial(z: complex, m: int) -> complex:
     """z**m / m! as the incremental product (z/1)(z/2)...(z/m).
 
-    Same repeated-multiplication semantics as cpow_int, interleaved with
-    exact real divisions so it cannot overflow for m beyond 170. m = 0
+    Repeated multiplication interleaved with exact real divisions, so m!
+    is never formed and m beyond 170 does not overflow. m = 0
     returns 1 for every z, which is exactly the z**0 limit convention.
     """
     if m < 0:
@@ -111,14 +95,19 @@ def div_lanes(xr, xi, d):
     return (xr + xi * 0.0) / d, (xi - xr * 0.0) / d
 
 
-def pow_int_over_factorial_lanes(zr, zi, m: int):
+def pow_int_over_factorial_lanes(zr, zi, m):
     """pow_int_over_factorial over arrays of real and imaginary parts,
-    lane by lane the same loop and the same roundings."""
-    if m < 0:
-        raise DomainError("m must be non-negative")
+    lane by lane the same loop and the same roundings; m is one int or
+    one per lane. The loop runs over the lanes whose m it has not yet
+    reached, one stretch per distinct m."""
     out_r, out_i = np.ones_like(zr), np.zeros_like(zr)
-    for j in range(1, m + 1):
-        out_r, out_i = div_lanes(*mul_lanes(out_r, out_i, zr, zi), float(j))
+    done = 0
+    for stop in sorted(set(np.ravel(m).tolist())):
+        live = np.flatnonzero(np.broadcast_to(m >= stop, np.shape(zr)))
+        r, i, lr, li = out_r[live], out_i[live], zr[live], zi[live]
+        for j in range(done + 1, stop + 1):
+            r, i = div_lanes(*mul_lanes(r, i, lr, li), float(j))
+        out_r[live], out_i[live], done = r, i, stop
     return out_r, out_i
 
 

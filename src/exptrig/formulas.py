@@ -31,16 +31,21 @@ and (C+iD)/4 is alpha beta at real coefficients, so the original route
 takes its series from the 0F1 term: the two routes differ only in the
 prefactors, where the branch error sits. The Bessel record and the 0F1
 term (and its reflection) are stored on the parameter record, so every
-real route called with one record sums one series; fill_terms stores the
-terms of many records at once, from one hyp0f1_lanes call.
+real route called with one record sums one series.
 
-eval_f_lanes evaluates f by both routes over arrays of real coefficients
-at one m, one lane per point, bit for bit as the scalar routes do; a
-lane where a scalar route would raise holds its message instead.
+_f_term forms a term at one point; _term_lanes, bit for bit the same on
+every lane, is the one code that forms alpha, w and alpha^m/m! over
+arrays. Its callers are fill_terms, which stores the terms of many
+records at once, and eval_f_lanes, which evaluates f by both routes over
+arrays of real coefficients at one m, one lane per point, bit for bit as
+the scalar routes do; a lane where a scalar route would raise holds its
+message instead. Every route refuses its own value (f, or the sin or
+cos part) where that is not finite.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -69,6 +74,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+OVERFLOW = "closed form overflows: its value is not a finite float"
 
 
 def eval_f_bessel(params: RealParams) -> EvalResult:
@@ -79,22 +85,28 @@ def eval_f_bessel(params: RealParams) -> EvalResult:
     carries the branch-cut sign error wherever the error conditions hold
     and m is odd. Raises DomainError when (b-p)^2 + (a+q)^2 is 0 or underflows.
     """
-    return _once(params, "bessel", lambda: _f_bessel(params))
+    return _finite(_bessel(params))
 
 
-def _f_bessel(params: RealParams) -> EvalResult:
-    # The original and corrected sin, cos and f all read this one record.
-    # The series is the 0F1 term's, whose w is (C + iD)/4 bit for bit.
-    m = params.m
-    scale, power, root = _bessel_prefactors(params.p, params.q, params.a, params.b, m)
-    prefix = _bessel_prefix(m, root / 2.0)
-    ser = _f_term(params)[1]
-    return EvalResult(
-        value=scale * power * (prefix * ser.value),
-        method=Method.OriginalBessel,
-        terms_used=ser.terms_used,
-        truncation_estimate=scale * abs(power) * (abs(prefix) * ser.truncation_estimate),
-    )
+def _bessel(params: RealParams) -> EvalResult:
+    """eval_f_bessel's record, whose value may not be finite: the original
+    and corrected sin, cos and f all read it, and each refuses its own part."""
+    def compute():
+        # The series is the 0F1 term's, whose w is (C + iD)/4 bit for bit.
+        scale, power, root = _bessel_prefactors(params.p, params.q, params.a, params.b, params.m)
+        prefix = _bessel_prefix(params.m, root / 2.0)
+        ser = _f_term(params)[1]
+        return EvalResult(scale * power * (prefix * ser.value), Method.OriginalBessel, ser.terms_used,
+                          scale * abs(power) * (abs(prefix) * ser.truncation_estimate))
+
+    return _once(params, "bessel", compute)
+
+
+def _finite(res: EvalResult) -> EvalResult:
+    """res, or DomainError where its value is inf or nan, which only a float product can overflow to."""
+    if not cmath.isfinite(res.value):
+        raise DomainError(OVERFLOW)
+    return res
 
 
 def _book_constants(p: float, q: float, a: float, b: float) -> tuple[float, float, float, float]:
@@ -121,21 +133,20 @@ def _bessel_prefactors(p: float, q: float, a: float, b: float, m: int) -> tuple[
                           f"(A-iB)^(m/2) overflows at m = {m}") from None
 
 
-def _part(f: EvalResult, x: float) -> EvalResult:
-    # One real component x of f, with f's route and series bookkeeping.
-    return EvalResult(complex(x, 0.0), f.method, f.terms_used, f.truncation_estimate)
+def _part(f: EvalResult, part: str) -> EvalResult:
+    # f.value.real or .imag as a value, with f's route and series
+    # bookkeeping, refused only where that part is not finite.
+    return _finite(EvalResult(complex(getattr(f.value, part), 0.0), f.method, f.terms_used, f.truncation_estimate))
 
 
 def eval_original_sin(params: RealParams) -> EvalResult:
     """Book sin form: Im(f) of the original route, sign error included."""
-    f = eval_f_bessel(params)
-    return _part(f, f.value.imag)
+    return _part(_bessel(params), "imag")
 
 
 def eval_original_cos(params: RealParams) -> EvalResult:
     """Book cos form: Re(f) of the original route, sign error included."""
-    f = eval_f_bessel(params)
-    return _part(f, f.value.real)
+    return _part(_bessel(params), "real")
 
 
 def _corrected(res: EvalResult, params: RealParams) -> EvalResult:
@@ -188,66 +199,53 @@ def _term_uv(params: RealParams | ComplexParams, reflected: bool) -> tuple:
     return (p, a, q, b) if isinstance(params, RealParams) else _uv(p, q, a, b)
 
 
-def _same_bits(x: tuple, y: tuple) -> bool:
-    """Whether two tuples of floats are equal bit for bit, signed zeros included."""
-    return x == y and all(math.copysign(1.0, s) == math.copysign(1.0, t) for s, t in zip(x, y))
-
-
-def _power_and_w(m: int, uv: tuple) -> tuple[complex, complex]:
-    """alpha^m/m! and w = alpha beta at (Re u, Im u, Re v, Im v) = uv."""
-    ar, ai, wr, wi = _alpha_w(*uv)
-    return pow_int_over_factorial(complex(ar, ai), m), complex(wr, wi)
-
-
 def _f_term(params: RealParams | ComplexParams, reflected: bool = False) -> tuple[complex, SeriesResult]:
     """alpha^m/m! and 0F1(; m+1; w), whose product is f/2pi at the point,
     or at its reflection (p, -q, -a, b).
 
     Both are stored on the record, so the real routes' sin, cos and f at
     one point, the original route's among them, sum one series, and the
-    complex routes' sin and cos share a term and its reflection. Where
-    the reflection's (u, v) is the point's bit for bit (q = a = 0, say),
-    it is the point's term."""
+    complex routes' sin and cos share a term and its reflection."""
     def compute():
-        uv = _term_uv(params, reflected)
-        if reflected and _same_bits(uv, _term_uv(params, False)):
-            return _f_term(params)
-        power, w = _power_and_w(params.m, uv)
-        return power, hyp0f1(params.m + 1, w)
+        # In floats, as the lanes take them: Python would square an int exactly.
+        ar, ai, wr, wi = _alpha_w(*map(float, _term_uv(params, reflected)))
+        return pow_int_over_factorial(complex(ar, ai), params.m), hyp0f1(params.m + 1, complex(wr, wi))
 
     return _once(params, ("term", reflected), compute)
 
 
+def _term_lanes(m, ur, ui, vr, vi) -> tuple[tuple[np.ndarray, np.ndarray], SeriesLanes]:
+    """_f_term over float arrays of Re u, Im u, Re v and Im v, bit for bit
+    on every lane: the real and imaginary parts of alpha^m/m!, and the
+    hyp0f1_lanes series of 0F1(; m+1; w). m is one int or one per lane."""
+    with np.errstate(all="ignore"):
+        ar, ai, wr, wi = _alpha_w(ur, ui, vr, vi)
+        return pow_int_over_factorial_lanes(ar, ai, m), hyp0f1_lanes(m + 1, wr, wi)
+
+
 def fill_terms(records: list[RealParams | ComplexParams]) -> None:
     """Store _f_term on each record that has none, and the reflection's on
-    a non-real ComplexParams, summing every series in one hyp0f1_lanes call.
+    a non-real ComplexParams, from one _term_lanes call over all of them.
 
     A real-valued ComplexParams is filled through to_real(), which its
     routes read. A lane whose series the scalar path would refuse stays
     unfilled, so its route raises as before.
     """
-    todo, ws = [], []
+    todo = []
     for params in records:
         if isinstance(params, ComplexParams) and params.is_real:
             params = params.to_real()
-        uvs = [_term_uv(params, False)]
-        if isinstance(params, ComplexParams):
-            reflection = _term_uv(params, True)
-            if not _same_bits(uvs[0], reflection):
-                uvs.append(reflection)
-        for reflected, uv in zip((False, True), uvs):
+        for reflected in (False, True)[:1 + isinstance(params, ComplexParams)]:
             if ("term", reflected) not in params._cache:
-                power, w = _power_and_w(params.m, uv)
-                todo.append((params, reflected, power))
-                ws.append(w)
+                todo.append((params, reflected))
     if not todo:
         return
-    w = np.array(ws)
-    lanes = hyp0f1_lanes([params.m + 1 for params, _, _ in todo], w.real, w.imag)
-    columns = (lanes.re, lanes.im, lanes.terms_used, lanes.ok, lanes.truncation_estimate)
-    for (params, reflected, power), re, im, used, ok, omitted in zip(todo, *(x.tolist() for x in columns)):
+    uv = np.array([_term_uv(params, reflected) for params, reflected in todo], dtype=float)
+    power, ser = _term_lanes(np.array([params.m for params, _ in todo]), *uv.T)
+    columns = (*power, ser.re, ser.im, ser.terms_used, ser.ok, ser.truncation_estimate)
+    for (params, reflected), t_re, t_im, re, im, used, ok, omitted in zip(todo, *(x.tolist() for x in columns)):
         if ok:
-            params._cache["term", reflected] = power, SeriesResult(complex(re, im), used, omitted)
+            params._cache["term", reflected] = complex(t_re, t_im), SeriesResult(complex(re, im), used, omitted)
 
 
 def _term(params: RealParams | ComplexParams, reflected: bool = False) -> tuple[complex, int, float]:
@@ -264,20 +262,26 @@ def eval_f_hyp(params: RealParams) -> EvalResult:
     no positivity restriction: this evaluates everywhere, with
     (A'+iB')^m read as 1 when A' = B' = m = 0.
     """
+    return _finite(_hyp(params))
+
+
+def _hyp(params: RealParams) -> EvalResult:
+    # eval_f_hyp's value, which may not be finite: sin and cos refuse their own part.
     t, terms, trunc = _term(params)
     return EvalResult(TWO_PI * t, Method.Hyp0F1Real, terms, TWO_PI * trunc)
 
 
 def eval_f_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
-                 m: int) -> tuple[SeriesLanes, SeriesLanes]:
+                 m: int, kind: str) -> tuple[SeriesLanes, SeriesLanes]:
     """eval_f_hyp and eval_f_bessel at RealParams(p, q, a, b, m), as their
-    .value on every lane, from one hyp0f1_lanes series. A lane that is not
-    ok has as its error the message of the scalar route's first refusal.
+    .value on every lane, from one _term_lanes term. A lane that is not
+    ok has as its error the message of the scalar route's first refusal;
+    for kind "sin" or "cos" that is the improved or original sin or cos
+    route, which refuses only a non-finite Im f or Re f.
 
-    The (alpha, w) expressions and the prefixes run over the arrays. The
-    Bessel prefactors are libm powers, arguments and exponentials, which
-    numpy need not round as libm does, so they are taken lane by lane in
-    Python.
+    The Bessel prefix runs over the arrays. The Bessel prefactors are
+    libm powers, arguments and exponentials, which numpy need not round
+    as libm does, so they are taken lane by lane in Python.
     """
     ok, pre, error = np.ones(len(p), dtype=bool), [], [None] * len(p)
     for i, args in enumerate(zip(*(x.tolist() for x in (p, q, a, b)))):
@@ -287,10 +291,9 @@ def eval_f_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
             ok[i], error[i] = False, str(exc)
             pre.append((0.0, 0j, 0j))
     scale, power, root = np.array(pre, dtype=complex).reshape(-1, 3).T
+    (tr, ti), ser = _term_lanes(m, p, a, q, b)
     with np.errstate(all="ignore"):
-        ar, ai, wr, wi = _alpha_w(p, a, q, b)
-        ser = hyp0f1_lanes(m + 1, wr, wi)
-        t = mul_lanes(*pow_int_over_factorial_lanes(ar, ai, m), ser.re, ser.im)
+        f = mul_lanes(TWO_PI, 0.0, *mul_lanes(tr, ti, ser.re, ser.im))
         zhr, zhi = div_lanes(root.real, root.imag, 2.0)
         pr, pi = pow_int_over_factorial_lanes(zhr, zhi, m)
         bes = mul_lanes(*mul_lanes(scale.real, 0.0, power.real, power.imag),
@@ -300,20 +303,27 @@ def eval_f_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
     underflow = (pr == 0.0) & (pi == 0.0) & ((zhr != 0.0) | (zhi != 0.0))
     for i in np.flatnonzero(ok & (underflow | ~ser.ok)).tolist():
         error[i] = PREFIX_UNDERFLOW.format(m=m) if underflow[i] else ser.error[i]
-    return (SeriesLanes(*mul_lanes(TWO_PI, 0.0, *t), ser.terms_used, ser.ok, ser.error),
-            SeriesLanes(*bes, ser.terms_used, ok & ser.ok & ~underflow, error))
+    return (_finite_lanes(f, ser.terms_used, ser.ok, list(ser.error), kind),
+            _finite_lanes(bes, ser.terms_used, ok & ser.ok & ~underflow, error, kind))
+
+
+def _finite_lanes(z: tuple, terms_used: np.ndarray, ok: np.ndarray, error: list, kind: str) -> SeriesLanes:
+    """The lanes of z = (re, im), where an ok lane whose kind's part (f, or
+    Im f for sin, Re f for cos) is not finite is refused, as _part refuses it."""
+    overflow = ok & ~((np.isfinite(z[0]) | (kind == "sin")) & (np.isfinite(z[1]) | (kind == "cos")))
+    for i in np.flatnonzero(overflow).tolist():
+        error[i] = OVERFLOW
+    return SeriesLanes(*z, terms_used, ok & ~overflow, error)
 
 
 def eval_improved_sin(params: RealParams) -> EvalResult:
     """Corrected sin form: Im(f) of the compact 0F1 form, exactly real by construction."""
-    f = eval_f_hyp(params)
-    return _part(f, f.value.imag)
+    return _part(_hyp(params), "imag")
 
 
 def eval_improved_cos(params: RealParams) -> EvalResult:
     """Corrected cos form: Re(f) of the compact 0F1 form, exactly real by construction."""
-    f = eval_f_hyp(params)
-    return _part(f, f.value.real)
+    return _part(_hyp(params), "real")
 
 
 def _as_complex_route(res: EvalResult) -> EvalResult:
@@ -336,7 +346,7 @@ def eval_complex_f(cparams: ComplexParams) -> EvalResult:
     if cparams.is_real:
         return _as_complex_route(eval_f_hyp(cparams.to_real()))
     t, terms, trunc = _term(cparams)
-    return EvalResult(TWO_PI * t, Method.Hyp0F1Complex, terms, TWO_PI * trunc)
+    return _finite(EvalResult(TWO_PI * t, Method.Hyp0F1Complex, terms, TWO_PI * trunc))
 
 
 def eval_complex_sin(cparams: ComplexParams) -> EvalResult:
@@ -349,7 +359,7 @@ def eval_complex_sin(cparams: ComplexParams) -> EvalResult:
     if cparams.is_real:
         return _as_complex_route(eval_improved_sin(cparams.to_real()))
     t, r, terms, trunc = _reflected_terms(cparams)
-    return EvalResult(1j * math.pi * (r - t), Method.Hyp0F1Complex, terms, trunc)
+    return _finite(EvalResult(1j * math.pi * (r - t), Method.Hyp0F1Complex, terms, trunc))
 
 
 def eval_complex_cos(cparams: ComplexParams) -> EvalResult:
@@ -358,4 +368,4 @@ def eval_complex_cos(cparams: ComplexParams) -> EvalResult:
     if cparams.is_real:
         return _as_complex_route(eval_improved_cos(cparams.to_real()))
     t, r, terms, trunc = _reflected_terms(cparams)
-    return EvalResult(math.pi * (t + r), Method.Hyp0F1Complex, terms, trunc)
+    return _finite(EvalResult(math.pi * (t + r), Method.Hyp0F1Complex, terms, trunc))

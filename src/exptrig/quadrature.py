@@ -42,7 +42,7 @@ from .errors import DomainError
 from .params import ComplexParams, RealParams
 
 __all__ = ["QuadratureResult", "OracleLanes", "fill_passes", "oracle_f", "oracle_f_lanes", "oracle_sin",
-           "oracle_cos"]
+           "oracle_cos", "refuses_every_point"]
 
 N_MIN = 32
 N_MAX = 2**20
@@ -93,6 +93,11 @@ def _node_count(quarter_radius: int, m: int) -> int:
     """N for harmonic m at bandwidth R = quarter_radius / 4: a power of two above m + n."""
     order = m + _alias_order(quarter_radius)
     return max(N_MIN, 1 << order.bit_length())
+
+
+def refuses_every_point(m: int) -> bool:
+    """Whether N is past N_MAX at every point of harmonic m, even at R = 0, which needs the fewest."""
+    return _node_count(0, m) > N_MAX
 
 
 def _integrand(coeffs: np.ndarray, n: int) -> np.ndarray:

@@ -9,10 +9,12 @@ one series: the modified Bessel function is its prefix times 0F1,
     I_m(z) = (z/2)^m / m! * 0F1(; m+1; z^2/4)   (DLMF 10.25.2).
 
 ``hyp0f1_lanes`` evaluates many arguments at once, one lane per
-argument. Each lane takes the scalar loop's operations in the same
-order, so it returns the scalar value, and the scalar truncation
-estimate |first omitted term|, bit for bit; a lane on which the scalar
-function would raise comes back not ok, with the message it raises.
+argument, each with its own b1; formulas._term_lanes, the batch 0F1
+term of every closed form, is its caller. Each lane takes the scalar
+loop's operations in the same order, so it returns the scalar value, and
+the scalar truncation estimate |first omitted term|, bit for bit; a lane
+on which the scalar function would raise comes back not ok, with the
+message it raises.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -188,5 +189,11 @@ def test_expected_flip_audit():
     findings, failures = cat.check_expected_flips(entry)
     assert failures == ()
     assert any("SignFlip as predicted" in line for line in findings)
+    # A wrong flip law fails both ways: a flip where agreement is predicted
+    # and agreement where a flip is.
+    wrong = dataclasses.replace(entry, flip_law=lambda *args: not entry.flip_law(*args))
+    _, failures = cat.check_expected_flips(wrong)
+    assert any("expected a sign flip, none observed" in line for line in failures)
+    assert any("expected agreement, got discrepancy" in line for line in failures)
     with pytest.raises(ValueError):
         cat.check_expected_flips(cat.get_entry("GR-3.937-3"))

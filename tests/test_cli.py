@@ -172,6 +172,8 @@ def test_audit_point_error_is_recorded_not_fatal():
     (("-p", "40", "-m", "400"), "overflows"),
     # the same underflow at an odd m, near the case 1 boundary
     (("-p", "-1e-200", "-q", "1e-200", "-b", "1e-200", "-m", "3"), "underflows to 0"),
+    # 2pi [(b-p)^2 + (a+q)^2]^(-m/2) overflows in a float product
+    (("-p", "1e-154", "-m", "2"), "overflows"),
 ])
 def test_audit_records_original_refusal(args, reason):
     res = run("audit", *args)
@@ -191,9 +193,29 @@ def test_eval_original_underflowed_y_norm_is_not_called_y_zero():
 
 
 def test_eval_original_overflow_exit_3():
-    res = run("eval", "--kind", "f", "--method", "original", "-p", "1e-160", "-m", "3")
-    assert res.exit_code == 3
-    assert "overflows" in res.output
+    # A ** that overflows, |C + iD| past the float range at m = 0, then
+    # values that overflow in a float product: 2pi [(b-p)^2 + (a+q)^2]^(-m/2),
+    # its product with (A-iB)^(m/2), and the improved route's value.
+    for method, args in (("original", ("-p", "1e-160", "-m", "3")),
+                         ("original", ("-p", "1.25e154", "-a", "6.5e153", "-m", "0")),
+                         ("original", ("-p", "1e-154", "-m", "2")),
+                         ("original", ("-p", "3e153", "-b", "3e153", "-a", "2e-154", "-m", "2")),
+                         ("improved", ("-p", "1e154", "-b", "1e154", "-m", "2"))):
+        res = run("eval", "--kind", "f", "--method", method, *args)
+        assert res.exit_code == 3, (method, args, res.output)
+        assert "overflows" in res.output
+
+
+@pytest.mark.parametrize("method, args", [
+    ("original", ("-p", "713", "-m", "2")),
+    ("improved", ("-q", "1e154", "-a", "-1e154", "-b", "1e-154", "-m", "2")),
+])
+def test_sin_is_not_refused_where_only_re_f_overflows(method, args):
+    # Each route refuses its own value: f and cos overflow, sin does not.
+    for kind, code in (("f", 3), ("cos", 3), ("sin", 0)):
+        res = run("eval", "--kind", kind, "--method", method, *args)
+        assert res.exit_code == code, (kind, res.output)
+    assert math.isfinite(json.loads(res.output)["value"]["re"])
 
 
 def test_original_route_refuses_overflowing_y_norm():
@@ -206,13 +228,18 @@ def test_original_route_refuses_overflowing_y_norm():
     assert res.exit_code == 0, res.output
     verdicts = [json.loads(line)["verdict"] for line in res.output.splitlines()]
     assert verdicts == [None, "OriginalInapplicable", None]
+    # |C + iD| overflows, though C and D do not, and (b-p)^2 + (a+q)^2 does at m = 0
+    res = run("audit", "-p", "1.25e154", "-a", "6.5e153", "-m", "0")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["verdict"] is None
 
 
-@pytest.mark.parametrize("m", [str(N_MAX), "10000000", "100000000000000000000"])
+@pytest.mark.parametrize("m", [str(N_MAX - 1), str(N_MAX), "10000000", "100000000000000000000"])
 @pytest.mark.parametrize("fmt", ["--csv", "--json"])
 def test_audit_refuses_m_past_n_max_before_any_row(m, fmt):
-    # N > m at every point, so the oracle would refuse each one; audit
-    # says so once, as eval --method oracle does, and writes no row.
+    # N > N_MAX at every point, R = 0 included, so the oracle would refuse
+    # each one; audit says so once, as eval --method oracle does, and
+    # writes no row.
     res = run("audit", fmt, "--grid", "p=-3:3:61,b=-3:3:61", "-m", m)
     assert res.exit_code == 3, res.output
     assert res.stdout == ""
@@ -292,6 +319,12 @@ def test_scan_usage_errors():
     for spec in ("pq=0:1:2,b=0:1:2", "=0:1:2", "ab=0:1:2"):
         assert run("scan", "--grid", spec).exit_code == 2, spec
     assert run("audit", "--grid", "=0:1:2").exit_code == 2
+    # A count of 0, three axes, and a coefficient that is not finite.
+    assert run("scan", "--grid", "p=-3:3:0,b=-1:1:3").exit_code == 2
+    assert run("audit", "--grid", "p=0:1:2,b=0:1:2,q=0:1:2").exit_code == 2
+    assert run("audit", "-p", "inf").exit_code == 2
+    res = run("audit", "-p", "nan")
+    assert res.exit_code == 2 and "not finite" in res.output
 
 
 def test_grid_rejects_non_finite_bounds():

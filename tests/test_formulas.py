@@ -387,15 +387,27 @@ def test_eval_result_bookkeeping():
        st.sampled_from([0, 1, 2, 3, 5, 8, 40, 171]))
 @example([(0.5, 0.0, 0.0, 1.0), (1e-170, 0.0, 1e-170, 0.0), (1e-160, 0.0, 0.0, 0.0),
           (1.0, -1.0, 1.0, 1.0), (-0.0, -0.0, -0.0, -0.0)], 171)
+# values past the float range: 2pi [(b-p)^2 + (a+q)^2]^(-m/2), its product
+# with (A-iB)^(m/2), and the 0F1 form's value; at (713, 0, 0, 0) and
+# (0, 1e154, -1e154, 1e-154) Re f overflows in the original and the 0F1
+# form, but Im f does not, so sin is not refused
+@example([(1e-154, 0.0, 0.0, 0.0), (3e153, 0.0, 2e-154, 3e153), (1e154, 0.0, 0.0, 1e154),
+          (2e-154, 0.0, 0.0, 0.0), (713.0, 0.0, 0.0, 0.0), (0.0, 1e154, -1e154, 1e-154)], 2)
+# |C + iD| overflows though C and D do not: the scalar abs raises OverflowError
+@example([(1.25e154, 0.0, 6.5e153, 0.0)], 0)
 def test_lane_closed_forms_match_scalar_bit_for_bit(points, m):
     p, q, a, b = (np.array(x) for x in zip(*points))
-    for scalar, out in zip((eval_f_hyp, eval_f_bessel), eval_f_lanes(p, q, a, b, m)):
-        for i, pt in enumerate(points):
-            try:
-                res = scalar(RealParams(*pt, m))
-                want = repr(res.value.real), repr(res.value.imag), res.terms_used
-            except (DomainError, ConvergenceError) as exc:
-                want = str(exc)
-            got = ((repr(out.re[i].item()), repr(out.im[i].item()), int(out.terms_used[i]))
-                   if out.ok[i] else out.error[i])
-            assert got == want, (scalar.__name__, pt)
+    routes = {"f": (eval_f_hyp, eval_f_bessel), "sin": (eval_improved_sin, eval_original_sin),
+              "cos": (eval_improved_cos, eval_original_cos)}
+    for kind, scalars in routes.items():
+        for scalar, out in zip(scalars, eval_f_lanes(p, q, a, b, m, kind)):
+            for i, pt in enumerate(points):
+                try:
+                    res = scalar(RealParams(*pt, m))
+                    want = repr(res.value), res.terms_used
+                except (DomainError, ConvergenceError) as exc:
+                    want = str(exc)
+                z = complex(out.re[i], out.im[i])
+                part = {"f": z, "sin": complex(z.imag, 0.0), "cos": complex(z.real, 0.0)}[kind]
+                got = (repr(part), int(out.terms_used[i])) if out.ok[i] else out.error[i]
+                assert got == want, (scalar.__name__, pt)

@@ -155,6 +155,8 @@ def _lane(lanes, i):
 @example([(-0.0, -0.0), (0.0, -0.0)], [3] * 12)
 # overflow, MAX_TERMS, a large imaginary argument and a plain lane
 @example([(1e300, -1e300), (1e7, 0.0), (0.0, 9e4), (0.5, -0.25)], [1] * 12)
+# finite parts whose modulus overflows: the scalar abs raises OverflowError
+@example([(1.5e308, 1.5e308)], [1] * 12)
 def test_lane_series_match_scalar_bit_for_bit(zs, b1s):
     zr, zi = (np.array(part) for part in zip(*zs))
     b1 = np.array(b1s[:len(zs)])
