@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable
 
 from .complexops import atan2_full, pow_int_over_factorial
@@ -195,13 +196,6 @@ def _dispatch_937(real_form, complex_form):
     return closed
 
 
-def _grid(*axes):
-    out = [()]
-    for axis in axes:
-        out = [prefix + (v,) for prefix in out for v in axis]
-    return tuple(out)
-
-
 ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         id="GR-3.931-4",
@@ -211,7 +205,7 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         corrected=True,
         closed_form=gr_3_931_4,
         binding=lambda pp, sign=1: [(0.5, "cos", _cp(sign * complex(pp), 0, 0, pp, 0))],
-        samples=_grid((0, 1, -2, 2 - 3j), (1, -1)),
+        samples=tuple(product((0, 1, -2, 2 - 3j), (1, -1))),
     ),
     CatalogEntry(
         id="GR-3.932-1",
@@ -224,7 +218,7 @@ ENTRIES: tuple[CatalogEntry, ...] = (
             (0.25, "cos", _cp(pp, 0, 0, pp, m)),
             (-0.25, "cos", _cp(pp, 0, 0, -complex(pp), m)),
         ],
-        samples=_grid((1, -2, 1 + 1j), (0, 1, 2, 3)),
+        samples=tuple(product((1, -2, 1 + 1j), (0, 1, 2, 3))),
     ),
     CatalogEntry(
         id="GR-3.931-2",
@@ -237,7 +231,7 @@ ENTRIES: tuple[CatalogEntry, ...] = (
             (0.25, "cos", _cp(pp, 0, 0, pp, m)),
             (0.25, "cos", _cp(pp, 0, 0, -complex(pp), m)),
         ],
-        samples=_grid((1, -2, 1 + 1j), (0, 1, 2, 3)),
+        samples=tuple(product((1, -2, 1 + 1j), (0, 1, 2, 3))),
     ),
     CatalogEntry(
         id="GR-3.936-1",
@@ -247,7 +241,7 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         corrected=False,
         closed_form=gr_3_936_1,
         binding=lambda pp, m: [(1.0, "cos", _cp(pp, 0, 0, pp, m))],
-        samples=_grid((1, 1j, -2, 1.5 - 0.5j), (0, 1, 2, 3, 4, 5)),
+        samples=tuple(product((1, 1j, -2, 1.5 - 0.5j), (0, 1, 2, 3, 4, 5))),
     ),
     CatalogEntry(
         id="GR-3.936-2",
@@ -257,7 +251,7 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         corrected=True,
         closed_form=gr_3_936_2,
         binding=lambda pp, m: [(-1.0, "sin", _cp(0, pp, -complex(pp), 0, m))],
-        samples=_grid((-2, 0, 1 + 1j), (0, 1, 2, 3, 4)),
+        samples=tuple(product((-2, 0, 1 + 1j), (0, 1, 2, 3, 4))),
     ),
     CatalogEntry(
         id="GR-3.936-3",
@@ -267,7 +261,7 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         corrected=True,
         closed_form=gr_3_936_3,
         binding=lambda pp, m: [(1.0, "cos", _cp(0, pp, -complex(pp), 0, m))],
-        samples=_grid((-2, 0, 1 + 1j), (0, 1, 2, 3, 4)),
+        samples=tuple(product((-2, 0, 1 + 1j), (0, 1, 2, 3, 4))),
     ),
     CatalogEntry(
         id="GR-3.936-4",
@@ -281,7 +275,7 @@ ENTRIES: tuple[CatalogEntry, ...] = (
             if sign == -1
             else [(-1.0, "sin", _cp(p, 0, 0, -complex(p), m))]
         ),
-        samples=_grid((1, -2 + 1j, 0), (0, 1, 3, 5), (1, -1)),
+        samples=tuple(product((1, -2 + 1j, 0), (0, 1, 3, 5), (1, -1))),
     ),
     CatalogEntry(
         id="GR-3.937-3",
@@ -291,7 +285,7 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         corrected=True,
         closed_form=_dispatch_937(gr_3_937_3_corrected, gr_3_937_3_complex),
         binding=lambda p, q, m: [(-1.0, "sin", _cp(p, q, -complex(q), p, m))],
-        samples=_grid((-2, 0, 1), (-1, 0, 2), (0, 1, 2, 3, 4)) + _grid((1 + 1j,), (1,), (0, 1, 2, 3)),
+        samples=(*product((-2, 0, 1), (-1, 0, 2), (0, 1, 2, 3, 4)), *product((1 + 1j,), (1,), (0, 1, 2, 3))),
     ),
     CatalogEntry(
         id="GR-3.937-4",
@@ -301,7 +295,7 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         corrected=True,
         closed_form=_dispatch_937(gr_3_937_4_corrected, gr_3_937_4_complex),
         binding=lambda p, q, m: [(1.0, "cos", _cp(p, q, -complex(q), p, m))],
-        samples=_grid((-2, 0, 1), (-1, 0, 2), (0, 1, 2, 3, 4)) + _grid((1 + 1j,), (1,), (0, 1, 2, 3)),
+        samples=(*product((-2, 0, 1), (-1, 0, 2), (0, 1, 2, 3, 4)), *product((1 + 1j,), (1,), (0, 1, 2, 3))),
     ),
     CatalogEntry(
         id="GR-3.937-3-original",
@@ -311,8 +305,8 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         corrected=False,
         closed_form=gr_3_937_3_original,
         binding=lambda p, q, m: [(-1.0, "sin", _cp(p, q, -complex(q), p, m))],
-        samples=_grid((1, 2.5), (-1, 0, 2), (0, 1, 2, 3, 4)),
-        flip_samples=_grid((-2, -0.5), (-1, 0, 2), (0, 1, 2, 3, 4)),
+        samples=tuple(product((1, 2.5), (-1, 0, 2), (0, 1, 2, 3, 4))),
+        flip_samples=tuple(product((-2, -0.5), (-1, 0, 2), (0, 1, 2, 3, 4))),
         flip_law=_odd_m_negative_p,
     ),
     CatalogEntry(
@@ -323,8 +317,8 @@ ENTRIES: tuple[CatalogEntry, ...] = (
         corrected=False,
         closed_form=gr_3_937_4_original,
         binding=lambda p, q, m: [(1.0, "cos", _cp(p, q, -complex(q), p, m))],
-        samples=_grid((1, 2.5), (-1, 0, 2), (0, 1, 2, 3, 4)),
-        flip_samples=_grid((-2, -0.5), (-1, 0, 2), (0, 1, 2, 3, 4)),
+        samples=tuple(product((1, 2.5), (-1, 0, 2), (0, 1, 2, 3, 4))),
+        flip_samples=tuple(product((-2, -0.5), (-1, 0, 2), (0, 1, 2, 3, 4))),
         flip_law=_odd_m_negative_p,
     ),
 )

@@ -15,6 +15,7 @@ import cmath
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import fields
 from typing import Iterator, NamedTuple
@@ -34,7 +35,7 @@ from .formulas import (
     eval_corrected_original_sin,
     eval_f_bessel,
     eval_f_hyp,
-    eval_f_lanes,
+    eval_lanes,
     eval_improved_cos,
     eval_improved_sin,
     eval_original_cos,
@@ -42,7 +43,7 @@ from .formulas import (
     fill_terms,
 )
 from .params import ComplexParams, RealParams
-from .quadrature import N_MAX, fill_passes, oracle_cos, oracle_f, oracle_f_lanes, oracle_sin, refuses_every_point
+from .quadrature import N_MAX, fill_passes, oracle_cos, oracle_f, oracle_lanes, oracle_sin, refuses_every_point
 
 BOUNDARY_EPS = 1e-12
 # Grid points per chunk that scan and audit evaluate and write at once
@@ -56,7 +57,7 @@ SWEEP_ATOL_COMPLEX = 1e-11
 
 def _parse_param(text: str) -> complex:
     """Accept 're' or 're+imi' (e.g. -2, 1.5, -1+0.5i, 3i)."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
+    cleaned = re.sub("[iI]$", "j", text.strip().replace(" ", ""))  # "inf" keeps its i
     try:
         z = complex(cleaned)
     except ValueError:
@@ -199,8 +200,11 @@ def _parse_grid(text: str) -> list[tuple[str, np.ndarray]]:
             raise click.BadParameter("grid count must be >= 1")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise click.BadParameter(f"grid bounds must be finite, got {chunk!r}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.linspace(lo, hi, n)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.linspace(lo, hi, n)
+        except (ValueError, MemoryError):
+            raise click.BadParameter(f"grid count {n} is too large")
         if not np.isfinite(vals).all():
             raise click.BadParameter(f"grid {chunk!r} overflows to non-finite values")
         axes.append((var, vals))
@@ -245,12 +249,12 @@ class AuditChunk(NamedTuple):
     """One chunk of audited points as columns, one entry per point.
 
     coeffs holds the p, q, a, b arrays and report the build_reports
-    arrays. values has three rows, the kind's component of the original,
-    improved and oracle values, and computed says where each was
-    computed: not the original at Y = 0, and no value from a refusing
-    route on. ok marks the points with a verdict and an abs_discrepancy;
-    verdict and detail are None where absent, and a point without a
-    verdict has its refusal in detail.
+    arrays. values has three rows, the kind's original, improved and
+    oracle values, and computed says where each was computed: not the
+    original at Y = 0, and no value from a refusing route on. ok marks
+    the points with a verdict and an abs_discrepancy; verdict and detail
+    are None where absent, and a point without a verdict has its refusal
+    in detail.
     """
 
     coeffs: dict[str, np.ndarray]
@@ -262,16 +266,6 @@ class AuditChunk(NamedTuple):
     verdict: list
     detail: list
     ok: np.ndarray
-
-
-def _component(lanes, kind: str) -> np.ndarray:
-    """Each lane's f, or its sin (Im f) or cos (Re f) component as a real complex."""
-    z = np.zeros(len(lanes.re), dtype=complex)
-    if kind == "f":
-        z.real, z.imag = lanes.re, lanes.im
-    else:
-        z.real = lanes.im if kind == "sin" else lanes.re
-    return z
 
 
 def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> AuditChunk:
@@ -286,11 +280,11 @@ def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> Aud
     y_is_zero = report.y_is_zero
     with np.errstate(over="ignore", invalid="ignore"):
         boundary = np.abs(p + b * report.k_constant) < BOUNDARY_EPS * np.maximum(1.0, np.abs(p))
-    (improved, original), oracle = eval_f_lanes(p, q, a, b, m, kind), oracle_f_lanes(p, q, a, b, m)
+    (improved, original), oracle = eval_lanes(p, q, a, b, m, kind), oracle_lanes(p, q, a, b, m, kind)
     reached = improved.ok & oracle.ok
     ok = reached & (original.ok | y_is_zero)
     computed = np.array([reached & original.ok & ~y_is_zero, improved.ok, reached])
-    values = np.where(computed, [_component(lanes, kind) for lanes in (original, improved, oracle)], 0.0)
+    values = np.where(computed, [lanes.value for lanes in (original, improved, oracle)], 0.0)
     detail = np.full(len(p), None, dtype=object)
     for i in np.flatnonzero(~ok).tolist():
         detail[i] = f"error: {improved.error[i] or oracle.error[i] or original.error[i]}"

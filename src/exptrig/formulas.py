@@ -36,11 +36,9 @@ real route called with one record sums one series.
 _f_term forms a term at one point; _term_lanes, bit for bit the same on
 every lane, is the one code that forms alpha, w and alpha^m/m! over
 arrays. Its callers are fill_terms, which stores the terms of many
-records at once, and eval_f_lanes, which evaluates f by both routes over
-arrays of real coefficients at one m, one lane per point, bit for bit as
-the scalar routes do; a lane where a scalar route would raise holds its
-message instead. Every route refuses its own value (f, or the sin or
-cos part) where that is not finite.
+records at once, and eval_lanes, whose Lanes are the scalar improved and
+original routes of one kind over real coefficients at one m. Every route
+refuses its own value where it is not finite.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ import numpy as np
 from .complexops import cpow_half, div_lanes, mul_lanes, pow_int_over_factorial, pow_int_over_factorial_lanes
 from .conditions import overall_sign_error
 from .errors import DomainError
-from .params import ComplexParams, EvalResult, Method, RealParams, _once
+from .params import ComplexParams, EvalResult, Lanes, Method, RealParams, _once, component
 from .series import PREFIX_UNDERFLOW, SeriesLanes, SeriesResult, _bessel_prefix, hyp0f1, hyp0f1_lanes
 
 __all__ = [
@@ -64,7 +62,7 @@ __all__ = [
     "eval_corrected_original_cos",
     "eval_corrected_original_f",
     "eval_f_hyp",
-    "eval_f_lanes",
+    "eval_lanes",
     "eval_improved_sin",
     "eval_improved_cos",
     "eval_complex_f",
@@ -133,20 +131,19 @@ def _bessel_prefactors(p: float, q: float, a: float, b: float, m: int) -> tuple[
                           f"(A-iB)^(m/2) overflows at m = {m}") from None
 
 
-def _part(f: EvalResult, part: str) -> EvalResult:
-    # f.value.real or .imag as a value, with f's route and series
-    # bookkeeping, refused only where that part is not finite.
-    return _finite(EvalResult(complex(getattr(f.value, part), 0.0), f.method, f.terms_used, f.truncation_estimate))
+def _part(f: EvalResult, kind: str) -> EvalResult:
+    # The kind's value of f, with f's route and bookkeeping, refused where not finite.
+    return _finite(EvalResult(component(f.value, kind), f.method, f.terms_used, f.truncation_estimate))
 
 
 def eval_original_sin(params: RealParams) -> EvalResult:
     """Book sin form: Im(f) of the original route, sign error included."""
-    return _part(_bessel(params), "imag")
+    return _part(_bessel(params), "sin")
 
 
 def eval_original_cos(params: RealParams) -> EvalResult:
     """Book cos form: Re(f) of the original route, sign error included."""
-    return _part(_bessel(params), "real")
+    return _part(_bessel(params), "cos")
 
 
 def _corrected(res: EvalResult, params: RealParams) -> EvalResult:
@@ -271,13 +268,11 @@ def _hyp(params: RealParams) -> EvalResult:
     return EvalResult(TWO_PI * t, Method.Hyp0F1Real, terms, TWO_PI * trunc)
 
 
-def eval_f_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
-                 m: int, kind: str) -> tuple[SeriesLanes, SeriesLanes]:
-    """eval_f_hyp and eval_f_bessel at RealParams(p, q, a, b, m), as their
-    .value on every lane, from one _term_lanes term. A lane that is not
-    ok has as its error the message of the scalar route's first refusal;
-    for kind "sin" or "cos" that is the improved or original sin or cos
-    route, which refuses only a non-finite Im f or Re f.
+def eval_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
+               m: int, kind: str) -> tuple[Lanes, Lanes]:
+    """The improved and original routes of the kind (for f, eval_f_hyp and
+    eval_f_bessel) at RealParams(p, q, a, b, m), bit for bit on every
+    lane, from one _term_lanes term.
 
     The Bessel prefix runs over the arrays. The Bessel prefactors are
     libm powers, arguments and exponentials, which numpy need not round
@@ -298,32 +293,38 @@ def eval_f_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
         pr, pi = pow_int_over_factorial_lanes(zhr, zhi, m)
         bes = mul_lanes(*mul_lanes(scale.real, 0.0, power.real, power.imag),
                         *mul_lanes(pr, pi, ser.re, ser.im))
+        # _hyp's and _bessel's truncation_estimate
+        f_bound = TWO_PI * (np.hypot(tr, ti) * ser.truncation_estimate)
+        bes_bound = scale.real * np.hypot(power.real, power.imag) * (np.hypot(pr, pi) * ser.truncation_estimate)
     # _bessel_prefix refuses a prefix that underflowed away from z = 0,
     # after the prefactors and before the series.
     underflow = (pr == 0.0) & (pi == 0.0) & ((zhr != 0.0) | (zhi != 0.0))
     for i in np.flatnonzero(ok & (underflow | ~ser.ok)).tolist():
         error[i] = PREFIX_UNDERFLOW.format(m=m) if underflow[i] else ser.error[i]
-    return (_finite_lanes(f, ser.terms_used, ser.ok, list(ser.error), kind),
-            _finite_lanes(bes, ser.terms_used, ok & ser.ok & ~underflow, error, kind))
+    return (_finite_lanes(f, kind, ser.terms_used, ser.ok, list(ser.error), f_bound),
+            _finite_lanes(bes, kind, ser.terms_used, ok & ser.ok & ~underflow, error, bes_bound))
 
 
-def _finite_lanes(z: tuple, terms_used: np.ndarray, ok: np.ndarray, error: list, kind: str) -> SeriesLanes:
-    """The lanes of z = (re, im), where an ok lane whose kind's part (f, or
-    Im f for sin, Re f for cos) is not finite is refused, as _part refuses it."""
-    overflow = ok & ~((np.isfinite(z[0]) | (kind == "sin")) & (np.isfinite(z[1]) | (kind == "cos")))
+def _finite_lanes(z: tuple, kind: str, count, ok: np.ndarray, error: list, bound) -> Lanes:
+    """The kind's lanes of f = z, (re, im), where an ok lane whose value is
+    not finite is refused, as _finite refuses it."""
+    f = np.empty(len(z[0]), dtype=complex)
+    f.real, f.imag = z
+    value = component(f, kind)
+    overflow = ok & ~np.isfinite(value)
     for i in np.flatnonzero(overflow).tolist():
         error[i] = OVERFLOW
-    return SeriesLanes(*z, terms_used, ok & ~overflow, error)
+    return Lanes(value, count, ok & ~overflow, error, bound)
 
 
 def eval_improved_sin(params: RealParams) -> EvalResult:
     """Corrected sin form: Im(f) of the compact 0F1 form, exactly real by construction."""
-    return _part(_hyp(params), "imag")
+    return _part(_hyp(params), "sin")
 
 
 def eval_improved_cos(params: RealParams) -> EvalResult:
     """Corrected cos form: Re(f) of the compact 0F1 form, exactly real by construction."""
-    return _part(_hyp(params), "real")
+    return _part(_hyp(params), "cos")
 
 
 def _as_complex_route(res: EvalResult) -> EvalResult:

@@ -6,6 +6,9 @@ The whole library evaluates one family of integrals over [0, 2pi]:
 
 so every evaluator consumes the same five numbers: four coefficients
 (real or complex) and a non-negative integer harmonic index m.
+
+A route returns one kind, f = cos + i sin, sin or cos (``component``); a
+route over arrays returns ``Lanes``, on every lane what its scalar call returns.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "RealParams",
@@ -21,6 +27,8 @@ __all__ = [
     "IntermediateFactors",
     "Method",
     "EvalResult",
+    "Lanes",
+    "component",
 ]
 
 
@@ -142,3 +150,24 @@ class EvalResult:
     method: Method
     terms_used: int
     truncation_estimate: float
+
+
+class Lanes(NamedTuple):
+    """A route over arrays, each lane what its scalar call returns: the kind's
+    value (complex), count (terms_used, or N) and bound (truncation_estimate, or
+    error_estimate). A lane not ok holds no value; error is the refusal message."""
+
+    value: np.ndarray
+    count: np.ndarray
+    ok: np.ndarray
+    error: list[str | None]
+    bound: np.ndarray
+
+
+def component(z, kind: str):
+    """The kind's value from f = z, a complex or complex array, at real coefficients:
+    f, or sin = Im f or cos = Re f as a complex with imaginary part 0.0, signs kept."""
+    if kind == "f":
+        return z
+    part = z.imag if kind == "sin" else z.real
+    return part.astype(complex) if isinstance(part, np.ndarray) else complex(part, 0.0)

@@ -1,8 +1,8 @@
 """Ground-truth numerical integration of the target integrals.
 
 Each integrand is built from g = exp(u cos x + v sin x - ikx), u = p +- ia,
-v = q +- ib, k = +-m: f is g+, cos and sin are (g+ + g-)/2 and
-(g+ - g-)/2i, or Re f and Im f for real coefficients. The exponent is
+v = q +- ib, k = +-m: f is g+, cos and sin are (g+ + g-)/2 and (g+ - g-)/2i,
+or Re f and Im f (params.component) at real coefficients. The exponent is
 alpha e^{ix} + beta e^{-ix}, alpha = (u - iv)/2, beta = (u + iv)/2, so the
 Fourier coefficient of order j is at most e^R R^|j| / |j|!, R = |alpha| +
 |beta|, and the N-point trapezoid rule adds those of order m +- N, +-2N, ...
@@ -21,7 +21,7 @@ on every call.
 
 One function, _integrate, plans and takes the passes of many points:
 their rows (u, v, -ik), R, N, refusals and error_estimate. The scalar
-oracle (a batch of one), fill_passes (verify, catalog) and oracle_f_lanes
+oracle (a batch of one), fill_passes (verify, catalog) and oracle_lanes
 (audit) only call it, and no point's sums depend on the rest of its
 batch, so the three agree bit for bit.
 
@@ -34,15 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .params import ComplexParams, RealParams
+from .params import ComplexParams, Lanes, RealParams, component
 
-__all__ = ["QuadratureResult", "OracleLanes", "fill_passes", "oracle_f", "oracle_f_lanes", "oracle_sin",
-           "oracle_cos", "refuses_every_point"]
+__all__ = ["QuadratureResult", "fill_passes", "oracle_f", "oracle_lanes", "oracle_sin", "oracle_cos",
+           "refuses_every_point"]
 
 N_MIN = 32
 N_MAX = 2**20
@@ -215,10 +214,8 @@ def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
     if isinstance(stored, str):
         raise DomainError(stored)
     sums, error_estimate, n = params._cache["pass", rows] = stored
-    if kind == "f":
-        value = sums[0]
-    elif len(sums) == 1:
-        value = complex(sums[0].real if kind == "cos" else sums[0].imag)
+    if len(sums) == 1:
+        value = component(sums[0], kind)
     else:
         value = (sums[0] + sums[1]) / 2 if kind == "cos" else (sums[0] - sums[1]) / 2j
     return QuadratureResult(value=value, error_estimate=error_estimate, evaluations=n)
@@ -240,24 +237,10 @@ def oracle_cos(params: RealParams | ComplexParams) -> QuadratureResult:
     return _oracle(params, "cos")
 
 
-class OracleLanes(NamedTuple):
-    """Lane-wise oracle_f values as real and imaginary parts, with each
-    lane's N and error_estimate. A lane that is not ok (outside ENVELOPE,
-    or N above N_MAX) holds no value; its error is oracle_f's message."""
-
-    re: np.ndarray
-    im: np.ndarray
-    evaluations: np.ndarray
-    ok: np.ndarray
-    error_estimate: np.ndarray
-    error: list[str | None]
-
-
-def oracle_f_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: int) -> OracleLanes:
-    """oracle_f(RealParams(p, q, a, b, m)) on every lane, bit for bit: its
-    value, error_estimate and N, or its refusal's message. For real
-    coefficients oracle_cos and oracle_sin are Re and Im of the value."""
+def oracle_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: int, kind: str) -> Lanes:
+    """The kind's oracle at RealParams(p, q, a, b, m) on every lane, bit for
+    bit: its value, N and error_estimate, or its refusal's message."""
     sums, error_estimate, nodes = _integrate(*(x.astype(complex) for x in (p, q, a, b)), np.full(len(p), m), 1)
     f, error = np.zeros(len(p), dtype=complex), [None if n else s for s, n in zip(sums, nodes.tolist())]
     f[nodes > 0] = [point[0] for point, n in zip(sums, nodes.tolist()) if n]
-    return OracleLanes(f.real, f.imag, nodes, nodes > 0, error_estimate, error)
+    return Lanes(component(f, kind), nodes, nodes > 0, error, error_estimate)

@@ -9,8 +9,8 @@ one series: the modified Bessel function is its prefix times 0F1,
     I_m(z) = (z/2)^m / m! * 0F1(; m+1; z^2/4)   (DLMF 10.25.2).
 
 ``hyp0f1_lanes`` evaluates many arguments at once, one lane per
-argument, each with its own b1; formulas._term_lanes, the batch 0F1
-term of every closed form, is its caller. Each lane takes the scalar
+argument, each with its own b1, as SeriesLanes; formulas._term_lanes,
+the batch 0F1 term of every closed form's lanes, is its one caller. Each lane takes the scalar
 loop's operations in the same order, so it returns the scalar value, and
 the scalar truncation estimate |first omitted term|, bit for bit; a lane
 on which the scalar function would raise comes back not ok, with the
@@ -36,7 +36,7 @@ __all__ = ["SeriesResult", "SeriesLanes", "bessel_i", "hyp0f1", "hyp0f1_lanes"]
 TERM_EPS = 1e-17
 MAX_TERMS = 500
 _FMAX = sys.float_info.max
-# _bessel_prefix's message, which eval_f_lanes gives its lanes too.
+# _bessel_prefix's message, which formulas.eval_lanes gives its lanes too.
 PREFIX_UNDERFLOW = "bessel_i: prefactor (z/2)^m/m! underflowed for m={m}"
 
 
@@ -58,18 +58,17 @@ def _refusal(w: complex, k: int, overflowed: bool) -> str:
 
 
 class SeriesLanes(NamedTuple):
-    """Lane-wise values as real and imaginary parts, with the terms each
-    lane's series used. A lane that is not ok holds no value, and its
-    error is the message the scalar route raises there (None if ok).
-    hyp0f1_lanes also gives each lane's truncation estimate; lanes that
-    are products of series, as eval_f_lanes's are, leave it None."""
+    """hyp0f1_lanes' lanes: each value as real and imaginary parts, with
+    the terms its series used and its truncation estimate. A lane that
+    is not ok holds no value, and its error is hyp0f1's message there
+    (None if ok)."""
 
     re: np.ndarray
     im: np.ndarray
     terms_used: np.ndarray
     ok: np.ndarray
     error: list[str | None]
-    truncation_estimate: np.ndarray | None = None
+    truncation_estimate: np.ndarray
 
 
 def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> SeriesLanes:

@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -322,9 +324,15 @@ def test_scan_usage_errors():
     # A count of 0, three axes, and a coefficient that is not finite.
     assert run("scan", "--grid", "p=-3:3:0,b=-1:1:3").exit_code == 2
     assert run("audit", "--grid", "p=0:1:2,b=0:1:2,q=0:1:2").exit_code == 2
-    assert run("audit", "-p", "inf").exit_code == 2
-    res = run("audit", "-p", "nan")
-    assert res.exit_code == 2 and "not finite" in res.output
+    for text in ("inf", "-inf", "Infinity", "nan"):
+        res = run("audit", "-p", text)
+        assert res.exit_code == 2 and f"parameter {text!r} is not finite" in res.output, text
+    # Counts past numpy's array size limit, which it refuses before allocating.
+    for cmd, spec in (("scan", "p=0:1:4611686018427387904,b=0:1:2"),
+                      ("scan", "p=0:1:99999999999999999999,b=0:1:2"),
+                      ("audit", "p=0:1:4611686018427387904")):
+        res = run(cmd, "--grid", spec)
+        assert res.exit_code == 2 and "is too large" in res.output, (cmd, spec)
 
 
 def test_grid_rejects_non_finite_bounds():
@@ -640,6 +648,35 @@ def test_verify_sweep_results_match_fresh_records(monkeypatch):
     for name, params, got in calls:
         point = type(params)(params.p, params.q, params.a, params.b, params.m)
         assert repr(scalar[name](point)) == repr(got), (name, params)
+
+
+def test_verify_sweeps_report_a_nonzero_margin():
+    # A fill that compared a value with itself would report a zero margin.
+    res = run("verify", "--seed", "3", "--samples", "300", "--complex")
+    margins = dict(re.findall(r"sweep (real|complex): .* worst_margin=(\S+) ok", res.output))
+    assert margins.keys() == {"real", "complex"}
+    assert all(float(margin) > 0.0 for margin in margins.values()), margins
+
+
+def test_verify_sweep_names_its_offenders(monkeypatch):
+    # The real sin and the complex cos routes off by 1e-6: exit 1, and every
+    # offender line names one of those two, with its sample and point.
+    def off(fn):
+        def wrapper(params):
+            res = fn(params)
+            return dataclasses.replace(res, value=res.value + 1e-6)
+        return wrapper
+
+    for name in ("eval_improved_sin", "eval_complex_cos"):
+        monkeypatch.setattr(cli, name, off(getattr(cli, name)))
+    res = run("verify", "--seed", "3", "--samples", "20", "--complex")
+    assert res.exit_code == 1
+    lines = [line.strip() for line in res.output.splitlines() if " sample " in line]
+    real = r"real sample \d+ sin p=\S+ q=\S+ a=\S+ b=\S+ m=\d+: margin \S+"
+    complex_ = r"complex sample \d+ cos m=\d+: margin \S+"
+    assert all(re.fullmatch(real, line) or re.fullmatch(complex_, line) for line in lines), lines
+    assert any(re.fullmatch(real, line) for line in lines)
+    assert any(re.fullmatch(complex_, line) for line in lines)
 
 
 def test_list():

@@ -31,7 +31,7 @@ from exptrig import (
     oracle_f,
     oracle_sin,
 )
-from exptrig.formulas import _alpha_w, _book_constants, _term, eval_f_lanes
+from exptrig.formulas import _alpha_w, _book_constants, _term, eval_lanes
 
 # 0F1(;2;3/4) from independent brute-force partial sums
 F01_2_075 = 1.424917347073156
@@ -400,14 +400,13 @@ def test_lane_closed_forms_match_scalar_bit_for_bit(points, m):
     routes = {"f": (eval_f_hyp, eval_f_bessel), "sin": (eval_improved_sin, eval_original_sin),
               "cos": (eval_improved_cos, eval_original_cos)}
     for kind, scalars in routes.items():
-        for scalar, out in zip(scalars, eval_f_lanes(p, q, a, b, m, kind)):
+        for scalar, out in zip(scalars, eval_lanes(p, q, a, b, m, kind)):
             for i, pt in enumerate(points):
                 try:
                     res = scalar(RealParams(*pt, m))
-                    want = repr(res.value), res.terms_used
+                    want = repr(res.value), res.terms_used, repr(res.truncation_estimate)
                 except (DomainError, ConvergenceError) as exc:
                     want = str(exc)
-                z = complex(out.re[i], out.im[i])
-                part = {"f": z, "sin": complex(z.imag, 0.0), "cos": complex(z.real, 0.0)}[kind]
-                got = (repr(part), int(out.terms_used[i])) if out.ok[i] else out.error[i]
+                got = ((repr(complex(out.value[i])), int(out.count[i]), repr(out.bound[i].item()))
+                       if out.ok[i] else out.error[i])
                 assert got == want, (scalar.__name__, pt)

@@ -233,6 +233,9 @@ WIDE_COMPLEX_POINT = st.one_of(
 def test_filled_records_match_fresh(points):
     fill_terms(points)
     fill_passes(points)
+    # A second fill has only the refused lanes left to try; an empty one has nothing.
+    fill_terms(points)
+    fill_terms([])
     for point in points:
         for fn in REAL_ROUTES if isinstance(point, RealParams) else COMPLEX_ROUTES:
             assert_matches_fresh(fn, point)

@@ -22,7 +22,7 @@ from exptrig import (
     oracle_sin,
 )
 from exptrig import quadrature
-from exptrig.quadrature import N_MAX, _trapezoids, fill_passes, oracle_f_lanes
+from exptrig.quadrature import N_MAX, _trapezoids, fill_passes, oracle_lanes
 
 ORACLES = {"f": oracle_f, "sin": oracle_sin, "cos": oracle_cos}
 
@@ -270,21 +270,14 @@ def test_lane_oracle_matches_scalar_bit_for_bit(monkeypatch, block_nodes, m):
     # the envelope, interleaved; signed zeros in q.
     s = np.linspace(0.0, 60.0, 41)[(17 * np.arange(41)) % 41]
     p, q, a, b = -0.5 * s, np.where(s > 10, -0.0, 0.0), 0.5 * s, (s % 7) / 4
-    lanes = oracle_f_lanes(p, q, a, b, m)
-    assert {32, 64, 128} <= set(lanes.evaluations[lanes.ok].tolist())
-    assert not lanes.ok.all()
-    for i, pt in enumerate(zip(p.tolist(), q.tolist(), a.tolist(), b.tolist())):
-        rp = RealParams(*pt, m)
-        if not lanes.ok[i]:
-            with pytest.raises(DomainError):
-                oracle_f(rp)
-            continue
-        f, re, im = oracle_f(rp), lanes.re[i].item(), lanes.im[i].item()
-        assert (repr(f.value.real), repr(f.value.imag)) == (repr(re), repr(im))
-        assert f.evaluations == lanes.evaluations[i]
-        assert repr(f.error_estimate) == repr(lanes.error_estimate[i].item())
-        assert repr(oracle_cos(rp).value) == repr(complex(re, 0.0))
-        assert repr(oracle_sin(rp).value) == repr(complex(im, 0.0))
+    for kind, orc in ORACLES.items():
+        lanes = oracle_lanes(p, q, a, b, m, kind)
+        assert {32, 64, 128} <= set(lanes.count[lanes.ok].tolist())
+        assert not lanes.ok.all()
+        for i, pt in enumerate(zip(p.tolist(), q.tolist(), a.tolist(), b.tolist())):
+            got = ((repr(complex(lanes.value[i])), repr(lanes.bound[i].item()), lanes.count[i])
+                   if lanes.ok[i] else lanes.error[i])
+            assert _outcome(orc, RealParams(*pt, m)) == got
 
 
 def _outcome(orc, params):
@@ -342,7 +335,7 @@ def oracle_lane(draw):
 @given(st.lists(oracle_lane(), min_size=1, max_size=10))
 def test_lanes_fills_and_scalar_calls_agree_bit_for_bit(points):
     # A fresh scalar call matches the plain-Python plan; a filled record
-    # matches a fresh one; a lane of oracle_f_lanes matches oracle_f.
+    # matches a fresh one; a lane of oracle_lanes matches the kind's oracle.
     filled = [dataclasses.replace(pt) for pt in points]
     fill_passes(filled)
     for pt, record in zip(points, filled):
@@ -352,11 +345,12 @@ def test_lanes_fills_and_scalar_calls_agree_bit_for_bit(points):
     real = [pt for pt in points if isinstance(pt, RealParams)]
     for m in {pt.m for pt in real}:
         group = [pt for pt in real if pt.m == m]
-        lanes = oracle_f_lanes(*(np.array([getattr(pt, x) for pt in group], dtype=float) for x in "pqab"), m)
-        for i, pt in enumerate(group):
-            want = _outcome(oracle_f, RealParams(pt.p, pt.q, pt.a, pt.b, m))
-            if not lanes.ok[i]:
-                assert want == lanes.error[i] and lanes.evaluations[i] == 0
-                continue
-            got = complex(lanes.re[i], lanes.im[i]), lanes.error_estimate[i].item(), lanes.evaluations[i]
-            assert want == (repr(got[0]), repr(got[1]), got[2])
+        coeffs = [np.array([getattr(pt, x) for pt in group], dtype=float) for x in "pqab"]
+        for kind, orc in ORACLES.items():
+            lanes = oracle_lanes(*coeffs, m, kind)
+            for i, pt in enumerate(group):
+                want = _outcome(orc, RealParams(pt.p, pt.q, pt.a, pt.b, m))
+                if not lanes.ok[i]:
+                    assert want == lanes.error[i] and lanes.count[i] == 0
+                    continue
+                assert want == (repr(complex(lanes.value[i])), repr(lanes.bound[i].item()), lanes.count[i])
