@@ -47,9 +47,9 @@ from .quadrature import N_MAX, fill_passes, oracle_cos, oracle_f, oracle_lanes, 
 
 BOUNDARY_EPS = 1e-12
 # Grid points per chunk that scan and audit evaluate and write at once
-# (whole rows of the outer axis, at least one row), and samples per chunk
-# that verify draws and fills as lanes at once: memory stays flat as the
-# grid or the sample count grows.
+# (a flat range in row-major order, which may end or start mid-row), and
+# samples per chunk that verify draws and fills as lanes at once: memory
+# stays flat as the grid, its rows or the sample count grow.
 CHUNK_POINTS = 4096
 SWEEP_ATOL_REAL = 1e-12
 SWEEP_ATOL_COMPLEX = 1e-11
@@ -216,24 +216,23 @@ def _parse_grid(text: str) -> list[tuple[str, np.ndarray]]:
 
 
 def _grid_chunks(base: dict[str, float], axes: list[tuple[str, np.ndarray]]
-                 ) -> Iterator[tuple[range, dict[str, np.ndarray]]]:
+                 ) -> Iterator[tuple[tuple[np.ndarray, ...], dict[str, np.ndarray]]]:
     """The grid over 0, 1 or 2 axes in row-major order, in chunks.
 
-    Each chunk is (rows, coefficients): the outer-axis indices it covers
-    and an array of each of p, q, a, b over its points. A chunk is as
-    many whole rows as fit in CHUNK_POINTS, and at least one.
+    Each chunk is (index, coefficients): one array per axis of each
+    point's index along it, and an array of each of p, q, a, b over its
+    points. A chunk is a flat range of at most CHUNK_POINTS points, so a
+    long row spans several chunks.
     """
-    n_outer = len(axes[0][1]) if axes else 1
-    n_inner = len(axes[1][1]) if len(axes) == 2 else 1
-    step = max(1, CHUNK_POINTS // n_inner)
-    for start in range(0, n_outer, step):
-        rows = range(start, min(start + step, n_outer))
-        coeffs = {v: np.full(len(rows) * n_inner, base[v]) for v in "pqab"}
-        if axes:
-            coeffs[axes[0][0]] = np.repeat(axes[0][1][rows.start:rows.stop], n_inner)
-        if len(axes) == 2:
-            coeffs[axes[1][0]] = np.tile(axes[1][1], len(rows))
-        yield rows, coeffs
+    shape = tuple(len(vals) for _, vals in axes)
+    total = math.prod(shape)
+    for start in range(0, total, CHUNK_POINTS):
+        flat = np.arange(start, min(start + CHUNK_POINTS, total))
+        index = np.unravel_index(flat, shape) if axes else ()  # no axes: one point; unravel_index refuses ()
+        coeffs = {v: np.full(len(flat), base[v]) for v in "pqab"}
+        for (var, vals), i in zip(axes, index):
+            coeffs[var] = vals[i]
+        yield index, coeffs
 
 
 CSV_HEADER = ("p,q,a,b,m,case1,case2,case3,k_constant,overall,flip_applies,"
@@ -390,26 +389,36 @@ def cmd_scan(grid_spec: str, as_csv: bool,
     if len(axes) != 2:
         raise click.UsageError("scan needs exactly two grid variables")
     base = {"p": rp.p, "q": rp.q, "a": rp.a, "b": rp.b}
-    # A row is the two axis values, each repr'd once, then one of 32 flag
-    # suffixes, indexed by a code whose bits are the five flags in order.
+    # A row is the x text, the y text, then one of 32 flag suffixes, indexed
+    # by a code whose bits are the five flags in order. An axis of at most
+    # CHUNK_POINTS values has its texts made once; a longer one has them
+    # made for each chunk's points, so memory stays flat as the axis grows.
     flags = ("case1", "case2", "case3", "overall", "flip_applies")
     flag_sets = list(itertools.product((False, True), repeat=len(flags)))
     if as_csv:
         click.echo("x,y," + ",".join(flags))
-        xs = [repr(x) + "," for x in axes[0][1].tolist()]
-        ys = [repr(y) for y in axes[1][1].tolist()]
+        affixes = (("", ","), ("", ""))
         suffixes = ["".join(f",{bit:d}" for bit in bits) + "\n" for bits in flag_sets]
     else:
-        xs = ['{"x":' + repr(x) for x in axes[0][1].tolist()]
-        ys = [',"y":' + repr(y) for y in axes[1][1].tolist()]
+        affixes = (('{"x":', ""), (',"y":', ""))
         suffixes = ["," + _dump(dict(zip(flags, bits)))[1:] + "\n" for bits in flag_sets]
-    for rows, c in _grid_chunks(base, axes):
+    suffixes = np.array(suffixes, dtype=object)
+
+    def texts(vals: np.ndarray, head: str, tail: str) -> np.ndarray:
+        return np.array([f"{head}{v!r}{tail}" for v in vals.tolist()], dtype=object)
+
+    made = [texts(vals, *affix) if len(vals) <= CHUNK_POINTS else None
+            for (_, vals), affix in zip(axes, affixes)]
+    for index, c in _grid_chunks(base, axes):
         batch = build_reports(c["p"], c["q"], c["a"], c["b"], m)
         codes = np.zeros(len(c["p"]), dtype=np.intp)
         for name in flags:
             codes = 2 * codes + getattr(batch, name)
-        cells = (xs[i] + y for i in rows for y in ys)
-        click.echo("".join([cell + suffixes[k] for cell, k in zip(cells, codes.tolist())]), nl=False)
+        x, y = (texts(vals[at], *affix) if known is None else known[at]
+                for known, (_, vals), affix, at in zip(made, axes, affixes, index))
+        cells = np.stack([x, y, suffixes[codes]], axis=1)
+        # color=True: the rows hold no ANSI styles, so click need not scan them for any to strip.
+        click.echo("".join(cells.ravel().tolist()), nl=False, color=True)
 
 
 def _sweep(rng: np.random.Generator, samples: int, rtol: float, domain: str) -> tuple[float, list[str]]:

@@ -2,7 +2,10 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -452,6 +455,13 @@ def _base_args(base):
     ("a=-2:2:41,q=-2:2:41", {"p": 1.0, "b": 1.0}, 5),
     ("q=-2:2:41,a=-2:2:41", {"p": -1.0, "b": 1.0}, 1),
     ("a=-2:2:41,q=-2:2:41", {"p": -0.0, "b": 0.0}, 2),
+    # a 1-point outer axis, a 1-point inner axis and a -0.0 axis value
+    ("p=0.5:0.5:1,b=-3:3:9", {}, 1),
+    ("b=-3:3:9,p=0.5:0.5:1", {"q": 1.0}, 1),
+    ("p=-0.0:0:1,b=-3:3:9", {}, 1),
+    # an inner axis longer than every chunk, so rows span chunks and a
+    # chunk holds the end of one row and the start of the next
+    ("a=-2:2:2,q=-2:2:4099", {"p": -1.0, "b": 1.0}, 1),
 ])
 def test_scan_matches_scalar_predicates_byte_for_byte(monkeypatch, chunk, grid, base, m):
     monkeypatch.setattr(cli, "CHUNK_POINTS", chunk)
@@ -468,10 +478,10 @@ def test_scan_matches_scalar_predicates_byte_for_byte(monkeypatch, chunk, grid, 
     (None, {"p": 1.0, "q": -1.0, "a": 1.0, "b": 1.0}, 1),
     # 23 points, a refused oracle at |p| = 60, chunks of 12 and 11
     ("p=-60:60:23", {"q": -0.0, "b": 1.0}, 3),
-    # 7 x 5 points, chunks of two rows; Y = 0 at p = b on a = q = 0
+    # 7 x 5 points, chunks of 12, 12 and 11 that end mid-row; Y = 0 at p = b on a = q = 0
     ("p=-3:3:7,b=-3:3:5", {"q": -0.0}, 1),
     ("a=-2:2:5,q=-2:2:7", {"p": -1.0, "b": 1.0}, 2),
-    # rows of 23 points, one chunk each, mixing ok lanes, lanes past the
+    # two rows of 23 points over chunks of 12 that split them, mixing ok lanes, lanes past the
     # oracle envelope and a refused original at p ~ 1e-15: its front power
     # overflows at b = 0 and the Bessel prefactor underflows at b = 1
     ("b=0:1:2,p=-60:60:23", {"q": -0.0}, 171),
@@ -498,6 +508,27 @@ def test_audit_matches_scalar_path_byte_for_byte(monkeypatch, kind, grid, base, 
                   *_base_args(base), "-m", str(m))
         assert res.exit_code == 0
         assert res.output == _audit_reference(grid, base, m, kind, as_json)
+
+
+@pytest.mark.parametrize("command", [["scan"], ["audit", "--csv"]])
+def test_memory_stays_flat_on_long_rows(monkeypatch, command):
+    # Two rows of 4 chunks each against 64 rows of 64 points, the same 4096
+    # points, after an untraced run that fills the caches: a chunk holds at
+    # most CHUNK_POINTS points however long its rows, and scan keeps no
+    # texts for a whole axis longer than that.
+    monkeypatch.setattr(cli, "CHUNK_POINTS", 512)
+    peaks = []
+    with open(os.devnull, "w") as sink, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", sink)
+        main.main([*command, "--grid", "p=0:1:3,b=-3:3:3", "-m", "1"], standalone_mode=False)
+        for grid in ("p=0:1:2,b=-3:3:2048", "p=0:1:64,b=-3:3:64"):
+            tracemalloc.start()
+            try:
+                main.main([*command, "--grid", grid, "-m", "1"], standalone_mode=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[0] <= 1.5 * peaks[1], peaks
 
 
 def test_reprs_keeps_signed_zeros_apart():
