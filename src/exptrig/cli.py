@@ -12,6 +12,7 @@ convergence refusal. Output is deterministic for fixed flags and seed.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -390,9 +391,7 @@ def cmd_scan(grid_spec: str, as_csv: bool,
         raise click.UsageError("scan needs exactly two grid variables")
     base = {"p": rp.p, "q": rp.q, "a": rp.a, "b": rp.b}
     # A row is the x text, the y text, then one of 32 flag suffixes, indexed
-    # by a code whose bits are the five flags in order. An axis of at most
-    # CHUNK_POINTS values has its texts made once; a longer one has them
-    # made for each chunk's points, so memory stays flat as the axis grows.
+    # by a code whose bits are the five flags in order.
     flags = ("case1", "case2", "case3", "overall", "flip_applies")
     flag_sets = list(itertools.product((False, True), repeat=len(flags)))
     if as_csv:
@@ -400,25 +399,45 @@ def cmd_scan(grid_spec: str, as_csv: bool,
         affixes = (("", ","), ("", ""))
         suffixes = ["".join(f",{bit:d}" for bit in bits) + "\n" for bits in flag_sets]
     else:
-        affixes = (('{"x":', ""), (',"y":', ""))
+        affixes = (('{"x":', ',"y":'), ("", ""))
         suffixes = ["," + _dump(dict(zip(flags, bits)))[1:] + "\n" for bits in flag_sets]
     suffixes = np.array(suffixes, dtype=object)
 
-    def texts(vals: np.ndarray, head: str, tail: str) -> np.ndarray:
-        return np.array([f"{head}{v!r}{tail}" for v in vals.tolist()], dtype=object)
+    def run_texts(axis: int, first: int, width: int) -> np.ndarray:
+        """head + repr(v) + tail of the width values of an axis from index
+        first on, wrapping past its end, as an object array. A run holds
+        each index once, so unlike _reprs it has no repeats to skip."""
+        (_, vals), (head, tail) = axes[axis], affixes[axis]
+        run = np.take(vals, first + np.arange(width), mode="wrap")
+        return np.array([f"{head}{v!r}{tail}" for v in run.tolist()], dtype=object)
 
-    made = [texts(vals, *affix) if len(vals) <= CHUNK_POINTS else None
-            for (_, vals), affix in zip(axes, affixes)]
+    @functools.cache
+    def whole(axis: int) -> np.ndarray:
+        return run_texts(axis, 0, len(axes[axis][1]))
+
+    def texts(axis: int, at: np.ndarray) -> np.ndarray:
+        """The text of each point of a chunk along an axis. The chunk's
+        indices along it are a run of consecutive ones that may wrap past
+        its end. A run over the whole axis, as the inner one is in chunks
+        of short rows, takes the texts made for it once; a shorter run's
+        texts are made for its chunk."""
+        n = len(axes[axis][1])
+        offset = at - at[0]
+        offset[offset < 0] += n
+        width = int(offset.max()) + 1
+        if width == n:
+            return whole(axis)[at]
+        return run_texts(axis, int(at[0]), width)[offset]
+
     for index, c in _grid_chunks(base, axes):
         batch = build_reports(c["p"], c["q"], c["a"], c["b"], m)
-        codes = np.zeros(len(c["p"]), dtype=np.intp)
+        codes = np.zeros(len(c["p"]), dtype=np.uint8)
         for name in flags:
             codes = 2 * codes + getattr(batch, name)
-        x, y = (texts(vals[at], *affix) if known is None else known[at]
-                for known, (_, vals), affix, at in zip(made, axes, affixes, index))
-        cells = np.stack([x, y, suffixes[codes]], axis=1)
+        cells = np.stack([texts(0, index[0]), texts(1, index[1]), suffixes[codes]], axis=1)
         # color=True: the rows hold no ANSI styles, so click need not scan them for any to strip.
         click.echo("".join(cells.ravel().tolist()), nl=False, color=True)
+        del cells  # the chunk's texts go before the next chunk is built
 
 
 def _sweep(rng: np.random.Generator, samples: int, rtol: float, domain: str) -> tuple[float, list[str]]:
