@@ -52,7 +52,7 @@ from .complexops import cpow_half, div_lanes, mul_lanes, pow_int_over_factorial,
 from .conditions import overall_sign_error
 from .errors import DomainError
 from .params import ComplexParams, EvalResult, Lanes, Method, RealParams, _once, component
-from .series import PREFIX_UNDERFLOW, SeriesLanes, SeriesResult, _bessel_prefix, hyp0f1, hyp0f1_lanes
+from .series import PREFIX_UNDERFLOW, SeriesResult, _bessel_prefix, hyp0f1, hyp0f1_lanes
 
 __all__ = [
     "eval_f_bessel",
@@ -211,7 +211,7 @@ def _f_term(params: RealParams | ComplexParams, reflected: bool = False) -> tupl
     return _once(params, ("term", reflected), compute)
 
 
-def _term_lanes(m, ur, ui, vr, vi) -> tuple[tuple[np.ndarray, np.ndarray], SeriesLanes]:
+def _term_lanes(m, ur, ui, vr, vi) -> tuple[tuple[np.ndarray, np.ndarray], Lanes]:
     """_f_term over float arrays of Re u, Im u, Re v and Im v, bit for bit
     on every lane: the real and imaginary parts of alpha^m/m!, and the
     hyp0f1_lanes series of 0F1(; m+1; w). m is one int or one per lane."""
@@ -239,10 +239,10 @@ def fill_terms(records: list[RealParams | ComplexParams]) -> None:
         return
     uv = np.array([_term_uv(params, reflected) for params, reflected in todo], dtype=float)
     power, ser = _term_lanes(np.array([params.m for params, _ in todo]), *uv.T)
-    columns = (*power, ser.re, ser.im, ser.terms_used, ser.ok, ser.truncation_estimate)
-    for (params, reflected), t_re, t_im, re, im, used, ok, omitted in zip(todo, *(x.tolist() for x in columns)):
+    columns = (*power, ser.value, ser.count, ser.ok, ser.bound)
+    for (params, reflected), t_re, t_im, value, used, ok, omitted in zip(todo, *(x.tolist() for x in columns)):
         if ok:
-            params._cache["term", reflected] = complex(t_re, t_im), SeriesResult(complex(re, im), used, omitted)
+            params._cache["term", reflected] = complex(t_re, t_im), SeriesResult(value, used, omitted)
 
 
 def _term(params: RealParams | ComplexParams, reflected: bool = False) -> tuple[complex, int, float]:
@@ -288,21 +288,21 @@ def eval_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
     scale, power, root = np.array(pre, dtype=complex).reshape(-1, 3).T
     (tr, ti), ser = _term_lanes(m, p, a, q, b)
     with np.errstate(all="ignore"):
-        f = mul_lanes(TWO_PI, 0.0, *mul_lanes(tr, ti, ser.re, ser.im))
+        f = mul_lanes(TWO_PI, 0.0, *mul_lanes(tr, ti, ser.value.real, ser.value.imag))
         zhr, zhi = div_lanes(root.real, root.imag, 2.0)
         pr, pi = pow_int_over_factorial_lanes(zhr, zhi, m)
         bes = mul_lanes(*mul_lanes(scale.real, 0.0, power.real, power.imag),
-                        *mul_lanes(pr, pi, ser.re, ser.im))
+                        *mul_lanes(pr, pi, ser.value.real, ser.value.imag))
         # _hyp's and _bessel's truncation_estimate
-        f_bound = TWO_PI * (np.hypot(tr, ti) * ser.truncation_estimate)
-        bes_bound = scale.real * np.hypot(power.real, power.imag) * (np.hypot(pr, pi) * ser.truncation_estimate)
+        f_bound = TWO_PI * (np.hypot(tr, ti) * ser.bound)
+        bes_bound = scale.real * np.hypot(power.real, power.imag) * (np.hypot(pr, pi) * ser.bound)
     # _bessel_prefix refuses a prefix that underflowed away from z = 0,
     # after the prefactors and before the series.
     underflow = (pr == 0.0) & (pi == 0.0) & ((zhr != 0.0) | (zhi != 0.0))
     for i in np.flatnonzero(ok & (underflow | ~ser.ok)).tolist():
         error[i] = PREFIX_UNDERFLOW.format(m=m) if underflow[i] else ser.error[i]
-    return (_finite_lanes(f, kind, ser.terms_used, ser.ok, list(ser.error), f_bound),
-            _finite_lanes(bes, kind, ser.terms_used, ok & ser.ok & ~underflow, error, bes_bound))
+    return (_finite_lanes(f, kind, ser.count, ser.ok, list(ser.error), f_bound),
+            _finite_lanes(bes, kind, ser.count, ok & ser.ok & ~underflow, error, bes_bound))
 
 
 def _finite_lanes(z: tuple, kind: str, count, ok: np.ndarray, error: list, bound) -> Lanes:

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .params import ComplexParams, Lanes, RealParams, component
+from .params import ComplexParams, Lanes, RealParams, _once, component
 
 __all__ = ["QuadratureResult", "fill_passes", "oracle_f", "oracle_lanes", "oracle_sin", "oracle_cos",
            "refuses_every_point"]
@@ -135,11 +135,13 @@ def _trapezoids(coeffs: np.ndarray, nodes: list[int]) -> list[tuple[tuple[comple
 
 
 def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np.ndarray,
-               rows: int) -> tuple[list, np.ndarray, np.ndarray]:
+               rows: int) -> Lanes:
     """The passes of many points, one lane each: complex arrays p, q, a, b
     and an integer array m, with the row (u, v, -ik) of g+ and, at rows = 2,
-    that of g- too. Per lane: its sums, error_estimate and N, or, where it
-    is refused (outside ENVELOPE, or N above N_MAX), its message, 0 and 0."""
+    that of g- too. A lane's value is its row of sums, the integrals of g+
+    (and g-), of shape (points, rows); its count is N and its bound
+    error_estimate. A lane refused (outside ENVELOPE, or N above N_MAX)
+    has sums 0, N 0 and its message as error."""
     signs = (1.0, -1.0)[:rows]
     with np.errstate(all="ignore"):
         # abs of a Python complex is hypot of its parts; np.abs may differ by an ulp.
@@ -162,18 +164,18 @@ def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np
     nodes = np.zeros(len(p), dtype=np.int64)
     nodes[sized] = [counts[key] for key in keys]
     ok = inside & (nodes <= N_MAX)
-    sums: list = [None] * len(p)
+    error: list = [None] * len(p)
     for i in np.flatnonzero(~ok).tolist():
-        sums[i] = (f"|p|+|q|+|a|+|b| = {budget[i]:.3g} exceeds the oracle envelope {ENVELOPE:g}"
+        error[i] = (f"|p|+|q|+|a|+|b| = {budget[i]:.3g} exceeds the oracle envelope {ENVELOPE:g}"
                    if not inside[i] else f"m = {m[i]} needs {_node_count(math.ceil(4 * radius[i]), int(m[i]))} "
                    f"trapezoid nodes, above N_MAX = {N_MAX}")
     nodes[~ok], error_estimate, lanes = 0, np.zeros(len(p)), np.flatnonzero(ok)
+    sums = np.zeros((len(p), rows), dtype=complex)
     if len(lanes):
         n, m, coeffs = nodes[lanes], m[lanes].astype(np.int64), coeffs[lanes]
         coeffs[..., 2].imag = -np.outer(m, signs)  # -+1j*m
         integrals, abs_sums = zip(*_trapezoids(coeffs, n.tolist()))
-        for i, point in zip(lanes.tolist(), integrals):
-            sums[i] = point
+        sums[lanes] = integrals
         # 2pi times the aliasing tails on both sides, each <= 2 e^R R^k / k!
         alias = [8 * math.pi * math.exp(r + k * math.log(r) - math.lgamma(k + 1)) if r else 0.0
                  for r, k in zip(radius[lanes].tolist(), (n - m).tolist())]
@@ -181,7 +183,7 @@ def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np
         # products with the coefficients (20 per unit of budget), and m x_j (19 m).
         growth = UNIT_ROUNDOFF * (16 + np.log2(n) + 20 * budget[lanes] + 19 * m)
         error_estimate[lanes] = np.array(alias) + growth * np.array(abs_sums)
-    return sums, error_estimate, nodes
+    return Lanes(sums, nodes, ok, error, error_estimate)
 
 
 def _two_rows(params: RealParams | ComplexParams) -> bool:
@@ -189,11 +191,15 @@ def _two_rows(params: RealParams | ComplexParams) -> bool:
     return not (isinstance(params, RealParams) or params.is_real)
 
 
-def _record_passes(records: list[RealParams | ComplexParams], rows: int) -> list:
-    """Each record's pass (sums, error_estimate, N), or the message of its refusal."""
+def _record_lanes(records: list[RealParams | ComplexParams], rows: int) -> Lanes:
+    """_integrate over the records, one lane each."""
     p, q, a, b = (np.array([getattr(params, x) for params in records], dtype=complex) for x in "pqab")
-    sums, error_estimate, nodes = _integrate(p, q, a, b, np.array([params.m for params in records]), rows)
-    return [(s, e, n) if n else s for s, e, n in zip(sums, error_estimate.tolist(), nodes.tolist())]
+    return _integrate(p, q, a, b, np.array([params.m for params in records]), rows)
+
+
+def _pass(lanes: Lanes, i: int) -> tuple[tuple[complex, ...], float, int]:
+    """Lane i's pass as a record stores it: its sums, error_estimate and N."""
+    return tuple(lanes.value[i].tolist()), lanes.bound[i].item(), lanes.count[i].item()
 
 
 def fill_passes(records: list[RealParams | ComplexParams]) -> None:
@@ -203,17 +209,21 @@ def fill_passes(records: list[RealParams | ComplexParams]) -> None:
     for rows in {1 + _two_rows(params) for params in records}:
         group = [params for params in records
                  if 1 + _two_rows(params) == rows and ("pass", rows) not in params._cache]
-        for params, stored in zip(group, _record_passes(group, rows)):
-            if not isinstance(stored, str):
-                params._cache["pass", rows] = stored
+        lanes = _record_lanes(group, rows)
+        for i in np.flatnonzero(lanes.ok).tolist():
+            group[i]._cache["pass", rows] = _pass(lanes, i)
 
 
 def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
     rows = 1 + (kind != "f" and _two_rows(params))
-    stored = params._cache.get(("pass", rows)) or _record_passes([params], rows)[0]
-    if isinstance(stored, str):
-        raise DomainError(stored)
-    sums, error_estimate, n = params._cache["pass", rows] = stored
+
+    def compute():
+        lanes = _record_lanes([params], rows)
+        if not lanes.ok[0]:
+            raise DomainError(lanes.error[0])
+        return _pass(lanes, 0)
+
+    sums, error_estimate, n = _once(params, ("pass", rows), compute)
     if len(sums) == 1:
         value = component(sums[0], kind)
     else:
@@ -240,7 +250,5 @@ def oracle_cos(params: RealParams | ComplexParams) -> QuadratureResult:
 def oracle_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: int, kind: str) -> Lanes:
     """The kind's oracle at RealParams(p, q, a, b, m) on every lane, bit for
     bit: its value, N and error_estimate, or its refusal's message."""
-    sums, error_estimate, nodes = _integrate(*(x.astype(complex) for x in (p, q, a, b)), np.full(len(p), m), 1)
-    f, error = np.zeros(len(p), dtype=complex), [None if n else s for s, n in zip(sums, nodes.tolist())]
-    f[nodes > 0] = [point[0] for point, n in zip(sums, nodes.tolist()) if n]
-    return Lanes(component(f, kind), nodes, nodes > 0, error, error_estimate)
+    lanes = _integrate(*(x.astype(complex) for x in (p, q, a, b)), np.full(len(p), m), 1)
+    return lanes._replace(value=component(lanes.value[:, 0], kind))

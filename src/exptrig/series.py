@@ -9,12 +9,12 @@ one series: the modified Bessel function is its prefix times 0F1,
     I_m(z) = (z/2)^m / m! * 0F1(; m+1; z^2/4)   (DLMF 10.25.2).
 
 ``hyp0f1_lanes`` evaluates many arguments at once, one lane per
-argument, each with its own b1, as SeriesLanes; formulas._term_lanes,
-the batch 0F1 term of every closed form's lanes, is its one caller. Each lane takes the scalar
-loop's operations in the same order, so it returns the scalar value, and
-the scalar truncation estimate |first omitted term|, bit for bit; a lane
-on which the scalar function would raise comes back not ok, with the
-message it raises.
+argument, each with its own b1, as params.Lanes; formulas._term_lanes,
+the batch 0F1 term of every closed form's lanes, is its one caller. Each
+lane takes the scalar loop's operations in the same order, so its value,
+count (terms_used) and bound (the truncation estimate |first omitted
+term|) are the scalar ones bit for bit; a lane on which the scalar
+function would raise comes back not ok, with the message it raises.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .complexops import div_lanes, mul_lanes, pow_int_over_factorial
 from .errors import ConvergenceError
+from .params import Lanes
 
-__all__ = ["SeriesResult", "SeriesLanes", "bessel_i", "hyp0f1", "hyp0f1_lanes"]
+__all__ = ["SeriesResult", "bessel_i", "hyp0f1", "hyp0f1_lanes"]
 
 # Stop once two consecutive terms are each below TERM_EPS times the
 # running partial sum; give up at MAX_TERMS.
@@ -57,21 +56,7 @@ def _refusal(w: complex, k: int, overflowed: bool) -> str:
     return f"hyp0f1: no convergence within {MAX_TERMS} terms ({size}); argument too large for the series policy"
 
 
-class SeriesLanes(NamedTuple):
-    """hyp0f1_lanes' lanes: each value as real and imaginary parts, with
-    the terms its series used and its truncation estimate. A lane that
-    is not ok holds no value, and its error is hyp0f1's message there
-    (None if ok)."""
-
-    re: np.ndarray
-    im: np.ndarray
-    terms_used: np.ndarray
-    ok: np.ndarray
-    error: list[str | None]
-    truncation_estimate: np.ndarray
-
-
-def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> SeriesLanes:
+def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> Lanes:
     """hyp0f1(b1, zr + i zi) on every lane; b1 is one positive int or one per lane.
 
     This is hyp0f1's loop, lane by lane. The loop runs over the lanes
@@ -84,7 +69,7 @@ def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> SeriesLanes:
     wr, wi, b1 = np.broadcast_arrays(np.asarray(zr, dtype=float), np.asarray(zi, dtype=float),
                                      np.asarray(b1, dtype=np.int64))
     n = wr.size
-    re, im = np.zeros(n), np.zeros(n)
+    value = np.zeros(n, dtype=complex)
     used, ok, omitted = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool), np.zeros(n)
     live, error = np.arange(n), [None] * n
     wr, wi, b1 = wr.ravel(), wi.ravel(), b1.ravel()
@@ -108,7 +93,7 @@ def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> SeriesLanes:
             stop = done | ~finite | (k >= MAX_TERMS)
             if stop.any():
                 lanes = live[done]
-                re[lanes], im[lanes], used[lanes], ok[lanes] = sr[done], si[done], k + 1, True
+                value.real[lanes], value.imag[lanes], used[lanes], ok[lanes] = sr[done], si[done], k + 1, True
                 omitted[lanes] = np.hypot(*div_lanes(*mul_lanes(tr[done], ti[done], wr[done], wi[done]),
                                                      ((k + 1) * (b1[done] + k)).astype(float)))
                 for j in np.flatnonzero(stop & ~done).tolist():
@@ -117,7 +102,7 @@ def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> SeriesLanes:
                 live = live[keep]
                 wr, wi, b1, sr, si, cr, ci, tr, ti, below = (
                     x[keep] for x in (wr, wi, b1, sr, si, cr, ci, tr, ti, below))
-    return SeriesLanes(re, im, used, ok, error, omitted)
+    return Lanes(value, used, ok, error, omitted)
 
 
 def hyp0f1(b1: int, z: complex) -> SeriesResult:

@@ -4,7 +4,30 @@ Hypothesis runs derandomized and without a per-example deadline, and keeps
 no example database, so every run of the suite draws the same examples.
 """
 
+import numpy as np
+import pytest
 from hypothesis import settings
+
+from exptrig.params import Lanes
 
 settings.register_profile("exptrig", derandomize=True, deadline=None, database=None)
 settings.load_profile("exptrig")
+
+
+def _check_lanes(lanes) -> None:
+    """What every route over arrays returns: one params.Lanes whose fields
+    each hold one entry per lane, where a lane is ok exactly when it has no
+    error, and an ok lane has a finite value and a count of at least 1."""
+    assert isinstance(lanes, Lanes)
+    assert len({len(field) for field in lanes}) == 1
+    for i, (ok, error) in enumerate(zip(lanes.ok.tolist(), lanes.error)):
+        assert ok == (error is None), i
+        if ok:
+            assert np.isfinite(lanes.value[i]).all() and lanes.count[i] >= 1, i
+
+
+@pytest.fixture(scope="session")
+def lane_contract():
+    """_check_lanes, for the tests of every lane route (session-scoped, so
+    hypothesis tests may take it)."""
+    return _check_lanes

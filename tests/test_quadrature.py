@@ -264,7 +264,7 @@ def test_complex_forms_match_oracle_in_complex_sweep_range(parts, m):
 
 @pytest.mark.parametrize("block_nodes", [quadrature.BLOCK_NODES, 100])
 @pytest.mark.parametrize("m", [0, 1, 3])
-def test_lane_oracle_matches_scalar_bit_for_bit(monkeypatch, block_nodes, m):
+def test_lane_oracle_matches_scalar_bit_for_bit(monkeypatch, lane_contract, block_nodes, m):
     monkeypatch.setattr(quadrature, "BLOCK_NODES", block_nodes)
     # Budgets from 0 to 61: N = 32, 64 and 128 (and 256), and lanes past
     # the envelope, interleaved; signed zeros in q.
@@ -272,6 +272,7 @@ def test_lane_oracle_matches_scalar_bit_for_bit(monkeypatch, block_nodes, m):
     p, q, a, b = -0.5 * s, np.where(s > 10, -0.0, 0.0), 0.5 * s, (s % 7) / 4
     for kind, orc in ORACLES.items():
         lanes = oracle_lanes(p, q, a, b, m, kind)
+        lane_contract(lanes)
         assert {32, 64, 128} <= set(lanes.count[lanes.ok].tolist())
         assert not lanes.ok.all()
         for i, pt in enumerate(zip(p.tolist(), q.tolist(), a.tolist(), b.tolist())):
@@ -333,7 +334,7 @@ def oracle_lane(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(oracle_lane(), min_size=1, max_size=10))
-def test_lanes_fills_and_scalar_calls_agree_bit_for_bit(points):
+def test_lanes_fills_and_scalar_calls_agree_bit_for_bit(lane_contract, points):
     # A fresh scalar call matches the plain-Python plan; a filled record
     # matches a fresh one; a lane of oracle_lanes matches the kind's oracle.
     filled = [dataclasses.replace(pt) for pt in points]
@@ -348,6 +349,7 @@ def test_lanes_fills_and_scalar_calls_agree_bit_for_bit(points):
         coeffs = [np.array([getattr(pt, x) for pt in group], dtype=float) for x in "pqab"]
         for kind, orc in ORACLES.items():
             lanes = oracle_lanes(*coeffs, m, kind)
+            lane_contract(lanes)
             for i, pt in enumerate(group):
                 want = _outcome(orc, RealParams(pt.p, pt.q, pt.a, pt.b, m))
                 if not lanes.ok[i]:
