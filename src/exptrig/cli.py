@@ -366,7 +366,8 @@ def cmd_audit(kind: str, grid_spec: str | None, tol: float, as_json: bool,
     base = {"p": rp.p, "q": rp.q, "a": rp.a, "b": rp.b}
     axes = _parse_grid(grid_spec) if grid_spec else []
     if refuses_every_point(m):
-        # The lanes would take m steps each to find that out.
+        # Every row would hold the oracle's refusal, so refuse once (exit 3).
+        # This also keeps m below int64, the type the lanes hold it in.
         _refuse(DomainError(f"m = {m} needs more than N_MAX = {N_MAX} trapezoid nodes at every point"))
     if not as_json:
         click.echo(CSV_HEADER)

@@ -16,7 +16,9 @@ CPython's complex type (its product, and its quotient by a complex
 whose imaginary part is zero), so each lane rounds exactly as the
 scalar code does, signed zeros included. The one integer power is
 z**m/m! (``pow_int_over_factorial``), whose lanes may each have their
-own m.
+own m. Its loop takes m steps until the product has underflowed to zero
+or gone nan, then skips the steps that can only repeat (``_settled``), so
+any m costs at most a few thousand steps.
 """
 
 from __future__ import annotations
@@ -63,6 +65,19 @@ def atan2_full(y: float, x: float) -> float:
     return principal_arg(complex(x, y))
 
 
+def _settled(re, im):
+    """Where the running product of pow_int_over_factorial is (+-0, +-0)
+    or nan in both parts, on floats or lane by lane on arrays.
+
+    From there on a step only permutes the signs of the zeros (or keeps
+    nan), by a rule on the signs of z's parts alone, so after at most 4
+    more steps the product repeats with a period that divides 12. Its
+    loops test for this after every 256 steps, then skip ahead by a
+    multiple of 12 that leaves at least 4 steps to take.
+    """
+    return (re == 0) & (im == 0) | (re != re) & (im != im)
+
+
 def pow_int_over_factorial(z: complex, m: int) -> complex:
     """z**m / m! as the incremental product (z/1)(z/2)...(z/m).
 
@@ -72,11 +87,13 @@ def pow_int_over_factorial(z: complex, m: int) -> complex:
     """
     if m < 0:
         raise DomainError("m must be non-negative")
-    if m == 0:
-        return complex(1.0, 0.0)
-    out = complex(1.0, 0.0)
-    for j in range(1, m + 1):
-        out = out * z / j
+    out, j = complex(1.0, 0.0), 0
+    while j < m:
+        # j ends each stretch at the last step taken.
+        for j in range(j + 1, min(j + 256, m) + 1):
+            out = out * z / j
+        if j < m and _settled(out.real, out.imag):
+            j += 12 * max(0, (m - j - 4) // 12)
     return out
 
 
@@ -99,14 +116,19 @@ def pow_int_over_factorial_lanes(zr, zi, m):
     """pow_int_over_factorial over arrays of real and imaginary parts,
     lane by lane the same loop and the same roundings; m is one int or
     one per lane. The loop runs over the lanes whose m it has not yet
-    reached, one stretch per distinct m."""
+    reached, one stretch per distinct m, and skips as the scalar loop does
+    once every lane still running is _settled."""
     out_r, out_i = np.ones_like(zr), np.zeros_like(zr)
     done = 0
     for stop in sorted(set(np.ravel(m).tolist())):
         live = np.flatnonzero(np.broadcast_to(m >= stop, np.shape(zr)))
         r, i, lr, li = out_r[live], out_i[live], zr[live], zi[live]
-        for j in range(done + 1, stop + 1):
-            r, i = div_lanes(*mul_lanes(r, i, lr, li), float(j))
+        j = done
+        while j < stop:
+            for j in range(j + 1, min(j + 256, stop) + 1):
+                r, i = div_lanes(*mul_lanes(r, i, lr, li), float(j))
+            if j < stop and _settled(r, i).all():
+                j += 12 * max(0, (stop - j - 4) // 12)
         out_r[live], out_i[live], done = r, i, stop
     return out_r, out_i
 

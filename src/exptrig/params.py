@@ -7,8 +7,9 @@ The whole library evaluates one family of integrals over [0, 2pi]:
 so every evaluator consumes the same five numbers: four coefficients
 (real or complex) and a non-negative integer harmonic index m.
 
-A route returns one kind, f = cos + i sin, sin or cos (``component``); a
-route over arrays returns ``Lanes``, on every lane what its scalar call returns.
+A route returns one kind, f = cos + i sin, sin or cos (``component``);
+every core over arrays (the series, the closed forms, the oracle) returns
+``Lanes``, on every lane what its scalar call returns.
 """
 
 from __future__ import annotations
@@ -153,9 +154,14 @@ class EvalResult:
 
 
 class Lanes(NamedTuple):
-    """A route over arrays, each lane what its scalar call returns: the kind's
-    value (complex), count (terms_used, or N) and bound (truncation_estimate, or
-    error_estimate). A lane not ok holds no value; error is the refusal message."""
+    """A core over arrays, each lane what its scalar call returns: its value
+    (complex), count (the terms the series used, or the oracle's N) and bound
+    (the series' truncation estimate, or the oracle's error_estimate). A lane
+    not ok holds no value; error is its refusal message, and None where ok.
+
+    The value is the series' for hyp0f1_lanes and the kind's for eval_lanes
+    and oracle_lanes; for quadrature._integrate it is each point's row of
+    sums, of shape (points, rows)."""
 
     value: np.ndarray
     count: np.ndarray

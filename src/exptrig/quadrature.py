@@ -20,10 +20,13 @@ A refusal (outside ENVELOPE, N above N_MAX) is stored nowhere and raised
 on every call.
 
 One function, _integrate, plans and takes the passes of many points:
-their rows (u, v, -ik), R, N, refusals and error_estimate. The scalar
-oracle (a batch of one), fill_passes (verify, catalog) and oracle_lanes
-(audit) only call it, and no point's sums depend on the rest of its
-batch, so the three agree bit for bit.
+their rows (u, v, -ik), R, N, refusals and error_estimate, returned as
+params.Lanes whose value is each point's row of sums. Its three callers
+read those lanes: the scalar oracle (a batch of one) stores its lane's
+pass through params._once, or raises its refusal; fill_passes (verify,
+catalog) stores the pass of each ok lane; oracle_lanes (audit) takes the
+kind of column 0. No point's sums depend on the rest of its batch, so
+the three agree bit for bit.
 
 This module deliberately never imports the closed-form evaluators: it has
 to be able to falsify them.

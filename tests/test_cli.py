@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -249,6 +250,20 @@ def test_audit_refuses_m_past_n_max_before_any_row(m, fmt):
     assert res.exit_code == 3, res.output
     assert res.stdout == ""
     assert f"m = {m}" in res.stderr and f"N_MAX = {N_MAX}" in res.stderr
+
+
+@pytest.mark.parametrize("args, code", [
+    ("eval --kind f --method improved -m 100000000000000000000", 0),
+    ("eval --kind cos --method original -p 1 -m 100000000000000000000", 3),
+])
+def test_closed_forms_answer_at_any_m_in_seconds(args, code):
+    # alpha^m/m! and the Bessel prefix (z/2)^m/m! stop stepping once their
+    # product has underflowed: at this m the plain loops would never end.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    res = subprocess.run([sys.executable, "-m", "exptrig", *args.split()], capture_output=True, text=True,
+                         env=env, timeout=30)
+    assert res.returncode == code, res.stderr
 
 
 # b*q overflows in build_reports' ratios -b*a/q and -b*q/a; the lanes

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exptrig import (
     DomainError,
@@ -141,3 +143,62 @@ def test_pow_int_over_factorial():
     # stays finite far beyond where the factorial alone would overflow
     big = pow_int_over_factorial(complex(2.0, 1.0), 400)
     assert cmath.isfinite(big)
+
+
+def _plain_power(z, m):
+    """pow_int_over_factorial's product as a plain loop of m steps."""
+    out = complex(1.0, 0.0)
+    for j in range(1, m + 1):
+        out = out * z / j
+    return out
+
+
+# Parts: signed zeros, subnormals, values whose powers settle to zero before,
+# across or after the loops' first stretch of 256 steps (near 5.6 they are
+# subnormal but not yet zero at its end), values whose powers overflow to
+# inf and then nan, and inf and nan themselves. m: around the stretches'
+# ends, up to 5001.
+POWER_PART = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.3, -0.3, 1.0, -2.5, 5.6, -5.7, 30.0,
+                                        -45.0, 700.0, -700.0, 1e5, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+                       st.floats(-800.0, 800.0), st.floats(allow_nan=False, allow_infinity=False))
+POWER_M = st.one_of(st.sampled_from([0, 1, 4, 255, 256, 257, 260, 261, 268, 272, 300, 511, 512, 513, 3001, 5001]),
+                    st.integers(0, 3001))
+
+
+def _parts(z):
+    return repr(z.real), repr(z.imag)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(POWER_PART, POWER_PART, POWER_M), min_size=1, max_size=6))
+@example([(0.3, -0.0, 5001), (-0.0, 0.0, 3001), (30.0, -45.0, 512), (700.0, 700.0, 300), (math.nan, 0.0, 600),
+          (1e5, -0.0, 1000), (math.inf, 1.0, 270), (5.6, -1.9, 300)])
+def test_power_loops_skip_nothing_they_would_change(lanes):
+    # Both loops skip steps once the product is settled; each is the plain
+    # m-step loop bit for bit, signed zeros and nan included, the lanes with
+    # one m per lane and with one m for all.
+    zs = [complex(re, im) for re, im, _ in lanes]
+    ms = [m for *_, m in lanes]
+    want = [_parts(_plain_power(z, m)) for z, m in zip(zs, ms)]
+    assert [_parts(pow_int_over_factorial(z, m)) for z, m in zip(zs, ms)] == want
+    zr, zi = np.array([z.real for z in zs]), np.array([z.imag for z in zs])
+    for m, expected in ((np.array(ms), want), (ms[0], [_parts(_plain_power(z, ms[0])) for z in zs])):
+        with np.errstate(all="ignore"):
+            out = pow_int_over_factorial_lanes(zr, zi, m)
+        assert [_parts(complex(*lane)) for lane in zip(*(x.tolist() for x in out))] == expected
+
+
+@pytest.mark.parametrize("z", [complex(0.3, -0.0), complex(-0.0, 2.0), complex(-30.0, -45.0), complex(700.0, 700.0)])
+def test_power_loops_take_any_m_in_few_steps(z):
+    # Once settled, the product repeats with a period dividing 12, so at an m
+    # of 10^20 (10^12 for the lanes) it is the plain loop's at a small m of
+    # the same residue mod 12.
+    for big in (10**20 + 5, 10**12 + 7):
+        assert _parts(pow_int_over_factorial(z, big)) == _parts(_plain_power(z, 3000 + (big - 3000) % 12))
+    zr, zi = np.array([z.real, 0.5]), np.array([z.imag, -0.0])
+    for m in (10**12 + 7, np.array([10**12 + 7, 10**12 + 4])):
+        with np.errstate(all="ignore"):
+            out = pow_int_over_factorial_lanes(zr, zi, m)
+        want = [_plain_power(complex(r, i), 3000 + (int(k) - 3000) % 12)
+                for r, i, k in zip(zr.tolist(), zi.tolist(), np.broadcast_to(m, 2).tolist())]
+        assert [_parts(complex(*lane)) for lane in zip(*(x.tolist() for x in out))] == list(map(_parts, want))
