@@ -170,8 +170,8 @@ def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np
     error: list = [None] * len(p)
     for i in np.flatnonzero(~ok).tolist():
         error[i] = (f"|p|+|q|+|a|+|b| = {budget[i]:.3g} exceeds the oracle envelope {ENVELOPE:g}"
-                   if not inside[i] else f"m = {m[i]} needs {_node_count(math.ceil(4 * radius[i]), int(m[i]))} "
-                   f"trapezoid nodes, above N_MAX = {N_MAX}")
+                    if not inside[i] else f"m = {m[i]} needs {_node_count(math.ceil(4 * radius[i]), int(m[i]))} "
+                    f"trapezoid nodes, above N_MAX = {N_MAX}")
     nodes[~ok], error_estimate, lanes = 0, np.zeros(len(p)), np.flatnonzero(ok)
     sums = np.zeros((len(p), rows), dtype=complex)
     if len(lanes):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+
 import numpy as np
 
 from .complexops import div_lanes, mul_lanes, pow_int_over_factorial

@@ -15,7 +15,7 @@ settings.load_profile("exptrig")
 
 
 def _check_lanes(lanes) -> None:
-    """What every route over arrays returns: one params.Lanes whose fields
+    """What every core over arrays returns: one params.Lanes whose fields
     each hold one entry per lane, where a lane is ok exactly when it has no
     error, and an ok lane has a finite value and a count of at least 1."""
     assert isinstance(lanes, Lanes)
