@@ -84,9 +84,16 @@ def pow_int_over_factorial(z: complex, m: int) -> complex:
     Repeated multiplication interleaved with exact real divisions, so m!
     is never formed and m beyond 170 does not overflow. m = 0
     returns 1 for every z, which is exactly the z**0 limit convention.
+    An m that float() cannot convert is refused, since its last steps
+    would divide by such a j.
     """
     if m < 0:
         raise DomainError("m must be non-negative")
+    try:
+        float(m)
+    except OverflowError:
+        # m is not printed: str() of a huge int may raise too.
+        raise DomainError("m is past the float range: the steps z/j cannot be divided in floats") from None
     out, j = complex(1.0, 0.0), 0
     while j < m:
         # j ends each stretch at the last step taken.

@@ -2,16 +2,23 @@
 
     int_0^{2pi} exp(p cos x + q sin x) {sin, cos}(a cos x + b sin x - m x) dx.
 
-Three routes are provided:
+Four families are provided, each as sin, cos and f. Each family is one
+private function of the record and the kind, and each public route is
+one call of it:
 
-* the original book forms through I_m and principal half-integer powers,
-  kept faithful to the letter, which means they reproduce the sign error
-  in the regions described by the conditions module;
-* the same forms with the parity correction applied where the error
-  conditions hold;
-* the 0F1 forms, which use only integer powers, carry no sign error,
-  need no (b-p)^2 + (a+q)^2 > 0 restriction, and extend to complex
-  coefficients.
+* original, _part(_bessel(params), kind): the book forms through I_m and
+  principal half-integer powers, faithful to the letter, so they keep
+  the sign error where the conditions module says. _bessel forms f and
+  stores it on the record; _part takes the kind and refuses it where it
+  is not finite, as every route refuses its own value;
+* corrected, _corrected(params, kind): the original kind times -1 where
+  m is odd and the overall error condition holds;
+* improved, _part(_hyp(params, method), kind): the 0F1 forms, with only
+  integer powers, no sign error and no (b-p)^2 + (a+q)^2 > 0
+  restriction. _hyp forms f and sets the route label;
+* complex, _complex(c, kind): the 0F1 forms at complex coefficients. It
+  decides once that a real-valued record is the improved route labelled
+  Hyp0F1Complex; otherwise it forms sin and cos from the reflection.
 
 Every 0F1 route is one term at (u, v) = (p + ia, q + ib). The exponent
 p cos x + q sin x + i(a cos x + b sin x) is alpha e^{ix} + beta e^{-ix},
@@ -37,8 +44,7 @@ _f_term forms a term at one point; _term_lanes, bit for bit the same on
 every lane, is the one code that forms alpha, w and alpha^m/m! over
 arrays. Its callers are fill_terms, which stores the terms of many
 records at once, and eval_lanes, whose Lanes are the scalar improved and
-original routes of one kind over real coefficients at one m. Every route
-refuses its own value where it is not finite.
+original routes of one kind over real coefficients at one m.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ def eval_f_bessel(params: RealParams) -> EvalResult:
     carries the branch-cut sign error wherever the error conditions hold
     and m is odd. Raises DomainError when (b-p)^2 + (a+q)^2 is 0 or underflows.
     """
-    return _finite(_bessel(params))
+    return _part(_bessel(params), "f")
 
 
 def _bessel(params: RealParams) -> EvalResult:
@@ -132,8 +138,11 @@ def _bessel_prefactors(p: float, q: float, a: float, b: float, m: int) -> tuple[
 
 
 def _part(f: EvalResult, kind: str) -> EvalResult:
-    # The kind's value of f, with f's route and bookkeeping, refused where not finite.
-    return _finite(EvalResult(component(f.value, kind), f.method, f.terms_used, f.truncation_estimate))
+    """The kind's value of f, with f's route and bookkeeping (for f, the
+    record f itself), refused where it is not finite."""
+    if kind != "f":
+        f = EvalResult(component(f.value, kind), f.method, f.terms_used, f.truncation_estimate)
+    return _finite(f)
 
 
 def eval_original_sin(params: RealParams) -> EvalResult:
@@ -146,29 +155,28 @@ def eval_original_cos(params: RealParams) -> EvalResult:
     return _part(_bessel(params), "cos")
 
 
-def _corrected(res: EvalResult, params: RealParams) -> EvalResult:
+def _corrected(params: RealParams, kind: str) -> EvalResult:
+    """The original route's kind (or its refusal) times -1 where m is odd
+    and the overall error condition holds. The product is taken by 1.0 as
+    well, which turns an imaginary part -0.0 into +0.0."""
+    res = _part(_bessel(params), kind)
     flip = -1.0 if (params.m % 2 == 1 and overall_sign_error(params.p, params.q, params.a, params.b)) else 1.0
-    return EvalResult(
-        value=flip * res.value,
-        method=Method.CorrectedBessel,
-        terms_used=res.terms_used,
-        truncation_estimate=res.truncation_estimate,
-    )
+    return EvalResult(flip * res.value, Method.CorrectedBessel, res.terms_used, res.truncation_estimate)
 
 
 def eval_corrected_original_sin(params: RealParams) -> EvalResult:
     """Book sin form times (-1)^m wherever the overall error condition holds."""
-    return _corrected(eval_original_sin(params), params)
+    return _corrected(params, "sin")
 
 
 def eval_corrected_original_cos(params: RealParams) -> EvalResult:
     """Book cos form times (-1)^m wherever the overall error condition holds."""
-    return _corrected(eval_original_cos(params), params)
+    return _corrected(params, "cos")
 
 
 def eval_corrected_original_f(params: RealParams) -> EvalResult:
     """Book f form times (-1)^m wherever the overall error condition holds."""
-    return _corrected(eval_f_bessel(params), params)
+    return _corrected(params, "f")
 
 
 def _alpha_w(ur, ui, vr, vi):
@@ -259,13 +267,14 @@ def eval_f_hyp(params: RealParams) -> EvalResult:
     no positivity restriction: this evaluates everywhere, with
     (A'+iB')^m read as 1 when A' = B' = m = 0.
     """
-    return _finite(_hyp(params))
+    return _part(_hyp(params, Method.Hyp0F1Real), "f")
 
 
-def _hyp(params: RealParams) -> EvalResult:
-    # eval_f_hyp's value, which may not be finite: sin and cos refuse their own part.
+def _hyp(params: RealParams | ComplexParams, method: Method) -> EvalResult:
+    # f = 2pi t at the point, labelled method, whose value may not be finite:
+    # each route refuses its own part.
     t, terms, trunc = _term(params)
-    return EvalResult(TWO_PI * t, Method.Hyp0F1Real, terms, TWO_PI * trunc)
+    return EvalResult(TWO_PI * t, method, terms, TWO_PI * trunc)
 
 
 def eval_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -319,54 +328,39 @@ def _finite_lanes(z: tuple, kind: str, count, ok: np.ndarray, error: list, bound
 
 def eval_improved_sin(params: RealParams) -> EvalResult:
     """Corrected sin form: Im(f) of the compact 0F1 form, exactly real by construction."""
-    return _part(_hyp(params), "sin")
+    return _part(_hyp(params, Method.Hyp0F1Real), "sin")
 
 
 def eval_improved_cos(params: RealParams) -> EvalResult:
     """Corrected cos form: Re(f) of the compact 0F1 form, exactly real by construction."""
-    return _part(_hyp(params), "cos")
+    return _part(_hyp(params, Method.Hyp0F1Real), "cos")
 
 
-def _as_complex_route(res: EvalResult) -> EvalResult:
-    return EvalResult(res.value, Method.Hyp0F1Complex, res.terms_used, res.truncation_estimate)
-
-
-def _reflected_terms(c: ComplexParams) -> tuple[complex, complex, int, float]:
-    """f/2pi at (p, q, a, b) and at its reflection (p, -q, -a, b), the
-    terms both series used, and pi times their summed truncation estimates."""
-    t, n1, e1 = _term(c)
-    r, n2, e2 = _term(c, reflected=True)
-    return t, r, n1 + n2, math.pi * (e1 + e2)
+def _complex(c: ComplexParams, kind: str) -> EvalResult:
+    """The complex route of the kind: on real coefficients the improved
+    route at to_real(), bit for bit. Otherwise, with t = f/2pi at the point
+    and t_r at its reflection, cos = pi (t + t_r) and sin = i pi (t_r - t),
+    with the terms of both series and pi times their truncation estimates."""
+    if c.is_real:
+        return _part(_hyp(c.to_real(), Method.Hyp0F1Complex), kind)
+    if kind == "f":
+        return _part(_hyp(c, Method.Hyp0F1Complex), kind)
+    t, terms, trunc = _term(c)
+    r, terms_r, trunc_r = _term(c, reflected=True)
+    value = math.pi * (t + r) if kind == "cos" else 1j * math.pi * (r - t)
+    return _finite(EvalResult(value, Method.Hyp0F1Complex, terms + terms_r, math.pi * (trunc + trunc_r)))
 
 
 def eval_complex_f(cparams: ComplexParams) -> EvalResult:
-    """f = cos + i sin for complex coefficients: 2pi alpha^m/m! 0F1(; m+1; alpha beta).
-
-    On real coefficients this is eval_f_hyp, labelled as the complex route.
-    """
-    if cparams.is_real:
-        return _as_complex_route(eval_f_hyp(cparams.to_real()))
-    t, terms, trunc = _term(cparams)
-    return _finite(EvalResult(TWO_PI * t, Method.Hyp0F1Complex, terms, TWO_PI * trunc))
+    """f = cos + i sin for complex coefficients: 2pi alpha^m/m! 0F1(; m+1; alpha beta)."""
+    return _complex(cparams, "f")
 
 
 def eval_complex_sin(cparams: ComplexParams) -> EvalResult:
-    """Sin integral for complex coefficients, (f - f_reflected)/2i:
-    i pi (t(p, -q, -a, b) - t(p, q, a, b)) with t = f/2pi.
-
-    On real coefficients this is eval_improved_sin, bit for bit, labelled
-    as the complex route.
-    """
-    if cparams.is_real:
-        return _as_complex_route(eval_improved_sin(cparams.to_real()))
-    t, r, terms, trunc = _reflected_terms(cparams)
-    return _finite(EvalResult(1j * math.pi * (r - t), Method.Hyp0F1Complex, terms, trunc))
+    """Sin integral for complex coefficients, (f - f_reflected)/2i."""
+    return _complex(cparams, "sin")
 
 
 def eval_complex_cos(cparams: ComplexParams) -> EvalResult:
-    """Cos integral for complex coefficients, (f + f_reflected)/2:
-    pi (t(p, q, a, b) + t(p, -q, -a, b)) with t = f/2pi."""
-    if cparams.is_real:
-        return _as_complex_route(eval_improved_cos(cparams.to_real()))
-    t, r, terms, trunc = _reflected_terms(cparams)
-    return _finite(EvalResult(math.pi * (t + r), Method.Hyp0F1Complex, terms, trunc))
+    """Cos integral for complex coefficients, (f + f_reflected)/2."""
+    return _complex(cparams, "cos")

@@ -112,35 +112,42 @@ def hyp0f1(b1: int, z: complex) -> SeriesResult:
     Series sum_k z^k / (k! (b1)_k) with (b1)_k the Pochhammer symbol,
     b1 a positive integer, Kahan-summed with term ratio z/((k+1)(b1+k)).
     The truncation estimate is |first omitted term|. Raises
-    ConvergenceError if MAX_TERMS is hit, or if a term or a partial sum
-    goes non-finite or has a modulus above the float range.
+    ConvergenceError if MAX_TERMS is hit, if a term or a partial sum
+    goes non-finite or has a modulus above the float range, or if a
+    divisor (k+1)(b1+k) cannot be converted to a float.
     """
     if not isinstance(b1, int) or isinstance(b1, bool) or b1 < 1:
         raise ValueError(f"b1 must be a positive integer, got {b1!r}")
     w, s, comp, term = complex(z), complex(1.0, 0.0), complex(0.0, 0.0), complex(1.0, 0.0)
     below = k = 0
-    while True:
-        term = term * w / ((k + 1) * (b1 + k))
-        k += 1
-        try:
-            mag, smag = abs(term), abs(s)
-        except OverflowError:  # finite parts whose modulus exceeds the float range
-            mag = smag = math.inf
-        if not (mag <= _FMAX and smag <= _FMAX):  # False for inf and nan alike
-            raise ConvergenceError(_refusal(w, k, True))
-        if mag == 0.0 or mag < TERM_EPS * smag:
-            below += 1
-        else:
-            below = 0
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        if below >= 2:
-            omitted = abs(term * w / ((k + 1) * (b1 + k)))
-            return SeriesResult(value=s, terms_used=k + 1, truncation_estimate=omitted)
-        if k >= MAX_TERMS:
-            raise ConvergenceError(_refusal(w, k, False))
+    try:
+        while True:
+            term = term * w / ((k + 1) * (b1 + k))
+            k += 1
+            try:
+                mag, smag = abs(term), abs(s)
+            except OverflowError:  # finite parts whose modulus exceeds the float range
+                mag = smag = math.inf
+            if not (mag <= _FMAX and smag <= _FMAX):  # False for inf and nan alike
+                raise ConvergenceError(_refusal(w, k, True))
+            if mag == 0.0 or mag < TERM_EPS * smag:
+                below += 1
+            else:
+                below = 0
+            y = term - comp
+            t = s + y
+            comp = (t - s) - y
+            s = t
+            if below >= 2:
+                omitted = abs(term * w / ((k + 1) * (b1 + k)))
+                return SeriesResult(value=s, terms_used=k + 1, truncation_estimate=omitted)
+            if k >= MAX_TERMS:
+                raise ConvergenceError(_refusal(w, k, False))
+    except OverflowError:
+        # An int divisor (k+1)(b1+k) past the float range, from a b1 near or
+        # past it. b1 is not printed: str() of a huge int may raise too.
+        raise ConvergenceError(f"hyp0f1: b1 is too large: the divisor (k+1)(b1+k) at k={k} "
+                               "is past the float range") from None
 
 
 def _bessel_prefix(m: int, zh: complex) -> complex:

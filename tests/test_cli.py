@@ -255,6 +255,9 @@ def test_audit_refuses_m_past_n_max_before_any_row(m, fmt):
 @pytest.mark.parametrize("args, code", [
     ("eval --kind f --method improved -m 100000000000000000000", 0),
     ("eval --kind cos --method original -p 1 -m 100000000000000000000", 3),
+    # past the float range, alpha^m/m! cannot divide by its last steps j
+    pytest.param(f"eval --kind f --method improved -m {10**400}", 3, id="improved-m-10**400"),
+    pytest.param(f"eval --kind f --method complex -m {10**400}", 3, id="complex-m-10**400"),
 ])
 def test_closed_forms_answer_at_any_m_in_seconds(args, code):
     # alpha^m/m! and the Bessel prefix (z/2)^m/m! stop stepping once their
@@ -264,6 +267,9 @@ def test_closed_forms_answer_at_any_m_in_seconds(args, code):
     res = subprocess.run([sys.executable, "-m", "exptrig", *args.split()], capture_output=True, text=True,
                          env=env, timeout=30)
     assert res.returncode == code, res.stderr
+    if code == 3:
+        # a typed refusal: one error line, no traceback
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
 
 
 # b*q overflows in build_reports' ratios -b*a/q and -b*q/a; the lanes

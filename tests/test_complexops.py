@@ -195,6 +195,9 @@ def test_power_loops_take_any_m_in_few_steps(z):
     # the same residue mod 12.
     for big in (10**20 + 5, 10**12 + 7):
         assert _parts(pow_int_over_factorial(z, big)) == _parts(_plain_power(z, 3000 + (big - 3000) % 12))
+    # past the float range its last steps cannot divide by j: refused, not OverflowError
+    with pytest.raises(DomainError, match="float range"):
+        pow_int_over_factorial(z, 10**400)
     zr, zi = np.array([z.real, 0.5]), np.array([z.imag, -0.0])
     for m in (10**12 + 7, np.array([10**12 + 7, 10**12 + 4])):
         with np.errstate(all="ignore"):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath
@@ -30,6 +31,7 @@ from exptrig import (
     oracle_cos,
     oracle_f,
     oracle_sin,
+    overall_sign_error,
 )
 from exptrig.formulas import _alpha_w, _book_constants, _term, eval_lanes
 
@@ -248,16 +250,58 @@ def test_complex_reduces_to_improved_bit_for_bit():
         assert eval_complex_cos(cp).value == eval_improved_cos(rp).value
 
 
+# A coefficient: signed zeros, ints, moderate floats and sizes where the
+# closed forms overflow, as a plain number or a complex whose imaginary
+# part is +0.0 or -0.0.
+COEFFICIENT = st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 1e154, -1.25e154, 6.5e153, 1e-154]),
+                                  st.integers(-6, 6), st.floats(-5.0, 5.0, allow_nan=False)),
+                        st.sampled_from([None, 0.0, -0.0]))
+FAMILIES = {"f": (eval_complex_f, eval_f_hyp, eval_corrected_original_f, eval_f_bessel),
+            "sin": (eval_complex_sin, eval_improved_sin, eval_corrected_original_sin, eval_original_sin),
+            "cos": (eval_complex_cos, eval_improved_cos, eval_corrected_original_cos, eval_original_cos)}
+
+
+def _outcome(compute):
+    """repr of the value, terms_used, repr of the truncation estimate and
+    the method of compute()'s result, or the type and message of its refusal."""
+    try:
+        res = compute()
+    except (DomainError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return repr(res.value), res.terms_used, repr(res.truncation_estimate), res.method
+
+
 @settings(max_examples=200)
-@given(st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=4, max_size=4), st.integers(0, 8))
-@example([C_PRIME_ROUNDING_POINT.p, C_PRIME_ROUNDING_POINT.q,
-          C_PRIME_ROUNDING_POINT.a, C_PRIME_ROUNDING_POINT.b], 0)
+@given(st.lists(COEFFICIENT, min_size=4, max_size=4), st.integers(0, 8))
+@example([(C_PRIME_ROUNDING_POINT.p, None), (C_PRIME_ROUNDING_POINT.q, None),
+          (C_PRIME_ROUNDING_POINT.a, None), (C_PRIME_ROUNDING_POINT.b, None)], 0)
+# the flip applies, with signed zeros in the parts
+@example([(-2, -0.0), (-0.0, 0.0), (-0.0, None), (1.0, -0.0)], 1)
+# Y = 0, where the original refuses
+@example([(1, -0.0), (-0.5, None), (0.5, 0.0), (1.0, None)], 1)
+# f overflows in both forms; |C + iD| overflows in the original
+@example([(1e154, None), (0.0, None), (0.0, None), (1e154, -0.0)], 2)
+@example([(-1.25e154, 0.0), (0.0, None), (6.5e153, None), (0, None)], 0)
 def test_complex_reduces_to_improved_bit_for_bit_property(coeffs, m):
-    rp = RealParams(*coeffs, m)
-    cp = rp.to_complex()
-    assert eval_complex_sin(cp).value == eval_improved_sin(rp).value
-    assert eval_complex_cos(cp).value == eval_improved_cos(rp).value
-    assert eval_complex_f(cp).value == eval_f_hyp(rp).value
+    # Each side on its own fresh record, so that none reads what another stored.
+    args = [re if im is None else complex(re, im) for re, im in coeffs]
+
+    def real():
+        return ComplexParams(*args, m).to_real()
+
+    rp = real()
+    flip = -1.0 if (m % 2 == 1 and overall_sign_error(rp.p, rp.q, rp.a, rp.b)) else 1.0
+
+    def flipped(original):
+        res = original(real())
+        return dataclasses.replace(res, value=flip * res.value, method=Method.CorrectedBessel)
+
+    for kind, (complex_route, improved, corrected, original) in FAMILIES.items():
+        # the complex route at a real-valued record is the improved route at to_real()
+        want = _outcome(lambda: dataclasses.replace(improved(real()), method=Method.Hyp0F1Complex))
+        assert _outcome(lambda: complex_route(ComplexParams(*args, m))) == want, kind
+        # each corrected route is the original times -1 where m is odd and the overall condition holds
+        assert _outcome(lambda: corrected(real())) == _outcome(lambda: flipped(original)), kind
 
 
 def test_complex_golden_value():

@@ -122,6 +122,11 @@ def test_non_convergence_raises():
         hyp0f1(1, complex(1e7, 0))
     with pytest.raises(ConvergenceError):
         bessel_i(2, complex(0, 9e4))
+    # a divisor (k+1)(b1+k) past the float range: at k = 0 for b1 = 10^400,
+    # at k = 1 for b1 = 10^308 + 1
+    for b1 in (10**400, 10**308 + 1):
+        with pytest.raises(ConvergenceError, match="float range"):
+            hyp0f1(b1, 1.0)
 
 
 # Real and imaginary parts: signed zeros, small integers, moderate floats,
