@@ -31,7 +31,6 @@ from .catalog import (
     gr_3_937_4_original,
 )
 from .complexops import (
-    atan2_full,
     cpow_half,
     pow_int_over_factorial,
     power_combination_flips,
@@ -65,7 +64,6 @@ from .formulas import (
 from .params import (
     ComplexParams,
     EvalResult,
-    IntermediateFactors,
     Method,
     RealParams,
 )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable
 
-from .complexops import atan2_full, pow_int_over_factorial
+from .complexops import pow_int_over_factorial, principal_arg
 from .conditions import sign_verdict
 from .errors import DomainError
 from .formulas import eval_complex_cos, eval_complex_sin, fill_terms
@@ -123,7 +123,7 @@ def gr_3_937_3_corrected(p: float, q: float, m: int) -> complex:
         return complex(0.0, 0.0)
     if p == 0 and q == 0:
         return complex(0.0, 0.0)
-    return complex(TWO_PI * _radial_power(p, q, m) * math.sin(m * atan2_full(q, p)), 0.0)
+    return complex(TWO_PI * _radial_power(p, q, m) * math.sin(m * principal_arg(complex(p, q))), 0.0)
 
 
 def gr_3_937_4_corrected(p: float, q: float, m: int) -> complex:
@@ -132,7 +132,7 @@ def gr_3_937_4_corrected(p: float, q: float, m: int) -> complex:
         return complex(TWO_PI, 0.0)
     if p == 0 and q == 0:
         return complex(0.0, 0.0)
-    return complex(TWO_PI * _radial_power(p, q, m) * math.cos(m * atan2_full(q, p)), 0.0)
+    return complex(TWO_PI * _radial_power(p, q, m) * math.cos(m * principal_arg(complex(p, q))), 0.0)
 
 
 def gr_3_937_3_complex(p: complex, q: complex, m: int) -> complex:

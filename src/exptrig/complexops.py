@@ -32,7 +32,6 @@ from .errors import DomainError
 
 __all__ = [
     "principal_arg",
-    "atan2_full",
     "pow_int_over_factorial",
     "mul_lanes",
     "div_lanes",
@@ -55,14 +54,6 @@ def principal_arg(z: complex) -> float:
     if re == 0.0 and im == 0.0:
         raise DomainError("argument of 0 is undefined")
     return math.atan2(im, re)
-
-
-def atan2_full(y: float, x: float) -> float:
-    """Four-quadrant inverse tangent; identical to principal_arg(x + iy).
-
-    Raises DomainError at the origin.
-    """
-    return principal_arg(complex(x, y))
 
 
 def _settled(re, im):
@@ -144,15 +135,20 @@ def cpow_half(z: complex, m: int) -> complex:
     """Principal value of z**(m/2): |z|**(m/2) * exp(i*(m/2)*arg z).
 
     m = 0 returns 1 for any z (including 0, by the z**0 limit convention);
-    z = 0 with m > 0 returns 0.
+    z = 0 with m > 0 returns 0. An m that float() cannot convert is
+    refused, as pow_int_over_factorial refuses it.
     """
     if m < 0:
         raise DomainError("negative half-integer exponents are not supported")
     if m == 0:
         return complex(1.0, 0.0)
+    try:
+        half = 0.5 * m
+    except OverflowError:
+        # m is not printed: str() of a huge int may raise too.
+        raise DomainError("m is past the float range: z**(m/2) cannot be formed in floats") from None
     if z == 0:
         return complex(0.0, 0.0)
-    half = 0.5 * m
     return abs(z) ** half * cmath.exp(1j * half * principal_arg(z))
 
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .complexops import cpow_half, div_lanes, mul_lanes, pow_int_over_factorial,
 from .conditions import overall_sign_error
 from .errors import DomainError
 from .params import ComplexParams, EvalResult, Lanes, Method, RealParams, _once, component
-from .series import PREFIX_UNDERFLOW, SeriesResult, _bessel_prefix, hyp0f1, hyp0f1_lanes
+from .series import PREFIX_UNDERFLOW, SeriesResult, _bessel_prefix, _divisors_fit, hyp0f1, hyp0f1_lanes
 
 __all__ = [
     "eval_f_bessel",
@@ -133,8 +134,10 @@ def _bessel_prefactors(p: float, q: float, a: float, b: float, m: int) -> tuple[
         return (TWO_PI * ynorm2 ** (-0.5 * m), cpow_half(complex(A, -B), m),
                 cpow_half(complex(C, D), 1))
     except OverflowError:
+        # An m past the float range is not printed: str() of a huge int may raise too.
+        at = "an m past the float range" if m > sys.float_info.max else f"m = {m}"
         raise DomainError(f"original formula inapplicable: [(b-p)^2 + (a+q)^2]^(-m/2) or "
-                          f"(A-iB)^(m/2) overflows at m = {m}") from None
+                          f"(A-iB)^(m/2) overflows at {at}") from None
 
 
 def _part(f: EvalResult, kind: str) -> EvalResult:
@@ -234,12 +237,16 @@ def fill_terms(records: list[RealParams | ComplexParams]) -> None:
 
     A real-valued ComplexParams is filled through to_real(), which its
     routes read. A lane whose series the scalar path would refuse stays
-    unfilled, so its route raises as before.
+    unfilled, so its route raises as before; so does a record whose m
+    is too large for the lanes' int64 divisors (series._divisors_fit),
+    so that its route computes it.
     """
     todo = []
     for params in records:
         if isinstance(params, ComplexParams) and params.is_real:
             params = params.to_real()
+        if not _divisors_fit(params.m + 1):
+            continue
         for reflected in (False, True)[:1 + isinstance(params, ComplexParams)]:
             if ("term", reflected) not in params._cache:
                 todo.append((params, reflected))

@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "RealParams",
     "ComplexParams",
-    "IntermediateFactors",
     "Method",
     "EvalResult",
     "Lanes",
@@ -108,23 +107,6 @@ class ComplexParams:
             raise ValueError("parameters have nonzero imaginary parts")
         return _once(self, "real", lambda: RealParams(self.p.real, self.q.real, self.a.real,
                                                       self.b.real, self.m))
-
-
-@dataclass(frozen=True)
-class IntermediateFactors:
-    """The two complex factors the contour derivation runs through.
-
-    X = [(p+b) + i(a-q)]/2,  Y = [(p-b) + i(a+q)]/2.
-    For real parameters |Y|^2 = [(b-p)^2 + (a+q)^2]/4.
-    """
-
-    X: complex
-    Y: complex
-
-    @classmethod
-    def from_params(cls, params: "RealParams | ComplexParams") -> "IntermediateFactors":
-        p, q, a, b = params.p, params.q, params.a, params.b
-        return cls(X=((p + b) + 1j * (a - q)) / 2.0, Y=((p - b) + 1j * (a + q)) / 2.0)
 
 
 class Method(str, Enum):

@@ -35,6 +35,7 @@ to be able to falsify them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -169,9 +170,14 @@ def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np
     ok = inside & (nodes <= N_MAX)
     error: list = [None] * len(p)
     for i in np.flatnonzero(~ok).tolist():
-        error[i] = (f"|p|+|q|+|a|+|b| = {budget[i]:.3g} exceeds the oracle envelope {ENVELOPE:g}"
-                    if not inside[i] else f"m = {m[i]} needs {_node_count(math.ceil(4 * radius[i]), int(m[i]))} "
-                    f"trapezoid nodes, above N_MAX = {N_MAX}")
+        if not inside[i]:
+            error[i] = f"|p|+|q|+|a|+|b| = {budget[i]:.3g} exceeds the oracle envelope {ENVELOPE:g}"
+        elif m[i] > sys.float_info.max:
+            # Neither m nor N is printed: str() of a huge int may raise.
+            error[i] = f"an m past the float range needs more than N_MAX = {N_MAX} trapezoid nodes"
+        else:
+            error[i] = (f"m = {m[i]} needs {_node_count(math.ceil(4 * radius[i]), int(m[i]))} "
+                        f"trapezoid nodes, above N_MAX = {N_MAX}")
     nodes[~ok], error_estimate, lanes = 0, np.zeros(len(p)), np.flatnonzero(ok)
     sums = np.zeros((len(p), rows), dtype=complex)
     if len(lanes):

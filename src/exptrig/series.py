@@ -57,8 +57,16 @@ def _refusal(w: complex, k: int, overflowed: bool) -> str:
     return f"hyp0f1: no convergence within {MAX_TERMS} terms ({size}); argument too large for the series policy"
 
 
+def _divisors_fit(b1):
+    """Whether every divisor (k+1)(b1+k), k <= MAX_TERMS, fits an int64
+    (largest value 2**63 - 1), as hyp0f1_lanes forms them: where they do,
+    its lane is hyp0f1 bit for bit. On an int, or lane by lane on an array."""
+    return b1 <= (2**63 - 1) // (MAX_TERMS + 1) - MAX_TERMS
+
+
 def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> Lanes:
-    """hyp0f1(b1, zr + i zi) on every lane; b1 is one positive int or one per lane.
+    """hyp0f1(b1, zr + i zi) on every lane; b1 is one positive int or one per
+    lane, each one whose divisors fit an int64 (_divisors_fit).
 
     This is hyp0f1's loop, lane by lane. The loop runs over the lanes
     still summing and drops a lane once its scalar loop would return (ok)
@@ -67,6 +75,9 @@ def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> Lanes:
     """
     if np.any(np.asarray(b1) < 1):
         raise ValueError(f"b1 must be positive integers, got {b1!r}")
+    if not np.all(_divisors_fit(np.asarray(b1))):
+        # b1 is not printed: str() of a huge int may raise.
+        raise ValueError("b1 is too large for the lanes: a divisor (k+1)(b1+k) would wrap in int64")
     wr, wi, b1 = np.broadcast_arrays(np.asarray(zr, dtype=float), np.asarray(zi, dtype=float),
                                      np.asarray(b1, dtype=np.int64))
     n = wr.size

@@ -16,7 +16,6 @@ from click.testing import CliRunner
 
 from exptrig import (
     ComplexParams,
-    IntermediateFactors,
     RealParams,
     bessel_i,
     case1_predicate,
@@ -125,15 +124,16 @@ def test_criterion_4_predicate_mechanism_equivalence():
     rng = np.random.default_rng(1)
     for _ in range(10000):
         p, q, a, b = (float(v) for v in rng.uniform(-5, 5, 4))
-        fac = IntermediateFactors.from_params(RealParams(p, q, a, b, 1))
-        if fac.X == 0 or fac.Y == 0:
+        # the contour factors X and Y, formed independently of the core
+        X, Y = complex(p + b, a - q) / 2, complex(p - b, a + q) / 2
+        if X == 0 or Y == 0:
             continue
         c1 = case1_predicate(p, q, a, b)
         c2 = case2_predicate(p, q, a, b)
         c3 = case3_predicate(p, q, a, b)
-        assert c1 == power_combination_flips(fac.X, fac.Y.conjugate())
-        assert c2 == power_combination_flips(fac.X, fac.Y)
-        assert c3 == power_combination_flips(fac.Y, fac.Y.conjugate())
+        assert c1 == power_combination_flips(X, Y.conjugate())
+        assert c2 == power_combination_flips(X, Y)
+        assert c3 == power_combination_flips(Y, Y.conjugate())
         assert c1 + c2 + c3 in (0, 1, 3)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0

@@ -116,6 +116,16 @@ def test_gr_3_937_corrected_spot_values():
     assert cmath.isclose(got, -2 * math.pi, rel_tol=1e-10)
 
 
+def test_gr_3_937_corrected_keeps_principal_args_minus_zero_rule():
+    # On the negative real axis arg(p + iq) is +pi for q = -0.0 too, as
+    # principal_arg takes it; math.atan2(-0.0, p) would give -pi and turn
+    # the sign of the sin form's rounding residue at odd m.
+    for form in (cat.gr_3_937_3_corrected, cat.gr_3_937_4_corrected):
+        for p in (-2.0, -1.0, -0.5):
+            for m in range(1, 5):
+                assert repr(form(p, -0.0, m)) == repr(form(p, 0.0, m)), (form.__name__, p, m)
+
+
 def test_gr_3_937_complex_three_forms_agree():
     rng = np.random.default_rng(97)
     for _ in range(100):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from exptrig import (
     DomainError,
-    atan2_full,
     cpow_half,
     pow_int_over_factorial,
     power_combination_flips,
@@ -28,6 +27,7 @@ def test_principal_arg_quadrants():
     assert principal_arg(1j) == math.pi / 2
     assert principal_arg(complex(1.0, -1.0)) == -math.pi / 4
     assert principal_arg(complex(2.0, 0.0)) == 0.0
+    assert principal_arg(complex(-1.0, -1.0)) == -3 * math.pi / 4
 
 
 def test_principal_arg_zero_rejected():
@@ -47,21 +47,6 @@ def test_principal_arg_conjugation_sweep():
             assert principal_arg(z.conjugate()) == -principal_arg(z)
 
 
-def test_atan2_full_examples():
-    assert atan2_full(0.0, -3.0) == math.pi
-    assert atan2_full(2.0, 0.0) == math.pi / 2
-    assert atan2_full(-1.0, -1.0) == -3 * math.pi / 4
-    with pytest.raises(DomainError):
-        atan2_full(0.0, 0.0)
-
-
-def test_atan2_full_matches_principal_arg_exactly():
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        x, y = rng.uniform(-5, 5, 2)
-        assert atan2_full(y, x) == principal_arg(complex(x, y))
-
-
 def test_atan2_half_angle_identity():
     # atan2(y,x) = pi/2 - atan(x/y) for y > 0, = -pi/2 - atan(x/y) for y < 0
     rng = np.random.default_rng(13)
@@ -70,7 +55,7 @@ def test_atan2_half_angle_identity():
         if y == 0:
             continue
         expected = math.copysign(math.pi / 2, y) - math.atan(x / y)
-        assert math.isclose(atan2_full(y, x), expected, rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(principal_arg(complex(x, y)), expected, rel_tol=0, abs_tol=1e-12)
 
 
 def test_cpow_half_examples():
@@ -198,6 +183,8 @@ def test_power_loops_take_any_m_in_few_steps(z):
     # past the float range its last steps cannot divide by j: refused, not OverflowError
     with pytest.raises(DomainError, match="float range"):
         pow_int_over_factorial(z, 10**400)
+    with pytest.raises(DomainError, match="float range"):
+        cpow_half(z, 10**400)
     zr, zi = np.array([z.real, 0.5]), np.array([z.imag, -0.0])
     for m in (10**12 + 7, np.array([10**12 + 7, 10**12 + 4])):
         with np.errstate(all="ignore"):

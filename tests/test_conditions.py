@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from exptrig import (
     DomainError,
-    IntermediateFactors,
     RealParams,
     SignErrorReport,
     build_report,
@@ -99,15 +98,16 @@ def test_predicates_match_flip_mechanism_and_parity():
     rng = np.random.default_rng(59)
     for _ in range(5000):
         p, q, a, b = (float(v) for v in rng.uniform(-5, 5, 4))
-        fac = IntermediateFactors.from_params(RealParams(p, q, a, b, 1))
-        if fac.X == 0 or fac.Y == 0:
+        # the contour factors X and Y, formed independently of the core
+        X, Y = complex(p + b, a - q) / 2, complex(p - b, a + q) / 2
+        if X == 0 or Y == 0:
             continue
         c1 = case1_predicate(p, q, a, b)
         c2 = case2_predicate(p, q, a, b)
         c3 = case3_predicate(p, q, a, b)
-        assert c1 == power_combination_flips(fac.X, fac.Y.conjugate())
-        assert c2 == power_combination_flips(fac.X, fac.Y)
-        assert c3 == power_combination_flips(fac.Y, fac.Y.conjugate())
+        assert c1 == power_combination_flips(X, Y.conjugate())
+        assert c2 == power_combination_flips(X, Y)
+        assert c3 == power_combination_flips(Y, Y.conjugate())
         count = c1 + c2 + c3
         assert count in (0, 1, 3)
         assert overall_sign_error(p, q, a, b) == (count % 2 == 1)

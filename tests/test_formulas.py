@@ -12,7 +12,6 @@ from exptrig import (
     ComplexParams,
     ConvergenceError,
     DomainError,
-    IntermediateFactors,
     Method,
     RealParams,
     build_report,
@@ -64,11 +63,12 @@ def test_constants_and_factors():
     ar, ai, wr, wi = _alpha_w(rp.p, rp.a, rp.q, rp.b)
     assert ar == (1 + 3) / 2 and ai == (0.5 + 2) / 2
     assert wr == C / 4 and wi == D / 4
-    fac = IntermediateFactors.from_params(rp)
-    assert fac.X == complex(ar, ai)
-    assert cmath.isclose(fac.X * fac.Y, complex(wr, wi), rel_tol=1e-15)
+    # the contour factors X and Y, formed independently of the core
+    X, Y = complex(rp.p + rp.b, rp.a - rp.q) / 2, complex(rp.p - rp.b, rp.a + rp.q) / 2
+    assert X == complex(ar, ai)
+    assert cmath.isclose(X * Y, complex(wr, wi), rel_tol=1e-15)
     ynorm2 = (rp.b - rp.p) ** 2 + (rp.a + rp.q) ** 2
-    assert math.isclose(abs(fac.Y) ** 2, ynorm2 / 4, rel_tol=1e-15)
+    assert math.isclose(abs(Y) ** 2, ynorm2 / 4, rel_tol=1e-15)
 
 
 @settings(max_examples=200)
@@ -80,12 +80,12 @@ def test_core_on_real_params_and_their_reflection(coeffs, m):
     p, q, a, b = coeffs
     ar, ai, wr, wi = _alpha_w(p, a, q, b)
     rp = RealParams(p, q, a, b, m)
-    fac = IntermediateFactors.from_params(rp)
+    X, Y = complex(p + b, a - q) / 2, complex(p - b, a + q) / 2
     _, _, C, D = _book_constants(p, q, a, b)
-    assert complex(ar, ai) == fac.X
+    assert complex(ar, ai) == X
     assert (wr, wi) == (C / 4, D / 4)
     scale = p * p + q * q + a * a + b * b
-    assert cmath.isclose(complex(wr, wi), fac.X * fac.Y, rel_tol=1e-15, abs_tol=1e-15 * scale)
+    assert cmath.isclose(complex(wr, wi), X * Y, rel_tol=1e-15, abs_tol=1e-15 * scale)
     assert _alpha_w(p, -a, -q, b) == (ar, -ai, wr, -wi)
     t, terms, trunc = _term(rp)
     assert _term(rp, reflected=True) == (t.conjugate(), terms, trunc)
@@ -117,6 +117,21 @@ def test_f_bessel_domain_error_at_y_zero():
         eval_f_bessel(RealParams(1, 0, 0, 1, 2))
     with pytest.raises(DomainError):
         eval_f_bessel(RealParams(2.5, -1.5, 1.5, 2.5, 1))
+
+
+@pytest.mark.parametrize("m", [10**400, 10**5000], ids=["10**400", "10**5000"])
+def test_every_route_refuses_an_m_past_the_float_range(m):
+    # No refusal prints such an m: 10**5000 has more digits than str() of
+    # an int makes.
+    real, cplx = RealParams(1.0, 0.0, 0.0, 0.0, m), ComplexParams(1j, 0j, 0j, 0j, m)
+    routes = [(fn, real) for fn in (eval_original_sin, eval_original_cos, eval_f_bessel,
+                                    eval_corrected_original_sin, eval_corrected_original_cos,
+                                    eval_corrected_original_f, eval_improved_sin, eval_improved_cos,
+                                    eval_f_hyp)]
+    routes += [(fn, cplx) for fn in (eval_complex_f, eval_complex_sin, eval_complex_cos)]
+    for fn, params in routes:
+        with pytest.raises(DomainError, match="past the float range"):
+            fn(params)
 
 
 def test_f_bessel_agrees_where_no_condition_fires():

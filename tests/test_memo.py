@@ -230,6 +230,13 @@ WIDE_COMPLEX_POINT = st.one_of(
           RealParams(1.25e154, 0.0, 6.5e153, 0.0, 0)])
 # int coefficients whose squares cancel to w = 0 exactly, but not in floats
 @example([RealParams(1, -2**50, 2**50, 1, 0), ComplexParams(1, -2**50, 2**50, 1, 0)])
+# m past what the lanes take: m + 1 wraps in int64 or does not fit one, or
+# a divisor (k+1)(m+1+k) of the series would wrap (terms_used 19 against
+# 15); m with more digits than str() makes; these stay unfilled
+@example([RealParams(1.0, 0.0, 0.0, 0.0, 2**63 - 1), RealParams(1.0, 0.0, 0.0, 0.0, 2**64),
+          ComplexParams(1j, 0j, 0j, 0j, 2**64),
+          RealParams(5337575606571968.0, 0.0, 0.0, -5337575606571840.0, 1547132282574819840),
+          RealParams(1.0, 0.0, 0.0, 0.0, 10**5000)])
 def test_filled_records_match_fresh(points):
     fill_terms(points)
     fill_passes(points)

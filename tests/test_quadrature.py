@@ -186,8 +186,13 @@ def test_large_m_nonzero_coefficients_match_mpmath(coeffs):
 
 
 def test_node_count_past_n_max_is_refused():
-    with pytest.raises(DomainError):
-        oracle_f(RealParams(0.0, 0.0, 0.0, 0.0, N_MAX))
+    # 10**5000 has more digits than str() of an int makes by default
+    for m in (N_MAX, 10**5000):
+        point = RealParams(0.0, 0.0, 0.0, 0.0, m)
+        fill_passes([point])
+        assert point._cache == {}
+        with pytest.raises(DomainError):
+            oracle_f(point)
 
 
 # Properties. Coefficients are drawn from [-1, 1] and scaled to a total

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from exptrig import ConvergenceError, bessel_i, hyp0f1
-from exptrig.series import hyp0f1_lanes
+from exptrig.series import MAX_TERMS, hyp0f1_lanes
 
 
 def brute_bessel(m, z, terms=40):
@@ -170,3 +170,18 @@ def test_lane_series_match_scalar_bit_for_bit(lane_contract, zs, b1s):
     for i, (re, im) in enumerate(zs):
         assert _lane(series, i) == _scalar_lane(hyp0f1, b1s[i], complex(re, im))
 
+
+
+def test_lanes_refuse_a_b1_whose_divisors_would_wrap():
+    # The lanes form the divisors (k+1)(b1+k) in int64. At the largest b1
+    # where all of them up to k = MAX_TERMS fit, a lane summing 459 terms
+    # is the scalar series; one more and the call is refused, where the
+    # lanes once returned values that the scalar series does not.
+    top = (2**63 - 1) // (MAX_TERMS + 1) - MAX_TERMS
+    w = complex(-4e18, 2e18)
+    lanes = hyp0f1_lanes(top, np.array([w.real]), np.array([w.imag]))
+    assert _lane(lanes, 0) == _scalar_lane(hyp0f1, top, w)
+    assert lanes.count[0] == 459
+    for b1 in (top + 1, np.array([1, top + 1]), 2**63 - 1, 2**64, 10**5000):
+        with pytest.raises(ValueError, match="wrap in int64"):
+            hyp0f1_lanes(b1, np.ones(2), np.zeros(2))
