@@ -136,7 +136,8 @@ def cpow_half(z: complex, m: int) -> complex:
 
     m = 0 returns 1 for any z (including 0, by the z**0 limit convention);
     z = 0 with m > 0 returns 0. An m that float() cannot convert is
-    refused, as pow_int_over_factorial refuses it.
+    refused, as pow_int_over_factorial refuses it, and so is a z whose |z|
+    or |z|**(m/2) is past the float range.
     """
     if m < 0:
         raise DomainError("negative half-integer exponents are not supported")
@@ -149,7 +150,10 @@ def cpow_half(z: complex, m: int) -> complex:
         raise DomainError("m is past the float range: z**(m/2) cannot be formed in floats") from None
     if z == 0:
         return complex(0.0, 0.0)
-    return abs(z) ** half * cmath.exp(1j * half * principal_arg(z))
+    try:
+        return abs(z) ** half * cmath.exp(1j * half * principal_arg(z))
+    except OverflowError:
+        raise DomainError("|z| or |z|**(m/2) is past the float range") from None
 
 
 def power_combination_flips(z: complex, w: complex) -> bool:

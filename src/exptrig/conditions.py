@@ -4,12 +4,16 @@ Three independent branch-cut flips can occur when the original formulas
 recombine principal half-integer powers; each has an exact condition on
 (p, q, a, b). For odd m an odd number of simultaneous flips negates the
 whole result, and the combined region reduces to two clauses built from
-one ratio constant K. Equality comparisons are exact float comparisons:
-the conditions are exact-arithmetic statements, and callers sitting
-within rounding distance of a boundary (p = -bK etc.) should expect
-either answer. build_reports evaluates the same predicates over arrays,
-and sign_verdict checks a predicted flip against a reference value,
-one number or one array lane at a time.
+one ratio constant K. Case 1 is about X conj(Y) and case 2 about X Y, for
+X = [(p+b) + i(a-q)]/2 and Y = [(p-b) + i(a+q)]/2; the swap
+(q, a) -> (-a, -q) keeps X and conjugates Y, so case 2 is case 1 at
+(p, -a, -q, b), while case 3, K and the overall flip do not change.
+Equality comparisons are exact float comparisons: the conditions are
+exact-arithmetic statements, and callers sitting within rounding
+distance of a boundary (p = -bK etc.) should expect either answer.
+build_reports evaluates the same predicates over arrays, and
+sign_verdict checks a predicted flip against a reference value, one
+number or one array lane at a time.
 """
 
 from __future__ import annotations
@@ -54,13 +58,9 @@ class SignErrorReport:
     y_is_zero: bool
 
 
-def _x_is_zero(p: float, q: float, a: float, b: float) -> bool:
-    return a == q and p == -b
-
-
 def case1_predicate(p: float, q: float, a: float, b: float) -> bool:
     """Flip in combining X^(m/2) * conj(Y)^(m/2) into (X conj(Y))^(m/2), m odd."""
-    if _x_is_zero(p, q, a, b):
+    if a == q and p == -b:
         # X = 0: both sides are 0, no sign error possible.
         return False
     if ((abs(q) > abs(a)) or (q == -abs(a) and q != 0)) and p < -b * a / q:
@@ -73,16 +73,13 @@ def case1_predicate(p: float, q: float, a: float, b: float) -> bool:
 
 
 def case2_predicate(p: float, q: float, a: float, b: float) -> bool:
-    """Flip in combining X^(1/2) * Y^(1/2) into sqrt(X Y)."""
-    if _x_is_zero(p, q, a, b):
-        return False
-    if ((abs(a) > abs(q)) or (a == abs(q) and a != 0)) and p < -b * q / a:
-        return True
-    if a < -abs(q) and p == -b * q / a:
-        return True
-    if a == 0 and q == 0 and p < -abs(b):
-        return True
-    return False
+    """Flip in combining X^(1/2) * Y^(1/2) into sqrt(X Y).
+
+    (q, a) -> (-a, -q) keeps X and turns Y into conj(Y), so this is case 1
+    at (p, -a, -q, b). Its ratio there, -b * (-q) / (-a), differs from
+    -b * q / a only by negations, which are exact, so it rounds the same.
+    """
+    return case1_predicate(p, -a, -q, b)
 
 
 def case3_predicate(p: float, q: float, a: float, b: float) -> bool:
@@ -154,18 +151,20 @@ def build_reports(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
     abs_a, abs_q = np.abs(a), np.abs(q)
     both_zero = (a == 0) & (q == 0)
     x_is_zero = (a == q) & (p == -b)
-    y_is_zero = (a == -q) & (p == b)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r1 = -b * a / q
-        r2 = -b * q / a
-        k = np.where(both_zero, -1.0, np.where((abs_a >= abs_q) & (a != 0), q / a, a / q))
     low = both_zero & (p < -np.abs(b))
-    case1 = ~x_is_zero & (
-        (((abs_q > abs_a) | ((q == -abs_a) & (q != 0))) & (p < r1))
-        | ((q > abs_a) & (p == r1)) | low)
-    case2 = ~x_is_zero & (
-        (((abs_a > abs_q) | ((a == abs_q) & (a != 0))) & (p < r2))
-        | ((a < -abs_q) & (p == r2)) | low)
+    y_is_zero = (a == -q) & (p == b)
+
+    def case1_lanes(q, a, abs_q, abs_a):
+        # case1_predicate; x_is_zero and low are the same at (p, -a, -q, b)
+        r = -b * a / q
+        return ~x_is_zero & (
+            (((abs_q > abs_a) | ((q == -abs_a) & (q != 0))) & (p < r))
+            | ((q > abs_a) & (p == r)) | low)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = np.where(both_zero, -1.0, np.where((abs_a >= abs_q) & (a != 0), q / a, a / q))
+        # case 2 is case 1 at (p, -a, -q, b), as in case2_predicate
+        case1, case2 = case1_lanes(q, a, abs_q, abs_a), case1_lanes(-a, -q, abs_a, abs_q)
     thr = -b * k
     overall = (p < thr) | ((p == thr) & ((a < -abs_q) | (q > abs_a)))
     return SignErrorReport(

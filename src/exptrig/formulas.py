@@ -127,17 +127,17 @@ def _bessel_prefactors(p: float, q: float, a: float, b: float, m: int) -> tuple[
     power overflows."""
     try:
         ynorm2 = (b - p) ** 2 + (a + q) ** 2
-        if ynorm2 == 0.0:
-            why = "= 0 (Y = 0)" if b == p and a == -q else "underflows to 0, though Y != 0"
-            raise DomainError(f"original formula inapplicable: (b-p)^2 + (a+q)^2 {why}")
-        A, B, C, D = _book_constants(p, q, a, b)
-        return (TWO_PI * ynorm2 ** (-0.5 * m), cpow_half(complex(A, -B), m),
-                cpow_half(complex(C, D), 1))
-    except OverflowError:
+        if ynorm2 != 0.0:
+            A, B, C, D = _book_constants(p, q, a, b)
+            return (TWO_PI * ynorm2 ** (-0.5 * m), cpow_half(complex(A, -B), m),
+                    cpow_half(complex(C, D), 1))
+    except (OverflowError, DomainError):  # cpow_half refuses its overflows with DomainError
         # An m past the float range is not printed: str() of a huge int may raise too.
         at = "an m past the float range" if m > sys.float_info.max else f"m = {m}"
         raise DomainError(f"original formula inapplicable: [(b-p)^2 + (a+q)^2]^(-m/2) or "
                           f"(A-iB)^(m/2) overflows at {at}") from None
+    why = "= 0 (Y = 0)" if b == p and a == -q else "underflows to 0, though Y != 0"
+    raise DomainError(f"original formula inapplicable: (b-p)^2 + (a+q)^2 {why}")
 
 
 def _part(f: EvalResult, kind: str) -> EvalResult:

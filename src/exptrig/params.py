@@ -65,10 +65,13 @@ class RealParams:
 
     def __post_init__(self) -> None:
         _require_int_m(self.m)
-        for name in ("p", "q", "a", "b"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"parameter {name} must be finite, got {v!r}")
+        try:
+            for name in ("p", "q", "a", "b"):
+                v = getattr(self, name)
+                if not math.isfinite(v):
+                    raise ValueError(f"parameter {name} must be finite, got {v!r}")
+        except OverflowError:  # an int past the float range, whose repr() may raise too
+            raise ValueError(f"parameter {name} must be finite, got an int past the float range") from None
 
     def to_complex(self) -> "ComplexParams":
         """The same point with complex coefficients. When all four are
@@ -93,10 +96,13 @@ class ComplexParams:
 
     def __post_init__(self) -> None:
         _require_int_m(self.m)
-        for name in ("p", "q", "a", "b"):
-            v = getattr(self, name)
-            if not cmath.isfinite(v):
-                raise ValueError(f"parameter {name} must be finite, got {v!r}")
+        try:
+            for name in ("p", "q", "a", "b"):
+                v = getattr(self, name)
+                if not cmath.isfinite(v):
+                    raise ValueError(f"parameter {name} must be finite, got {v!r}")
+        except OverflowError:  # an int past the float range, whose repr() may raise too
+            raise ValueError(f"parameter {name} must be finite, got an int past the float range") from None
 
     @property
     def is_real(self) -> bool:

@@ -64,6 +64,10 @@ def test_cpow_half_examples():
     assert cmath.isclose(cpow_half(complex(-4, 0), 3), -8j, abs_tol=1e-13)
     assert cpow_half(0j, 0) == 1
     assert cpow_half(0j, 5) == 0
+    # |z|**(m/2), or |z| itself, past the float range is refused, not an OverflowError
+    for z, m in ((complex(1e200, 0), 4), (complex(1.5e308, 1.5e308), 1)):
+        with pytest.raises(DomainError):
+            cpow_half(z, m)
 
 
 def test_power_combination_flips_counterexample():

@@ -129,14 +129,20 @@ SMALL = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0]))
 def test_build_reports_matches_build_report(points, m):
     p, q, a, b = (np.array(col) for col in zip(*points))
     batch = build_reports(p, q, a, b, m)
-    for i, pt in enumerate(points):
-        ref = build_report(RealParams(*pt, m))
+    # (q, a) -> (-a, -q) keeps X and conjugates Y: case 1 and case 2 trade
+    # places, and every other field stays, in the scalar code and the lanes.
+    swapped = build_reports(p, -a, -q, b, m)
+    trade = {"case1": "case2", "case2": "case1"}
+    for i, (pp, qq, aa, bb) in enumerate(points):
+        ref = build_report(RealParams(pp, qq, aa, bb, m))
+        mirror = build_report(RealParams(pp, -aa, -qq, bb, m))
         for f in fields(SignErrorReport):
-            got, want = getattr(batch, f.name)[i], getattr(ref, f.name)
-            if f.name == "k_constant":
-                assert repr(float(got)) == repr(want), (pt, f.name)
-            else:
-                assert bool(got) is want, (pt, f.name)
+            want, other = getattr(ref, f.name), trade.get(f.name, f.name)
+            for got in (getattr(batch, f.name)[i], getattr(swapped, other)[i], getattr(mirror, other)):
+                if f.name == "k_constant":
+                    assert repr(float(got)) == repr(want), (points[i], f.name)
+                else:
+                    assert bool(got) is want, (points[i], f.name)
 
 
 def test_sign_verdict():

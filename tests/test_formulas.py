@@ -51,6 +51,11 @@ def test_params_validation():
         ComplexParams(complex("inf"), 0, 0, 0, 0)
     with pytest.raises(ValueError):
         ComplexParams(0, 0, 0, 0, 1.5)
+    # an int coefficient past the float range, too long for repr at 10**5000
+    for record in (RealParams, ComplexParams):
+        for big in (10**400, -(10**400), 10**5000):
+            with pytest.raises(ValueError, match="past the float range"):
+                record(0, 0, big, 0, 1)
 
 
 def test_constants_and_factors():
