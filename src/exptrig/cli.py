@@ -19,7 +19,7 @@ import math
 import re
 import sys
 from dataclasses import fields
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import click
 import numpy as np
@@ -236,45 +236,21 @@ def _grid_chunks(base: dict[str, float], axes: list[tuple[str, np.ndarray]]
         yield index, coeffs
 
 
-CSV_HEADER = ("p,q,a,b,m,case1,case2,case3,k_constant,overall,flip_applies,"
-              "y_is_zero,boundary,original_re,original_im,improved_re,improved_im,"
-              "oracle_re,oracle_im,abs_discrepancy,verdict,detail")
-JSON_KEYS = ("params", "report", "boundary", "original", "improved", "oracle", "abs_discrepancy",
-             "verdict", "detail")
 UNOBSERVABLE = "component is zero; predicted flip unobservable"
 UNCLASSIFIED = "unclassified discrepancy; neither match within tolerance"
 
 
-class AuditChunk(NamedTuple):
-    """One chunk of audited points as columns, one entry per point.
-
-    coeffs holds the p, q, a, b arrays and report the build_reports
-    arrays. values has three rows, the kind's original, improved and
-    oracle values, and computed says where each was computed: not the
-    original at Y = 0, and no value from a refusing route on. ok marks
-    the points with a verdict and an abs_discrepancy; verdict and detail
-    are None where absent, and a point without a verdict has its refusal
-    in detail.
-    """
-
-    coeffs: dict[str, np.ndarray]
-    report: SignErrorReport
-    boundary: np.ndarray
-    values: np.ndarray
-    computed: np.ndarray
-    abs_discrepancy: np.ndarray
-    verdict: list
-    detail: list
-    ok: np.ndarray
-
-
-def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> AuditChunk:
-    """The columns of one chunk of coefficient arrays. The predicates,
-    every route and the verdict rule run over all its lanes at once. The
-    routes are read in the scalar order, improved, oracle, then original
-    (inapplicable at Y = 0, where no verdict needs it): a lane has the
-    values of the routes before its first refusal, whose message is its
-    detail."""
+def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> dict:
+    """One chunk's audit records as one dict of columns in output order, an
+    entry per point (m is one int for all), whose keys are the JSON keys.
+    params and report are groups of columns. original, improved, oracle and
+    abs_discrepancy are (values, shown) pairs, shown False where absent: not
+    the original at Y = 0, and no value from a refusing route on. verdict
+    and detail are None where absent; a point without a verdict has its
+    refusal in detail. Every route runs over all lanes at once, read in the
+    scalar order, improved, oracle, then original (inapplicable at Y = 0,
+    where no verdict needs it): a lane has the values of the routes before
+    its first refusal."""
     p, q, a, b = (c[v] for v in "pqab")
     report = build_reports(p, q, a, b, m)
     y_is_zero = report.y_is_zero
@@ -283,12 +259,11 @@ def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> Aud
     (improved, original), oracle = eval_lanes(p, q, a, b, m, kind), oracle_lanes(p, q, a, b, m, kind)
     reached = improved.ok & oracle.ok
     ok = reached & (original.ok | y_is_zero)
-    computed = np.array([reached & original.ok & ~y_is_zero, improved.ok, reached])
-    values = np.where(computed, [lanes.value for lanes in (original, improved, oracle)], 0.0)
+    computed = [reached & original.ok & ~y_is_zero, improved.ok, reached]
+    orig, imp, orc = np.where(computed, [lanes.value for lanes in (original, improved, oracle)], 0.0)
     detail = np.full(len(p), None, dtype=object)
     for i in np.flatnonzero(~ok).tolist():
         detail[i] = f"error: {improved.error[i] or oracle.error[i] or original.error[i]}"
-    orig, imp, orc = values
     with np.errstate(over="ignore", invalid="ignore"):
         tol_abs = np.maximum(tol * np.maximum(np.hypot(orig.real, orig.imag), np.hypot(orc.real, orc.imag)),
                              1e-11)
@@ -298,8 +273,15 @@ def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> Aud
     applicable = ok & ~y_is_zero
     detail[applicable & unclassified] = UNCLASSIFIED
     detail[applicable & unobservable & report.flip_applies] = UNOBSERVABLE
-    verdict = np.where(ok, np.where(y_is_zero, "OriginalInapplicable", verdict), None)
-    return AuditChunk(c, report, boundary, values, computed, discrepancy, verdict.tolist(), detail.tolist(), ok)
+    return {
+        "params": {**c, "m": m},
+        "report": {f.name: getattr(report, f.name) for f in fields(SignErrorReport)},
+        "boundary": boundary,
+        "original": (orig, computed[0]), "improved": (imp, computed[1]), "oracle": (orc, computed[2]),
+        "abs_discrepancy": (discrepancy, ok),
+        "verdict": np.where(ok, np.where(y_is_zero, "OriginalInapplicable", verdict), None),
+        "detail": detail,
+    }
 
 
 def _reprs(x: np.ndarray, shown: np.ndarray | None = None) -> list[str]:
@@ -313,40 +295,55 @@ def _reprs(x: np.ndarray, shown: np.ndarray | None = None) -> list[str]:
     return texts.tolist()
 
 
-def _flag_cells(*flags: np.ndarray) -> list[str]:
-    """Each lane's flags as comma-separated 0 and 1 cells."""
-    code = np.zeros(len(flags[0]), dtype=np.intp)
-    for flag in flags:
-        code = 2 * code + flag
-    cells = [",".join(f"{bit:d}" for bit in bits) for bits in itertools.product((0, 1), repeat=len(flags))]
-    return [cells[k] for k in code.tolist()]
+def _csv_columns(record: dict) -> Iterator[tuple[str, Iterable[str]]]:
+    """The CSV columns of an audit record as (header, cells): a group gives
+    its columns in turn, a complex column name_re and name_im, a flag 0 or
+    1, a float its repr (see _reprs), a text "" for None and ";" for ","."""
+    for name, col in record.items():
+        values, shown = col if isinstance(col, tuple) else (col, None)
+        if isinstance(values, dict):
+            yield from _csv_columns(values)
+        elif isinstance(values, int):
+            yield name, itertools.repeat(str(values))
+        elif values.dtype == bool:
+            yield name, np.where(values, "1", "0").tolist()
+        elif values.dtype == object:
+            yield name, ["" if v is None else v.replace(",", ";") for v in values.tolist()]
+        elif values.dtype.kind == "c":
+            yield f"{name}_re", _reprs(values.real, shown)
+            yield f"{name}_im", _reprs(values.imag, shown)
+        else:
+            yield name, _reprs(values, shown)
 
 
-def _csv_rows(ch: AuditChunk, m: int) -> str:
-    r = ch.report
-    parts = [_reprs(part, shown) for z, shown in zip(ch.values, ch.computed) for part in (z.real, z.imag)]
-    columns = zip(*(_reprs(ch.coeffs[v]) for v in "pqab"), _flag_cells(r.case1, r.case2, r.case3),
-                  _reprs(r.k_constant), _flag_cells(r.overall, r.flip_applies, r.y_is_zero, ch.boundary),
-                  *parts, _reprs(ch.abs_discrepancy, ch.ok),
-                  ["" if v is None else v for v in ch.verdict],
-                  ["" if d is None else d.replace(",", ";") for d in ch.detail])
-    return "\n".join([f"{p},{q},{a},{b},{m},{cases},{k},{flags},{o_re},{o_im},{i_re},{i_im},"
-                      f"{r_re},{r_im},{d},{verdict},{detail}"
-                      for p, q, a, b, cases, k, flags, o_re, o_im, i_re, i_im, r_re, r_im, d, verdict, detail
-                      in columns])
+def _json_records(record: dict) -> Iterator[dict]:
+    """Each point's dict of an audit record, or of one of its groups, made
+    as it is read: a complex value is {"re", "im"}, and a value not shown
+    is None."""
+    cells = []
+    for col in record.values():
+        if isinstance(col, dict):
+            cells.append(_json_records(col))
+        elif isinstance(col, int):
+            cells.append(itertools.repeat(col))
+        elif isinstance(col, tuple):
+            values, shown = col
+            convert = _cjson if values.dtype.kind == "c" else float
+            cells.append([convert(v) if s else None for v, s in zip(values.tolist(), shown.tolist())])
+        else:
+            cells.append(col.tolist())
+    return (dict(zip(record, row)) for row in zip(*cells))
 
 
-def _json_rows(ch: AuditChunk, m: int) -> str:
-    names = [f.name for f in fields(SignErrorReport)]
-    points = zip(*(ch.coeffs[v].tolist() for v in "pqab"), itertools.repeat(m))
-    reports = zip(*(getattr(ch.report, name).tolist() for name in names))
-    values = ([_cjson(z) if shown else None for z, shown in zip(row.tolist(), computed.tolist())]
-              for row, computed in zip(ch.values, ch.computed))
-    columns = ((dict(zip("pqabm", point)) for point in points), (dict(zip(names, rep)) for rep in reports),
-               ch.boundary.tolist(), *values,
-               [d if ok else None for d, ok in zip(ch.abs_discrepancy.tolist(), ch.ok.tolist())],
-               ch.verdict, ch.detail)
-    return "\n".join([_dump(dict(zip(JSON_KEYS, row))) for row in zip(*columns)])
+def _audit_text(record: dict, as_json: bool, header: bool) -> str:
+    """One chunk's text: a JSON line per point, the record nested, or a CSV
+    row per point, the record flattened, after the header line if asked."""
+    if as_json:
+        return "\n".join([_dump(rec) for rec in _json_records(record)])
+    names, cells = zip(*_csv_columns(record))
+    rows = [",".join(names)] if header else []
+    rows += map(",".join, zip(*cells))
+    return "\n".join(rows)
 
 
 @main.command("audit")
@@ -369,11 +366,8 @@ def cmd_audit(kind: str, grid_spec: str | None, tol: float, as_json: bool,
         # Every row would hold the oracle's refusal, so refuse once (exit 3).
         # This also keeps m below int64, the type the lanes hold it in.
         _refuse(DomainError(f"m = {m} needs more than N_MAX = {N_MAX} trapezoid nodes at every point"))
-    if not as_json:
-        click.echo(CSV_HEADER)
-    write = _json_rows if as_json else _csv_rows
-    for _, c in _grid_chunks(base, axes):
-        click.echo(write(_audit_chunk(c, m, kind, tol), m))
+    for i, (_, c) in enumerate(_grid_chunks(base, axes)):
+        click.echo(_audit_text(_audit_chunk(c, m, kind, tol), as_json, header=i == 0))
 
 
 @main.command("scan")

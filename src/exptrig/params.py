@@ -46,9 +46,18 @@ def _once(params: "RealParams | ComplexParams", key, compute):
     return value
 
 
-def _require_int_m(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"m must be a non-negative integer, got {m!r}")
+def _check_point(params: "RealParams | ComplexParams", isfinite) -> None:
+    """Refuse, with ValueError, a record whose m is not an int >= 0 or one
+    of whose coefficients is not finite by isfinite (math's or cmath's)."""
+    if not isinstance(params.m, int) or isinstance(params.m, bool) or params.m < 0:
+        raise ValueError(f"m must be a non-negative integer, got {params.m!r}")
+    try:
+        for name in ("p", "q", "a", "b"):
+            v = getattr(params, name)
+            if not isfinite(v):
+                raise ValueError(f"parameter {name} must be finite, got {v!r}")
+    except OverflowError:  # an int past the float range, whose repr() may raise too
+        raise ValueError(f"parameter {name} must be finite, got an int past the float range") from None
 
 
 @dataclass(frozen=True)
@@ -64,14 +73,7 @@ class RealParams:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_int_m(self.m)
-        try:
-            for name in ("p", "q", "a", "b"):
-                v = getattr(self, name)
-                if not math.isfinite(v):
-                    raise ValueError(f"parameter {name} must be finite, got {v!r}")
-        except OverflowError:  # an int past the float range, whose repr() may raise too
-            raise ValueError(f"parameter {name} must be finite, got an int past the float range") from None
+        _check_point(self, math.isfinite)
 
     def to_complex(self) -> "ComplexParams":
         """The same point with complex coefficients. When all four are
@@ -95,14 +97,7 @@ class ComplexParams:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_int_m(self.m)
-        try:
-            for name in ("p", "q", "a", "b"):
-                v = getattr(self, name)
-                if not cmath.isfinite(v):
-                    raise ValueError(f"parameter {name} must be finite, got {v!r}")
-        except OverflowError:  # an int past the float range, whose repr() may raise too
-            raise ValueError(f"parameter {name} must be finite, got an int past the float range") from None
+        _check_point(self, cmath.isfinite)
 
     @property
     def is_real(self) -> bool:

@@ -465,6 +465,13 @@ def _base_args(base):
     return [arg for name, v in base.items() for arg in (f"-{name}", repr(v))]
 
 
+def _strict_json(line):
+    """line parsed as standard JSON, which has no NaN, Infinity or -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON: {line}")
+    return json.loads(line, parse_constant=refuse)
+
+
 @pytest.mark.parametrize("chunk", [cli.CHUNK_POINTS, 100, 7])
 @pytest.mark.parametrize("grid, base, m", [
     # 67 x 71 points, a multiple of none of the chunk sizes; crosses p = b and p = -b
@@ -491,6 +498,9 @@ def test_scan_matches_scalar_predicates_byte_for_byte(monkeypatch, chunk, grid, 
                   *_base_args(base), "-m", str(m))
         assert res.exit_code == 0
         assert res.output == _scan_reference(grid, base, m, as_csv)
+        if not as_csv:
+            for line in res.output.splitlines():
+                _strict_json(line)
 
 
 @pytest.mark.parametrize("kind", ["f", "sin", "cos"])
@@ -523,12 +533,22 @@ def test_scan_matches_scalar_predicates_byte_for_byte(monkeypatch, chunk, grid, 
 ])
 def test_audit_matches_scalar_path_byte_for_byte(monkeypatch, kind, grid, base, m):
     monkeypatch.setattr(cli, "CHUNK_POINTS", 12)
+    lines = {}
     for as_json in (True, False):
         args = ["--grid", grid] if grid else []
         res = run("audit", "--kind", kind, "--json" if as_json else "--csv", *args,
                   *_base_args(base), "-m", str(m))
         assert res.exit_code == 0
         assert res.output == _audit_reference(grid, base, m, kind, as_json)
+        lines[as_json] = res.output.splitlines()
+    records = [_strict_json(line) for line in lines[True]]
+    # The CSV header is a JSON record's keys flattened: the params and report
+    # keys in turn, and _re and _im for each of the three values.
+    flat = [key for name, v in records[0].items()
+            for key in (v if name in ("params", "report") else
+                        (f"{name}_re", f"{name}_im") if name in ("original", "improved", "oracle") else
+                        (name,))]
+    assert lines[False][0] == ",".join(flat)
 
 
 @pytest.mark.parametrize("command", [["scan"], ["audit", "--csv"]])
