@@ -19,12 +19,23 @@ z**m/m! (``pow_int_over_factorial``), whose lanes may each have their
 own m. Its loop takes m steps until the product has underflowed to zero
 or gone nan, then skips the steps that can only repeat (``_settled``), so
 any m costs at most a few thousand steps.
+
+The one principal power is z**(m/2) (``cpow_half``, and
+``cpow_half_lanes`` over arrays), taken as (sqrt z)**m: the principal
+square root from +, -, x, / and sqrt only (Kahan, "Branch cuts for
+complex elementary functions", 1987), with -0 read as +0, then m by
+CPython's binary powering. Those are the operations IEEE 754 rounds
+correctly, so numpy gives every lane the scalar bits; libm's pow, atan2
+and exp, which numpy's own functions need not match, take no part. The
+branch is the one of |z|**(m/2) exp(i (m/2) arg z), flips and all.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
+import sys
 
 import numpy as np
 
@@ -37,8 +48,12 @@ __all__ = [
     "div_lanes",
     "pow_int_over_factorial_lanes",
     "cpow_half",
+    "cpow_half_lanes",
     "power_combination_flips",
 ]
+
+# _sqrt's scaling of a z whose parts are both below the smallest normal float.
+_SUBNORMAL, _UP, _DOWN = sys.float_info.min, 2.0 ** 108, 2.0 ** -54
 
 
 def principal_arg(z: complex) -> float:
@@ -131,29 +146,131 @@ def pow_int_over_factorial_lanes(zr, zi, m):
     return out_r, out_i
 
 
+def _sqrt(z: complex) -> complex:
+    """Principal square root of a finite, nonzero z, from +, -, x, / and
+    sqrt only (Kahan 1987), with an imaginary part -0 read as +0.
+
+    |z| is big * sqrt(1 + (small/big)^2), past the float range only where
+    |z| is; rho = sqrt((|x| + |z|)/2) is taken as sqrt(2s)/2 below s = 1,
+    where halving s could round away its last bits, and as
+    sqrt(|x|/2 + |z|/2) from 1 up, where 2s could overflow. A z whose
+    parts are both subnormal is scaled by 4**54 first and its root by
+    2**-54 after, both exactly, so |z| keeps its bits. rho is then at
+    least 1.5e-162, so no quotient below divides by zero. On the positive
+    real axis these steps give (sqrt(x), 0.0), which is returned at once."""
+    x, y = z.real, z.imag + 0.0
+    if y == 0.0 and x > 0.0:
+        return complex(math.sqrt(x), 0.0)
+    ax, ay = abs(x), abs(y)
+    big, small = (ax, ay) if ax >= ay else (ay, ax)
+    if big < _SUBNORMAL:
+        w = _sqrt(complex(x * _UP, y * _UP))
+        return complex(w.real * _DOWN, w.imag * _DOWN)
+    r = small / big
+    mod = big * math.sqrt(1.0 + r * r)
+    s = ax + mod
+    rho = math.sqrt(2.0 * s) * 0.5 if s < 1.0 else math.sqrt(0.5 * ax + 0.5 * mod)
+    if x >= 0.0:
+        return complex(rho, y / (2.0 * rho))
+    return complex(ay / (2.0 * rho), math.copysign(rho, y))
+
+
+def _sqrt_lanes(x, y):
+    """_sqrt over arrays of real and imaginary parts, the same operations
+    lane by lane (a factor 1.0 where _sqrt does not scale); a lane at
+    z = 0 or not finite holds nan or inf."""
+    y = y + 0.0
+    ax, ay = np.abs(x), np.abs(y)
+    order = ax >= ay
+    tiny = np.where(order, ax, ay) < _SUBNORMAL
+    up = np.where(tiny, _UP, 1.0)
+    x, y, ax, ay = x * up, y * up, ax * up, ay * up
+    big, small = np.where(order, ax, ay), np.where(order, ay, ax)
+    r = small / big
+    mod = big * np.sqrt(1.0 + r * r)
+    s = ax + mod
+    rho = np.where(s < 1.0, np.sqrt(2.0 * s) * 0.5, np.sqrt(0.5 * ax + 0.5 * mod))
+    right, down = x >= 0.0, np.where(tiny, _DOWN, 1.0)
+    return (np.where(right, rho, ay / (2.0 * rho)) * down,
+            np.where(right, y / (2.0 * rho), np.copysign(rho, y)) * down)
+
+
+def _power(w, m: int, mul, one):
+    """w**m for an int m >= 1 by CPython's binary powering (c_powu): from
+    one, the bits of m from the lowest up, each set one multiplying the
+    product so far by w**(2**k) on its right. mul is the product of w's
+    type and one its 1: a complex and 1+0j, or a pair of part arrays and
+    (1.0, 0.0)."""
+    out = one
+    while True:
+        if m & 1:
+            out = mul(out, w)
+        m >>= 1
+        if not m:
+            return out
+        w = mul(w, w)
+
+
 def cpow_half(z: complex, m: int) -> complex:
-    """Principal value of z**(m/2): |z|**(m/2) * exp(i*(m/2)*arg z).
+    """Principal value of z**(m/2), as (sqrt z)**m: the principal root
+    (_sqrt) raised to m by binary powering (_power), each product the one
+    of CPython's complex type. Up to m = 100 CPython's own z**m takes
+    those very steps, so it is called instead.
+
+    Only +, -, x, / and sqrt are used, which IEEE 754 rounds correctly on
+    every platform, so cpow_half_lanes takes the same bits from numpy. The
+    branch is the one of |z|**(m/2) exp(i (m/2) arg z) with arg in
+    (-pi, pi]: z = x - 0i with x < 0 has arg +pi.
 
     m = 0 returns 1 for any z (including 0, by the z**0 limit convention);
     z = 0 with m > 0 returns 0. An m that float() cannot convert is
-    refused, as pow_int_over_factorial refuses it, and so is a z whose |z|
-    or |z|**(m/2) is past the float range.
+    refused, and so is a z, or a z**(m/2), that is not finite.
     """
     if m < 0:
         raise DomainError("negative half-integer exponents are not supported")
     if m == 0:
         return complex(1.0, 0.0)
-    try:
-        half = 0.5 * m
-    except OverflowError:
-        # m is not printed: str() of a huge int may raise too.
-        raise DomainError("m is past the float range: z**(m/2) cannot be formed in floats") from None
+    if m > 100:
+        try:
+            float(m)
+        except OverflowError:
+            # m is not printed: str() of a huge int may raise too.
+            raise DomainError("m is past the float range: z**(m/2) cannot be formed in floats") from None
     if z == 0:
         return complex(0.0, 0.0)
+    if cmath.isfinite(z):
+        root = _sqrt(z)
+        try:
+            w = root ** m if m <= 100 else _power(root, m, operator.mul, complex(1.0, 0.0))
+        except OverflowError:  # z**m raises where a part is inf
+            pass
+        else:
+            if cmath.isfinite(w):
+                return w
+    raise DomainError("|z| or |z|**(m/2) is past the float range")
+
+
+def cpow_half_lanes(zr, zi, m: int):
+    """cpow_half(complex(zr, zi), m) over float arrays, bit for bit on every
+    lane, signed zeros included: its real and imaginary parts, and ok,
+    False exactly where the scalar call raises (its lanes hold nan or inf).
+    An m < 0 raises DomainError; an m past the float range refuses every
+    lane."""
+    if m < 0:
+        raise DomainError("negative half-integer exponents are not supported")
+    zr, zi = np.broadcast_arrays(np.asarray(zr, dtype=float), np.asarray(zi, dtype=float))
+    if m == 0:
+        return np.ones_like(zr), np.zeros_like(zr), np.ones(zr.shape, dtype=bool)
     try:
-        return abs(z) ** half * cmath.exp(1j * half * principal_arg(z))
+        float(m)
     except OverflowError:
-        raise DomainError("|z| or |z|**(m/2) is past the float range") from None
+        return np.full_like(zr, np.nan), np.full_like(zr, np.nan), np.zeros(zr.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        wr, wi = _power(_sqrt_lanes(zr, zi), m, lambda x, y: mul_lanes(*x, *y), (1.0, 0.0))
+        zero = (zr == 0.0) & (zi == 0.0)
+        wr, wi = np.where(zero, 0.0, wr), np.where(zero, 0.0, wi)
+        ok = zero | np.isfinite(zr) & np.isfinite(zi) & np.isfinite(wr) & np.isfinite(wi)
+    return wr, wi, ok
 
 
 def power_combination_flips(z: complex, w: complex) -> bool:

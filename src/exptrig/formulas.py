@@ -36,15 +36,20 @@ over 2i.
 The book's I_m(sqrt(C+iD)) is (sqrt(C+iD)/2)^m/m! 0F1(; m+1; (C+iD)/4),
 and (C+iD)/4 is alpha beta at real coefficients, so the original route
 takes its series from the 0F1 term: the two routes differ only in the
-prefactors, where the branch error sits. The Bessel record and the 0F1
-term (and its reflection) are stored on the parameter record, so every
-real route called with one record sums one series.
+prefactors, where the branch error sits. Those are 2pi / Y^m,
+(A-iB)^(m/2) and sqrt(C+iD), with Y^2 = (b-p)^2 + (a+q)^2, and all three
+are complexops.cpow_half, so no libm power, argument or exponential is
+taken on this route; _bessel_prefactor_lanes takes them over arrays from
+cpow_half_lanes, the same bits. The Bessel record and the 0F1 term (and
+its reflection) are stored on the parameter record, so every real route
+called with one record sums one series.
 
 _f_term forms a term at one point; _term_lanes, bit for bit the same on
 every lane, is the one code that forms alpha, w and alpha^m/m! over
 arrays. Its callers are fill_terms, which stores the terms of many
 records at once, and eval_lanes, whose Lanes are the scalar improved and
-original routes of one kind over real coefficients at one m.
+original routes of one kind over real coefficients at one m, formed over
+whole arrays.
 """
 
 from __future__ import annotations
@@ -55,7 +60,8 @@ import sys
 
 import numpy as np
 
-from .complexops import cpow_half, div_lanes, mul_lanes, pow_int_over_factorial, pow_int_over_factorial_lanes
+from .complexops import (cpow_half, cpow_half_lanes, div_lanes, mul_lanes, pow_int_over_factorial,
+                         pow_int_over_factorial_lanes)
 from .conditions import overall_sign_error
 from .errors import DomainError
 from .params import ComplexParams, EvalResult, Lanes, Method, RealParams, _once, component
@@ -123,21 +129,42 @@ def _book_constants(p: float, q: float, a: float, b: float) -> tuple[float, floa
 
 def _bessel_prefactors(p: float, q: float, a: float, b: float, m: int) -> tuple[float, complex, complex]:
     """2pi [(b-p)^2+(a+q)^2]^(-m/2), (A-iB)^(m/2) and sqrt(C+iD), each on
-    the principal branch, or DomainError where the first is 1/0 or a
-    power overflows."""
+    the principal branch and from cpow_half, the first as 2pi / Y^m with
+    Y^m = cpow_half((b-p)^2 + (a+q)^2, m), which is real. DomainError
+    where (b-p)^2 + (a+q)^2 is 0, or a prefactor is not finite (Y^m = 0
+    among them). _bessel_prefactor_lanes is this over arrays."""
+    ynorm2 = (b - p) * (b - p) + (a + q) * (a + q)
+    if ynorm2 == 0.0:
+        why = "= 0 (Y = 0)" if b == p and a == -q else "underflows to 0, though Y != 0"
+        raise DomainError(f"original formula inapplicable: (b-p)^2 + (a+q)^2 {why}")
+    A, B, C, D = _book_constants(p, q, a, b)
     try:
-        ynorm2 = (b - p) ** 2 + (a + q) ** 2
-        if ynorm2 != 0.0:
-            A, B, C, D = _book_constants(p, q, a, b)
-            return (TWO_PI * ynorm2 ** (-0.5 * m), cpow_half(complex(A, -B), m),
-                    cpow_half(complex(C, D), 1))
-    except (OverflowError, DomainError):  # cpow_half refuses its overflows with DomainError
-        # An m past the float range is not printed: str() of a huge int may raise too.
-        at = "an m past the float range" if m > sys.float_info.max else f"m = {m}"
-        raise DomainError(f"original formula inapplicable: [(b-p)^2 + (a+q)^2]^(-m/2) or "
-                          f"(A-iB)^(m/2) overflows at {at}") from None
-    why = "= 0 (Y = 0)" if b == p and a == -q else "underflows to 0, though Y != 0"
-    raise DomainError(f"original formula inapplicable: (b-p)^2 + (a+q)^2 {why}")
+        y_m = cpow_half(ynorm2, m).real
+        power, root = cpow_half(complex(A, -B), m), cpow_half(complex(C, D), 1)
+        scale = TWO_PI / y_m if y_m else math.inf
+        if scale < math.inf:
+            return scale, power, root
+    except DomainError:  # cpow_half refuses an m past the float range, and what overflows
+        pass
+    # An m past the float range is not printed: str() of a huge int may raise too.
+    at = "an m past the float range" if m > sys.float_info.max else f"m = {m}"
+    raise DomainError(f"original formula inapplicable: [(b-p)^2 + (a+q)^2]^(-m/2) or "
+                      f"(A-iB)^(m/2) overflows at {at}")
+
+
+def _bessel_prefactor_lanes(p, q, a, b, m: int) -> tuple:
+    """_bessel_prefactors over float arrays, bit for bit on every lane: the
+    real scale and the parts of power and root, and ok, False exactly
+    where the scalar call raises."""
+    with np.errstate(all="ignore"):
+        ynorm2 = (b - p) * (b - p) + (a + q) * (a + q)
+        A, B, C, D = _book_constants(p, q, a, b)
+        y_m, _, y_ok = cpow_half_lanes(ynorm2, 0.0, m)
+        *power, power_ok = cpow_half_lanes(A, -B, m)
+        *root, root_ok = cpow_half_lanes(C, D, 1)
+        scale = TWO_PI / y_m
+        ok = (ynorm2 != 0.0) & y_ok & power_ok & root_ok & (scale < np.inf)
+    return scale, power, root, ok
 
 
 def _part(f: EvalResult, kind: str) -> EvalResult:
@@ -290,28 +317,27 @@ def eval_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
     eval_f_bessel) at RealParams(p, q, a, b, m), bit for bit on every
     lane, from one _term_lanes term.
 
-    The Bessel prefix runs over the arrays. The Bessel prefactors are
-    libm powers, arguments and exponentials, which numpy need not round
-    as libm does, so they are taken lane by lane in Python.
+    The Bessel prefactors (_bessel_prefactor_lanes) and prefix run over
+    the arrays; a lane whose prefactors are refused takes its message from
+    the scalar _bessel_prefactors.
     """
-    ok, pre, error = np.ones(len(p), dtype=bool), [], [None] * len(p)
-    for i, args in enumerate(zip(*(x.tolist() for x in (p, q, a, b)))):
+    scale, (power_r, power_i), (root_r, root_i), ok = _bessel_prefactor_lanes(p, q, a, b, m)
+    error = [None] * len(p)
+    for i in np.flatnonzero(~ok).tolist():
         try:
-            pre.append(_bessel_prefactors(*args, m))
+            _bessel_prefactors(p[i].item(), q[i].item(), a[i].item(), b[i].item(), m)
         except DomainError as exc:
-            ok[i], error[i] = False, str(exc)
-            pre.append((0.0, 0j, 0j))
-    scale, power, root = np.array(pre, dtype=complex).reshape(-1, 3).T
+            error[i] = str(exc)
     (tr, ti), ser = _term_lanes(m, p, a, q, b)
     with np.errstate(all="ignore"):
         f = mul_lanes(TWO_PI, 0.0, *mul_lanes(tr, ti, ser.value.real, ser.value.imag))
-        zhr, zhi = div_lanes(root.real, root.imag, 2.0)
+        zhr, zhi = div_lanes(root_r, root_i, 2.0)
         pr, pi = pow_int_over_factorial_lanes(zhr, zhi, m)
-        bes = mul_lanes(*mul_lanes(scale.real, 0.0, power.real, power.imag),
+        bes = mul_lanes(*mul_lanes(scale, 0.0, power_r, power_i),
                         *mul_lanes(pr, pi, ser.value.real, ser.value.imag))
         # _hyp's and _bessel's truncation_estimate
         f_bound = TWO_PI * (np.hypot(tr, ti) * ser.bound)
-        bes_bound = scale.real * np.hypot(power.real, power.imag) * (np.hypot(pr, pi) * ser.bound)
+        bes_bound = scale * np.hypot(power_r, power_i) * (np.hypot(pr, pi) * ser.bound)
     # _bessel_prefix refuses a prefix that underflowed away from z = 0,
     # after the prefactors and before the series.
     underflow = (pr == 0.0) & (pi == 0.0) & ((zhr != 0.0) | (zhi != 0.0))

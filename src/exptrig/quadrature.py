@@ -41,6 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .complexops import mul_lanes
 from .errors import DomainError
 from .params import ComplexParams, Lanes, RealParams, _once, component
 
@@ -111,18 +112,18 @@ def _integrand(coeffs: np.ndarray, n: int) -> np.ndarray:
     return np.exp(np.einsum("kj,jn->kn", coeffs, _nodes(n)))
 
 
-def _trapezoids(coeffs: np.ndarray, nodes: list[int]) -> list[tuple[tuple[complex, ...], float]]:
+def _trapezoids(coeffs: np.ndarray, nodes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The rule for each point's rows (u, v, -ik), coeffs of shape
-    (points, rows, 3), at the point's N in nodes: per point, the integrals
-    of g = exp(u cos x + v sin x - ikx) over [0, 2pi], and the mean over
-    rows of the rule applied to |g| (one pairwise sum of its rows * N
-    values). Points with one N go in blocks of at most BLOCK_NODES nodes,
-    one exponential per block."""
+    (points, rows, 3), at the point's N in nodes: the integrals of
+    g = exp(u cos x + v sin x - ikx) over [0, 2pi], of shape (points, rows),
+    and per point the mean over rows of the rule applied to |g| (one
+    pairwise sum of its rows * N values). Points with one N go in blocks
+    of at most BLOCK_NODES nodes, one exponential per block."""
     rows = coeffs.shape[1]
     groups: dict[int, list[int]] = {}
     for i, n in enumerate(nodes):
         groups.setdefault(n, []).append(i)
-    out: list = [None] * len(nodes)
+    sums, abs_means = np.empty((len(nodes), rows), dtype=complex), np.empty(len(nodes))
     for n, points in groups.items():
         per_block, h = max(1, BLOCK_NODES // (rows * n)), 2.0 * math.pi / n
         # With one N the points are coeffs, in order: no copy.
@@ -130,12 +131,11 @@ def _trapezoids(coeffs: np.ndarray, nodes: list[int]) -> list[tuple[tuple[comple
         for start in range(0, len(points), per_block):
             block = points[start:start + per_block]
             g = _integrand(grouped[start:start + per_block].reshape(-1, 3), n)
-            sums = [h * s for s in g.sum(axis=1).tolist()]
-            abs_sums = np.abs(g).reshape(len(block), rows * n).sum(axis=1).tolist()
-            # Each point's sums: the next rows of them, in order.
-            for i, point, a in zip(block, zip(*[iter(sums)] * rows), abs_sums):
-                out[i] = point, h * a / rows
-    return out
+            s = g.sum(axis=1).reshape(len(block), rows)
+            # h times each sum as CPython multiplies a float by a complex
+            sums.real[block], sums.imag[block] = mul_lanes(s.real, s.imag, h, 0.0)
+            abs_means[block] = h * np.abs(g).reshape(len(block), rows * n).sum(axis=1) / rows
+    return sums, abs_means
 
 
 def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np.ndarray,
@@ -183,15 +183,14 @@ def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np
     if len(lanes):
         n, m, coeffs = nodes[lanes], m[lanes].astype(np.int64), coeffs[lanes]
         coeffs[..., 2].imag = -np.outer(m, signs)  # -+1j*m
-        integrals, abs_sums = zip(*_trapezoids(coeffs, n.tolist()))
-        sums[lanes] = integrals
+        sums[lanes], abs_means = _trapezoids(coeffs, n.tolist())
         # 2pi times the aliasing tails on both sides, each <= 2 e^R R^k / k!
         alias = [8 * math.pi * math.exp(r + k * math.log(r) - math.lgamma(k + 1)) if r else 0.0
                  for r, k in zip(radius[lanes].tolist(), (n - m).tolist())]
         # Rounding growth: numpy's pairwise sum (log2 N + 16), the nodes and
         # products with the coefficients (20 per unit of budget), and m x_j (19 m).
         growth = UNIT_ROUNDOFF * (16 + np.log2(n) + 20 * budget[lanes] + 19 * m)
-        error_estimate[lanes] = np.array(alias) + growth * np.array(abs_sums)
+        error_estimate[lanes] = np.array(alias) + growth * abs_means
     return Lanes(sums, nodes, ok, error, error_estimate)
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,7 @@ from exptrig import (
     power_combination_flips,
     principal_arg,
 )
-from exptrig.complexops import pow_int_over_factorial_lanes
+from exptrig.complexops import cpow_half_lanes, pow_int_over_factorial_lanes
 
 
 def test_principal_arg_negative_real_axis_is_plus_pi():
@@ -196,3 +197,73 @@ def test_power_loops_take_any_m_in_few_steps(z):
         want = [_plain_power(complex(r, i), 3000 + (int(k) - 3000) % 12)
                 for r, i, k in zip(zr.tolist(), zi.tolist(), np.broadcast_to(m, 2).tolist())]
         assert [_parts(complex(*lane)) for lane in zip(*(x.tolist() for x in out))] == list(map(_parts, want))
+
+
+# Parts of z for cpow_half: signed zeros, the negative real axis, |z| from
+# 1e-300 to 1e300 at any angle, values near 1 (whose huge powers stay in
+# range), and inf and nan, which are refused.
+def _polar(magnitude, angle):
+    return complex(magnitude * math.cos(angle), magnitude * math.sin(angle))
+
+
+HALF_POWER_Z = st.one_of(
+    st.builds(complex, st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0])),
+    # the cut: A < 0 with B = +-0.0, and its positive twin
+    st.builds(complex, st.floats(-1e300, -1e-300), st.sampled_from([0.0, -0.0])),
+    st.builds(complex, st.floats(1e-300, 1e300), st.sampled_from([0.0, -0.0])),
+    st.builds(complex, st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300)),
+    st.builds(_polar, st.floats(-300, 300).map(lambda e: 10.0 ** e), st.floats(-math.pi, math.pi)),
+    st.builds(_polar, st.floats(1 - 1e-15, 1 + 1e-15), st.floats(-math.pi, math.pi)),
+    st.builds(complex, st.sampled_from([1.0, -1.0, 4.0, -4.0, 5e-324, 1e308, -1.5e308, math.inf, math.nan]),
+              st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.5e308, -math.inf, math.nan])),
+)
+HALF_POWER_M = st.sampled_from([0, 1, 2, 3, 8, 61, 2**20, 10**20])
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _half_power_outcome(z, m):
+    try:
+        return _parts(cpow_half(z, m))
+    except DomainError:
+        return None
+
+
+@settings(max_examples=300)
+@given(st.lists(HALF_POWER_Z, min_size=1, max_size=8), HALF_POWER_M)
+@example([complex(-4.0, 0.0), complex(-4.0, -0.0), complex(-0.0, -0.0), complex(2.0, -0.0),
+          complex(1e-320, 0.0), complex(0.0, 5e-324), complex(-1e300, 1e300)], 3)
+@example([complex(1e308, 1e308), complex(1e-160, 0.0), complex(0.0, 1.0), complex(-1.0, -0.0)], 10**20)
+def test_cpow_half_lanes_are_the_scalar_bit_for_bit(zs, m):
+    # Every lane is cpow_half's value, signed zeros included, and a lane is
+    # ok exactly where cpow_half does not raise.
+    wr, wi, ok = cpow_half_lanes(np.array([z.real for z in zs]), np.array([z.imag for z in zs]), m)
+    want = [_half_power_outcome(z, m) for z in zs]
+    assert ok.tolist() == [w is not None for w in want]
+    assert [_parts(complex(r, i)) if k else None for r, i, k in zip(wr.tolist(), wi.tolist(), ok.tolist())] == want
+
+
+@settings(max_examples=300)
+@given(HALF_POWER_Z, HALF_POWER_M)
+@example(complex(-4.0, -0.0), 3)
+@example(complex(-1e-300, 0.0), 1)
+@example(complex(5e-324, 5e-324), 1)
+@example(complex(-3e-310, 1e-320), 3)
+@example(complex(0.6, -0.8), 10**20)
+@example(complex(0.0627347181090794, 0.998030237589911), 10**20)
+def test_cpow_half_is_the_principal_power_to_4_m_plus_1_ulps(z, m):
+    # Against mpmath's principal z**(m/2), arg in (-pi, pi] and -0 read as
+    # +0: within 4 (m + 1) units of roundoff relative to |z|**(m/2), plus as
+    # many of the smallest subnormal where the power underflows. The
+    # relative errors of the m factors compound, so the bound is
+    # expm1(4 (m + 1) u), which is 4 (m + 1) u while that is small. (At
+    # m = 0 a z that is not finite gives 1 too, by convention; it has no
+    # reference.)
+    got = _half_power_outcome(z, m)
+    if got is None or not cmath.isfinite(z):
+        return
+    w = complex(*map(float, got))
+    with mpmath.workdps(50):
+        ref = mpmath.power(mpmath.mpc(z.real, z.imag + 0.0), mpmath.mpf(m) / 2)
+        size = abs(mpmath.mpc(z.real, z.imag)) ** (mpmath.mpf(m) / 2)
+        err = abs(mpmath.mpc(w.real, w.imag) - ref)
+        assert err <= mpmath.expm1(4 * (m + 1) * UNIT_ROUNDOFF) * size + 4 * (m + 1) * 5e-324, (z, m, w, ref)

@@ -475,3 +475,55 @@ def test_lane_closed_forms_match_scalar_bit_for_bit(lane_contract, points, m):
                 got = ((repr(complex(out.value[i])), int(out.count[i]), repr(out.bound[i].item()))
                        if out.ok[i] else out.error[i])
                 assert got == want, (scalar.__name__, pt)
+
+
+def _route_outcome(route, params):
+    """A route's value, terms_used and truncation_estimate as reprs, or its refusal's message."""
+    try:
+        res = route(params)
+    except (DomainError, ConvergenceError) as exc:
+        return str(exc)
+    return repr(res.value), res.terms_used, repr(res.truncation_estimate)
+
+
+# The original route at its edges, each point with the refusal it gets
+# (None where it answers): Y = 0; (b-p)^2 + (a+q)^2 underflowing to 0;
+# powers past the float range, Y^m = 0 and (b-p)^2 + (a+q)^2 = inf among
+# them; and the four original points of test_eval_original_overflow_exit_3.
+ORIGINAL_EDGES = [
+    ([((1.0, -0.5, 0.5, 1.0), "(Y = 0)"), ((-0.0, 2.0, -2.0, 0.0), "(Y = 0)"),
+      ((2e-160, 0.0, 0.0, 1e-160), None), ((-2.0, 0.5, 0.7, 1.0), None)], 1),
+    ([((1e-170, 0.0, 1e-170, 0.0), "underflows to 0"), ((-1e-200, 1e-200, 0.0, 1e-200), "underflows to 0"),
+      ((1e-160, 0.0, 0.0, 0.0), "overflows"), ((1e200, 0.0, 0.0, 0.0), "overflows"),
+      ((1e308, 0.0, 0.0, -1e308), "overflows"), ((-2.0, 0.5, 0.7, 1.0), None)], 3),
+    ([((40.0, 0.0, 0.0, 0.0), "overflows"), ((1e100, 0.0, 0.0, -1e100), "overflows"),
+      ((0.5, 0.0, 0.0, 1.0), "underflowed")], 400),
+    ([((1.25e154, 0.0, 6.5e153, 0.0), "overflows"), ((1.0, 1.0, 1.0, 1.0), None)], 0),
+    ([((1e-154, 0.0, 0.0, 0.0), "overflows"), ((3e153, 0.0, 2e-154, 3e153), "overflows"),
+      ((0.3, -0.2, 0.0, 0.1), None)], 2),
+]
+
+
+@pytest.mark.parametrize("cases, m", ORIGINAL_EDGES)
+def test_original_lanes_are_the_scalar_routes_at_their_edges(lane_contract, cases, m):
+    # eval_lanes' original lanes are eval_f_bessel and eval_original_* bit
+    # for bit, refusals' messages included, and times the flip they are
+    # eval_corrected_original_*.
+    points = [pt for pt, _ in cases]
+    p, q, a, b = (np.array(x) for x in zip(*points))
+    routes = {"f": (eval_f_bessel, eval_corrected_original_f), "sin": (eval_original_sin, eval_corrected_original_sin),
+              "cos": (eval_original_cos, eval_corrected_original_cos)}
+    for kind, (original, corrected) in routes.items():
+        out = eval_lanes(p, q, a, b, m, kind)[1]
+        lane_contract(out)
+        for i, (pt, reason) in enumerate(cases):
+            flip = -1.0 if m % 2 == 1 and overall_sign_error(*pt) else 1.0
+            if out.ok[i]:
+                value = complex(out.value[i])
+                rest = int(out.count[i]), repr(out.bound[i].item())
+                got, got_corrected = (repr(value), *rest), (repr(flip * value), *rest)
+            else:
+                got = got_corrected = out.error[i]
+            assert got == _route_outcome(original, RealParams(*pt, m)), (kind, pt)
+            assert got_corrected == _route_outcome(corrected, RealParams(*pt, m)), (kind, pt)
+            assert (reason is None) if out.ok[i] else (reason in out.error[i]), (kind, pt, out.error[i])

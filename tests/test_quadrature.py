@@ -309,7 +309,7 @@ def _reference_cos(params):
     n = quadrature._node_count(math.ceil(4 * radius), m)
     if n > N_MAX:
         return f"m = {m} needs {n} trapezoid nodes, above N_MAX = {N_MAX}"
-    ((sums, abs_sum),) = _trapezoids(np.array([rows]), [n])
+    sums, abs_sum = (x[0].tolist() for x in _trapezoids(np.array([rows]), [n]))
     k = n - m
     alias = 8 * math.pi * math.exp(radius + k * math.log(radius) - math.lgamma(k + 1)) if radius else 0.0
     growth = quadrature.UNIT_ROUNDOFF * (16 + math.log2(n) + 20 * budget + 19 * m)
