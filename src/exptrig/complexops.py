@@ -214,8 +214,7 @@ def _power(w, m: int, mul, one):
 def cpow_half(z: complex, m: int) -> complex:
     """Principal value of z**(m/2), as (sqrt z)**m: the principal root
     (_sqrt) raised to m by binary powering (_power), each product the one
-    of CPython's complex type. Up to m = 100 CPython's own z**m takes
-    those very steps, so it is called instead.
+    of CPython's complex type.
 
     Only +, -, x, / and sqrt are used, which IEEE 754 rounds correctly on
     every platform, so cpow_half_lanes takes the same bits from numpy. The
@@ -230,23 +229,17 @@ def cpow_half(z: complex, m: int) -> complex:
         raise DomainError("negative half-integer exponents are not supported")
     if m == 0:
         return complex(1.0, 0.0)
-    if m > 100:
-        try:
-            float(m)
-        except OverflowError:
-            # m is not printed: str() of a huge int may raise too.
-            raise DomainError("m is past the float range: z**(m/2) cannot be formed in floats") from None
+    try:
+        float(m)
+    except OverflowError:
+        # m is not printed: str() of a huge int may raise too.
+        raise DomainError("m is past the float range: z**(m/2) cannot be formed in floats") from None
     if z == 0:
         return complex(0.0, 0.0)
     if cmath.isfinite(z):
-        root = _sqrt(z)
-        try:
-            w = root ** m if m <= 100 else _power(root, m, operator.mul, complex(1.0, 0.0))
-        except OverflowError:  # z**m raises where a part is inf
-            pass
-        else:
-            if cmath.isfinite(w):
-                return w
+        w = _power(_sqrt(z), m, operator.mul, complex(1.0, 0.0))
+        if cmath.isfinite(w):
+            return w
     raise DomainError("|z| or |z|**(m/2) is past the float range")
 
 

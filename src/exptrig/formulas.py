@@ -144,7 +144,9 @@ def _bessel_prefactors(p: float, q: float, a: float, b: float, m: int) -> tuple[
         scale = TWO_PI / y_m if y_m else math.inf
         if scale < math.inf:
             return scale, power, root
-    except DomainError:  # cpow_half refuses an m past the float range, and what overflows
+    except (OverflowError, DomainError):
+        # cpow_half refuses an m past the float range, and what overflows;
+        # int coefficients past the float range raise OverflowError.
         pass
     # An m past the float range is not printed: str() of a huge int may raise too.
     at = "an m past the float range" if m > sys.float_info.max else f"m = {m}"

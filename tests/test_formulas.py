@@ -489,16 +489,21 @@ def _route_outcome(route, params):
 # The original route at its edges, each point with the refusal it gets
 # (None where it answers): Y = 0; (b-p)^2 + (a+q)^2 underflowing to 0;
 # powers past the float range, Y^m = 0 and (b-p)^2 + (a+q)^2 = inf among
-# them; and the four original points of test_eval_original_overflow_exit_3.
+# them; at m = 0, (b-p)^2 = inf with C = D = 0, where the route answers
+# 2pi since Y^0 = 1; an int p whose exact square is past the float range,
+# which RealParams keeps and the lanes take as 1e200; and the four
+# original points of test_eval_original_overflow_exit_3.
 ORIGINAL_EDGES = [
     ([((1.0, -0.5, 0.5, 1.0), "(Y = 0)"), ((-0.0, 2.0, -2.0, 0.0), "(Y = 0)"),
       ((2e-160, 0.0, 0.0, 1e-160), None), ((-2.0, 0.5, 0.7, 1.0), None)], 1),
     ([((1e-170, 0.0, 1e-170, 0.0), "underflows to 0"), ((-1e-200, 1e-200, 0.0, 1e-200), "underflows to 0"),
       ((1e-160, 0.0, 0.0, 0.0), "overflows"), ((1e200, 0.0, 0.0, 0.0), "overflows"),
-      ((1e308, 0.0, 0.0, -1e308), "overflows"), ((-2.0, 0.5, 0.7, 1.0), None)], 3),
+      ((1e308, 0.0, 0.0, -1e308), "overflows"), ((10**200, 0, 0, 0), "overflows"),
+      ((-2.0, 0.5, 0.7, 1.0), None)], 3),
     ([((40.0, 0.0, 0.0, 0.0), "overflows"), ((1e100, 0.0, 0.0, -1e100), "overflows"),
       ((0.5, 0.0, 0.0, 1.0), "underflowed")], 400),
-    ([((1.25e154, 0.0, 6.5e153, 0.0), "overflows"), ((1.0, 1.0, 1.0, 1.0), None)], 0),
+    ([((1.25e154, 0.0, 6.5e153, 0.0), "overflows"), ((1e154, 0.0, 0.0, -1e154), None),
+      ((10**200, 0, 0, 0), "overflows"), ((1.0, 1.0, 1.0, 1.0), None)], 0),
     ([((1e-154, 0.0, 0.0, 0.0), "overflows"), ((3e153, 0.0, 2e-154, 3e153), "overflows"),
       ((0.3, -0.2, 0.0, 0.1), None)], 2),
 ]
@@ -510,7 +515,7 @@ def test_original_lanes_are_the_scalar_routes_at_their_edges(lane_contract, case
     # for bit, refusals' messages included, and times the flip they are
     # eval_corrected_original_*.
     points = [pt for pt, _ in cases]
-    p, q, a, b = (np.array(x) for x in zip(*points))
+    p, q, a, b = (np.array(x, dtype=float) for x in zip(*points))
     routes = {"f": (eval_f_bessel, eval_corrected_original_f), "sin": (eval_original_sin, eval_corrected_original_sin),
               "cos": (eval_original_cos, eval_corrected_original_cos)}
     for kind, (original, corrected) in routes.items():
