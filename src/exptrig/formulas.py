@@ -2,23 +2,21 @@
 
     int_0^{2pi} exp(p cos x + q sin x) {sin, cos}(a cos x + b sin x - m x) dx.
 
-Four families are provided, each as sin, cos and f. Each family is one
-private function of the record and the kind, and each public route is
-one call of it:
+Four families are provided, each as sin, cos and f. Each family's f is
+formed by one private function of the record, which stores it there, and
+each public route reads it once and builds one EvalResult from it with
+_result, which takes the kind, refuses it where it is not finite (every
+route refuses its own value) and labels it:
 
-* original, _part(_bessel(params), kind): the book forms through I_m and
-  principal half-integer powers, faithful to the letter, so they keep
-  the sign error where the conditions module says. _bessel forms f and
-  stores it on the record; _part takes the kind and refuses it where it
-  is not finite, as every route refuses its own value;
-* corrected, _corrected(params, kind): the original kind times -1 where
-  m is odd and the overall error condition holds;
-* improved, _part(_hyp(params, method), kind): the 0F1 forms, with only
-  integer powers, no sign error and no (b-p)^2 + (a+q)^2 > 0
-  restriction. _hyp forms f and sets the route label;
-* complex, _complex(c, kind): the 0F1 forms at complex coefficients. It
-  decides once that a real-valued record is the improved route labelled
-  Hyp0F1Complex; otherwise it forms sin and cos from the reflection.
+* original, _bessel: the book forms through I_m and principal
+  half-integer powers, faithful to the letter, so they keep the sign
+  error where the conditions module says. f is eval_f_bessel's result;
+* corrected: the original kind times -1 where m is odd and the overall
+  error condition holds;
+* improved, _hyp: the 0F1 forms, with only integer powers, no sign error
+  and no (b-p)^2 + (a+q)^2 > 0 restriction;
+* complex, _complex: the 0F1 forms at complex coefficients; at a
+  real-valued record, the improved f labelled Hyp0F1Complex.
 
 Every 0F1 route is one term at (u, v) = (p + ia, q + ib). The exponent
 p cos x + q sin x + i(a cos x + b sin x) is alpha e^{ix} + beta e^{-ix},
@@ -40,9 +38,8 @@ prefactors, where the branch error sits. Those are 2pi / Y^m,
 (A-iB)^(m/2) and sqrt(C+iD), with Y^2 = (b-p)^2 + (a+q)^2, and all three
 are complexops.cpow_half, so no libm power, argument or exponential is
 taken on this route; _bessel_prefactor_lanes takes them over arrays from
-cpow_half_lanes, the same bits. The Bessel record and the 0F1 term (and
-its reflection) are stored on the parameter record, so every real route
-called with one record sums one series.
+cpow_half_lanes, the same bits. The 0F1 term (and its reflection) is
+stored on the record too, so every real route at one record sums one series.
 
 _f_term forms a term at one point; _term_lanes, bit for bit the same on
 every lane, is the one code that forms alpha, w and alpha^m/m! over
@@ -64,7 +61,7 @@ from .complexops import (cpow_half, cpow_half_lanes, div_lanes, mul_lanes, pow_i
                          pow_int_over_factorial_lanes)
 from .conditions import overall_sign_error
 from .errors import DomainError
-from .params import ComplexParams, EvalResult, Lanes, Method, RealParams, _once, component
+from .params import ComplexParams, EvalResult, Lanes, Method, RealParams, component
 from .series import PREFIX_UNDERFLOW, SeriesResult, _bessel_prefix, _divisors_fit, hyp0f1, hyp0f1_lanes
 
 __all__ = [
@@ -96,28 +93,36 @@ def eval_f_bessel(params: RealParams) -> EvalResult:
     carries the branch-cut sign error wherever the error conditions hold
     and m is odd. Raises DomainError when (b-p)^2 + (a+q)^2 is 0 or underflows.
     """
-    return _part(_bessel(params), "f")
+    f = _bessel(params)
+    if not cmath.isfinite(f.value):
+        raise DomainError(OVERFLOW)
+    return f
 
 
 def _bessel(params: RealParams) -> EvalResult:
-    """eval_f_bessel's record, whose value may not be finite: the original
-    and corrected sin, cos and f all read it, and each refuses its own part."""
-    def compute():
+    """eval_f_bessel's record, stored on params: the original and corrected
+    sin, cos and f all read it, and each refuses its own part."""
+    f = params._cache.get("bessel")
+    if f is None:
         # The series is the 0F1 term's, whose w is (C + iD)/4 bit for bit.
         scale, power, root = _bessel_prefactors(params.p, params.q, params.a, params.b, params.m)
         prefix = _bessel_prefix(params.m, root / 2.0)
         ser = _f_term(params)[1]
-        return EvalResult(scale * power * (prefix * ser.value), Method.OriginalBessel, ser.terms_used,
-                          scale * abs(power) * (abs(prefix) * ser.truncation_estimate))
+        f = params._cache["bessel"] = EvalResult(
+            scale * power * (prefix * ser.value), Method.OriginalBessel, ser.terms_used,
+            scale * abs(power) * (abs(prefix) * ser.truncation_estimate))
+    return f
 
-    return _once(params, "bessel", compute)
 
-
-def _finite(res: EvalResult) -> EvalResult:
-    """res, or DomainError where its value is inf or nan, which only a float product can overflow to."""
-    if not cmath.isfinite(res.value):
+def _result(kind: str, method: Method, f: complex, terms: int, trunc: float, flip=None) -> EvalResult:
+    """The kind's value of f, times flip if given, labelled method; DomainError
+    where that value is inf or nan, which only a float product can overflow to."""
+    value = f if kind == "f" else complex(f.imag if kind == "sin" else f.real, 0.0)
+    if not cmath.isfinite(value):
         raise DomainError(OVERFLOW)
-    return res
+    if flip is not None:
+        value = flip * value
+    return EvalResult(value, method, terms, trunc)
 
 
 def _book_constants(p: float, q: float, a: float, b: float) -> tuple[float, float, float, float]:
@@ -169,31 +174,25 @@ def _bessel_prefactor_lanes(p, q, a, b, m: int) -> tuple:
     return scale, power, root, ok
 
 
-def _part(f: EvalResult, kind: str) -> EvalResult:
-    """The kind's value of f, with f's route and bookkeeping (for f, the
-    record f itself), refused where it is not finite."""
-    if kind != "f":
-        f = EvalResult(component(f.value, kind), f.method, f.terms_used, f.truncation_estimate)
-    return _finite(f)
-
-
 def eval_original_sin(params: RealParams) -> EvalResult:
     """Book sin form: Im(f) of the original route, sign error included."""
-    return _part(_bessel(params), "sin")
+    f = _bessel(params)
+    return _result("sin", Method.OriginalBessel, f.value, f.terms_used, f.truncation_estimate)
 
 
 def eval_original_cos(params: RealParams) -> EvalResult:
     """Book cos form: Re(f) of the original route, sign error included."""
-    return _part(_bessel(params), "cos")
+    f = _bessel(params)
+    return _result("cos", Method.OriginalBessel, f.value, f.terms_used, f.truncation_estimate)
 
 
 def _corrected(params: RealParams, kind: str) -> EvalResult:
     """The original route's kind (or its refusal) times -1 where m is odd
     and the overall error condition holds. The product is taken by 1.0 as
     well, which turns an imaginary part -0.0 into +0.0."""
-    res = _part(_bessel(params), kind)
+    f = _bessel(params)
     flip = -1.0 if (params.m % 2 == 1 and overall_sign_error(params.p, params.q, params.a, params.b)) else 1.0
-    return EvalResult(flip * res.value, Method.CorrectedBessel, res.terms_used, res.truncation_estimate)
+    return _result(kind, Method.CorrectedBessel, f.value, f.terms_used, f.truncation_estimate, flip)
 
 
 def eval_corrected_original_sin(params: RealParams) -> EvalResult:
@@ -243,12 +242,13 @@ def _f_term(params: RealParams | ComplexParams, reflected: bool = False) -> tupl
     Both are stored on the record, so the real routes' sin, cos and f at
     one point, the original route's among them, sum one series, and the
     complex routes' sin and cos share a term and its reflection."""
-    def compute():
+    term = params._cache.get(("term", reflected))
+    if term is None:
         # In floats, as the lanes take them: Python would square an int exactly.
         ar, ai, wr, wi = _alpha_w(*map(float, _term_uv(params, reflected)))
-        return pow_int_over_factorial(complex(ar, ai), params.m), hyp0f1(params.m + 1, complex(wr, wi))
-
-    return _once(params, ("term", reflected), compute)
+        term = params._cache["term", reflected] = (pow_int_over_factorial(complex(ar, ai), params.m),
+                                                   hyp0f1(params.m + 1, complex(wr, wi)))
+    return term
 
 
 def _term_lanes(m, ur, ui, vr, vi) -> tuple[tuple[np.ndarray, np.ndarray], Lanes]:
@@ -303,14 +303,17 @@ def eval_f_hyp(params: RealParams) -> EvalResult:
     no positivity restriction: this evaluates everywhere, with
     (A'+iB')^m read as 1 when A' = B' = m = 0.
     """
-    return _part(_hyp(params, Method.Hyp0F1Real), "f")
+    return _result("f", Method.Hyp0F1Real, *_hyp(params))
 
 
-def _hyp(params: RealParams | ComplexParams, method: Method) -> EvalResult:
-    # f = 2pi t at the point, labelled method, whose value may not be finite:
-    # each route refuses its own part.
-    t, terms, trunc = _term(params)
-    return EvalResult(TWO_PI * t, method, terms, TWO_PI * trunc)
+def _hyp(params: RealParams | ComplexParams) -> tuple[complex, int, float]:
+    """f = 2pi t at the point, its terms_used and truncation_estimate, stored
+    on params. f may not be finite: each route refuses its own part."""
+    f = params._cache.get("hyp")
+    if f is None:
+        t, terms, trunc = _term(params)
+        f = params._cache["hyp"] = TWO_PI * t, terms, TWO_PI * trunc
+    return f
 
 
 def eval_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -351,7 +354,7 @@ def eval_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 def _finite_lanes(z: tuple, kind: str, count, ok: np.ndarray, error: list, bound) -> Lanes:
     """The kind's lanes of f = z, (re, im), where an ok lane whose value is
-    not finite is refused, as _finite refuses it."""
+    not finite is refused, as _result refuses it."""
     f = np.empty(len(z[0]), dtype=complex)
     f.real, f.imag = z
     value = component(f, kind)
@@ -363,27 +366,27 @@ def _finite_lanes(z: tuple, kind: str, count, ok: np.ndarray, error: list, bound
 
 def eval_improved_sin(params: RealParams) -> EvalResult:
     """Corrected sin form: Im(f) of the compact 0F1 form, exactly real by construction."""
-    return _part(_hyp(params, Method.Hyp0F1Real), "sin")
+    return _result("sin", Method.Hyp0F1Real, *_hyp(params))
 
 
 def eval_improved_cos(params: RealParams) -> EvalResult:
     """Corrected cos form: Re(f) of the compact 0F1 form, exactly real by construction."""
-    return _part(_hyp(params, Method.Hyp0F1Real), "cos")
+    return _result("cos", Method.Hyp0F1Real, *_hyp(params))
 
 
 def _complex(c: ComplexParams, kind: str) -> EvalResult:
     """The complex route of the kind: on real coefficients the improved
     route at to_real(), bit for bit. Otherwise, with t = f/2pi at the point
     and t_r at its reflection, cos = pi (t + t_r) and sin = i pi (t_r - t),
-    with the terms of both series and pi times their truncation estimates."""
+    taken whole (as an f) with both series' terms and pi times their bounds."""
     if c.is_real:
-        return _part(_hyp(c.to_real(), Method.Hyp0F1Complex), kind)
+        return _result(kind, Method.Hyp0F1Complex, *_hyp(c.to_real()))
     if kind == "f":
-        return _part(_hyp(c, Method.Hyp0F1Complex), kind)
+        return _result(kind, Method.Hyp0F1Complex, *_hyp(c))
     t, terms, trunc = _term(c)
     r, terms_r, trunc_r = _term(c, reflected=True)
     value = math.pi * (t + r) if kind == "cos" else 1j * math.pi * (r - t)
-    return _finite(EvalResult(value, Method.Hyp0F1Complex, terms + terms_r, math.pi * (trunc + trunc_r)))
+    return _result("f", Method.Hyp0F1Complex, value, terms + terms_r, math.pi * (trunc + trunc_r))
 
 
 def eval_complex_f(cparams: ComplexParams) -> EvalResult:

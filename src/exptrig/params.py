@@ -32,25 +32,18 @@ __all__ = [
 ]
 
 
-def _once(params: "RealParams | ComplexParams", key, compute):
-    """The value stored on params under key, or compute()'s, stored there
-    unless it raised, so a refusal is raised again. compute() must not
-    return None.
-
-    A record is frozen, so a value derived from it holds for as long as
-    the record does. Two threads may both compute a missing value; they
-    store equal values."""
-    value = params._cache.get(key)
-    if value is None:
-        value = params._cache[key] = compute()
-    return value
-
-
 def _check_point(params: "RealParams | ComplexParams", isfinite) -> None:
     """Refuse, with ValueError, a record whose m is not an int >= 0 or one
     of whose coefficients is not finite by isfinite (math's or cmath's)."""
-    if not isinstance(params.m, int) or isinstance(params.m, bool) or params.m < 0:
-        raise ValueError(f"m must be a non-negative integer, got {params.m!r}")
+    m = params.m
+    try:
+        if (type(m) is int and m >= 0 and isfinite(params.p) and isfinite(params.q)
+                and isfinite(params.a) and isfinite(params.b)):
+            return
+    except OverflowError:  # an int past the float range: refused below
+        pass
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        raise ValueError(f"m must be a non-negative integer, got {m!r}")
     try:
         for name in ("p", "q", "a", "b"):
             v = getattr(params, name)
@@ -69,7 +62,8 @@ class RealParams:
     a: float
     b: float
     m: int
-    # Values derived from this point by the evaluators (see _once).
+    # Values derived from this frozen point, each stored by the one function that
+    # forms it (threads that race store equal values); a refusal is never stored.
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -80,7 +74,7 @@ class RealParams:
         floats, its to_real() is this record, so the complex routes read
         the values stored here; an int coefficient comes back a float."""
         c = ComplexParams(complex(self.p), complex(self.q), complex(self.a), complex(self.b), self.m)
-        if all(type(v) is float for v in (self.p, self.q, self.a, self.b)):
+        if type(self.p) is float and type(self.q) is float and type(self.a) is float and type(self.b) is float:
             c._cache["real"] = self
         return c
 
@@ -104,10 +98,12 @@ class ComplexParams:
         return self.p.imag == 0 and self.q.imag == 0 and self.a.imag == 0 and self.b.imag == 0
 
     def to_real(self) -> RealParams:
-        if not self.is_real:
-            raise ValueError("parameters have nonzero imaginary parts")
-        return _once(self, "real", lambda: RealParams(self.p.real, self.q.real, self.a.real,
-                                                      self.b.real, self.m))
+        real = self._cache.get("real")
+        if real is None:
+            if not self.is_real:
+                raise ValueError("parameters have nonzero imaginary parts")
+            real = self._cache["real"] = RealParams(self.p.real, self.q.real, self.a.real, self.b.real, self.m)
+        return real
 
 
 class Method(str, Enum):

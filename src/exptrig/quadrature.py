@@ -23,7 +23,7 @@ One function, _integrate, plans and takes the passes of many points:
 their rows (u, v, -ik), R, N, refusals and error_estimate, returned as
 params.Lanes whose value is each point's row of sums. Its three callers
 read those lanes: the scalar oracle (a batch of one) stores its lane's
-pass through params._once, or raises its refusal; fill_passes (verify,
+pass on the record, or raises its refusal; fill_passes (verify,
 catalog) stores the pass of each ok lane; oracle_lanes (audit) takes the
 kind of column 0. No point's sums depend on the rest of its batch, so
 the three agree bit for bit.
@@ -43,7 +43,7 @@ import numpy as np
 
 from .complexops import mul_lanes
 from .errors import DomainError
-from .params import ComplexParams, Lanes, RealParams, _once, component
+from .params import ComplexParams, Lanes, RealParams, component
 
 __all__ = ["QuadratureResult", "fill_passes", "oracle_f", "oracle_lanes", "oracle_sin", "oracle_cos",
            "refuses_every_point"]
@@ -184,9 +184,11 @@ def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np
         n, m, coeffs = nodes[lanes], m[lanes].astype(np.int64), coeffs[lanes]
         coeffs[..., 2].imag = -np.outer(m, signs)  # -+1j*m
         sums[lanes], abs_means = _trapezoids(coeffs, n.tolist())
-        # 2pi times the aliasing tails on both sides, each <= 2 e^R R^k / k!
-        alias = [8 * math.pi * math.exp(r + k * math.log(r) - math.lgamma(k + 1)) if r else 0.0
-                 for r, k in zip(radius[lanes].tolist(), (n - m).tolist())]
+        # 2pi times the aliasing tails on both sides, each <= 2 e^R R^k / k!; k = N - m takes few values
+        orders = (n - m).tolist()
+        log_fact = {k: math.lgamma(k + 1) for k in set(orders)}
+        alias = [8 * math.pi * math.exp(r + k * math.log(r) - log_fact[k]) if r else 0.0
+                 for r, k in zip(radius[lanes].tolist(), orders)]
         # Rounding growth: numpy's pairwise sum (log2 N + 16), the nodes and
         # products with the coefficients (20 per unit of budget), and m x_j (19 m).
         growth = UNIT_ROUNDOFF * (16 + np.log2(n) + 20 * budget[lanes] + 19 * m)
@@ -224,14 +226,13 @@ def fill_passes(records: list[RealParams | ComplexParams]) -> None:
 
 def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
     rows = 1 + (kind != "f" and _two_rows(params))
-
-    def compute():
+    stored = params._cache.get(("pass", rows))
+    if stored is None:
         lanes = _record_lanes([params], rows)
         if not lanes.ok[0]:
             raise DomainError(lanes.error[0])
-        return _pass(lanes, 0)
-
-    sums, error_estimate, n = _once(params, ("pass", rows), compute)
+        stored = params._cache["pass", rows] = _pass(lanes, 0)
+    sums, error_estimate, n = stored
     if len(sums) == 1:
         value = component(sums[0], kind)
     else:

@@ -272,6 +272,38 @@ def test_closed_forms_answer_at_any_m_in_seconds(args, code):
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
 
 
+# Runs the CLI on its arguments, then reports on stderr whether difflib was imported.
+DIFFLIB_PROBE = ("import sys\nfrom exptrig.cli import main\ntry:\n    main(sys.argv[1:])\n"
+                 "finally:\n    print('difflib' in sys.modules, file=sys.stderr)\n")
+
+
+def _probe(*args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", DIFFLIB_PROBE, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_short_options_parse_without_difflib():
+    # A token that is exactly a short option goes straight to click's short
+    # match; attached values (-p0.5) take click's own path, which tries a
+    # long option first and imports difflib for its suggestions.
+    fast = _probe("audit", "--csv", "-p", "0.5", "-q", "0.1", "-a", "0.2", "-b", "0.3", "-m", "1")
+    slow = _probe("audit", "--csv", "-p0.5", "-q0.1", "-a0.2", "-b0.3", "-m1")
+    assert fast.returncode == slow.returncode == 0, (fast.stderr, slow.stderr)
+    assert fast.stderr.splitlines()[-1] == "False" and slow.stderr.splitlines()[-1] == "True"
+    assert fast.stdout == slow.stdout and fast.stdout.count("\n") == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (("-p=0.5",), "Invalid value for '-p': cannot parse '=0.5'"),
+    (("-x", "1"), "No such option '-x'."),
+])
+def test_other_option_tokens_keep_clicks_parse(args, message):
+    res = _probe("audit", "--csv", *args)
+    assert res.returncode == 2 and message in res.stderr, res.stderr
+
+
 # b*q overflows in build_reports' ratios -b*a/q and -b*q/a; the lanes
 # that read them compare against inf, as the scalar predicates do.
 OVERFLOWING_RATIOS = ("--grid", "p=-1e200:1e200:5,b=-1e300:1e300:7", "-q", "1e154", "-m", "3")

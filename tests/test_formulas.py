@@ -1,6 +1,10 @@
 import cmath
 import dataclasses
+import hashlib
+import json
 import math
+import random
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -56,6 +60,51 @@ def test_params_validation():
         for big in (10**400, -(10**400), 10**5000):
             with pytest.raises(ValueError, match="past the float range"):
                 record(0, 0, big, 0, 1)
+
+
+RECORDS = pytest.mark.parametrize("record", [RealParams, ComplexParams])
+
+
+@RECORDS
+@pytest.mark.parametrize("m", [True, False, -1, 1.5, 2.0, None])
+def test_bad_m_is_refused_with_its_message(record, m):
+    with pytest.raises(ValueError) as exc:
+        record(0.5, 0.0, 0.0, 0.0, m)
+    assert str(exc.value) == f"m must be a non-negative integer, got {m!r}"
+
+
+@RECORDS
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+                                        (10**400, "an int past the float range")])
+def test_non_finite_coefficient_is_refused_with_its_message(record, slot, bad, shown):
+    coeffs = [0.5, -1.0, 2.0, 0.25]
+    coeffs[slot] = bad
+    with pytest.raises(ValueError) as exc:
+        record(*coeffs, 3)
+    assert str(exc.value) == f"parameter {'pqab'[slot]} must be finite, got {shown}"
+
+
+@RECORDS
+def test_valid_records_are_accepted(record):
+    class Index(int):
+        pass
+
+    for coeffs, m in (((0.5, -1, 2.0, 0), 0), ((1e308, -1e308, 5e-324, -0.0), 7), ((10**300, 0, 0, 1), Index(2))):
+        assert record(*coeffs, m).m == m
+
+
+def test_to_complex_links_float_records_only_and_to_real_refuses_non_real():
+    rp = RealParams(0.5, -1.0, 2.0, 0.25, 3)
+    assert rp.to_complex().to_real() is rp
+    cp = RealParams(1, -1.0, 2.0, 0.25, 3).to_complex()
+    assert "real" not in cp._cache
+    assert cp.to_real() == RealParams(1.0, -1.0, 2.0, 0.25, 3) and cp.to_real() is cp.to_real()
+    non_real = ComplexParams(0.5, 1j, 0.0, 0.0, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="parameters have nonzero imaginary parts"):
+            non_real.to_real()
+    assert non_real._cache == {}
 
 
 def test_constants_and_factors():
@@ -532,3 +581,80 @@ def test_original_lanes_are_the_scalar_routes_at_their_edges(lane_contract, case
             assert got == _route_outcome(original, RealParams(*pt, m)), (kind, pt)
             assert got_corrected == _route_outcome(corrected, RealParams(*pt, m)), (kind, pt)
             assert (reason is None) if out.ok[i] else (reason in out.error[i]), (kind, pt, out.error[i])
+
+
+# Every public scalar route, pinned bit for bit at seeded points.
+REAL_ROUTES = (eval_f_bessel, eval_original_sin, eval_original_cos, eval_corrected_original_f,
+               eval_corrected_original_sin, eval_corrected_original_cos, eval_f_hyp, eval_improved_sin,
+               eval_improved_cos)
+COMPLEX_ROUTES = (eval_complex_f, eval_complex_sin, eval_complex_cos)
+ROUTE_PINS = Path(__file__).with_name("route_pins.json")
+
+
+def _pinned_records():
+    """The records each route is pinned at, as {set name: [record]}.
+
+    real: 600 points in [-5, 5]^4, m cycling through 0..60; complex: 300
+    points, each coefficient of modulus <= 3, m cycling likewise; edges:
+    Y = 0, int coefficients, m = 0, signed zeros, refusals past the float
+    range (the points of test_cli's test_eval_original_overflow_exit_3
+    among them) and points where only some kinds overflow."""
+    rng = random.Random("exptrig route pins")
+    real = [RealParams(*(rng.uniform(-5.0, 5.0) for _ in range(4)), i % 61) for i in range(600)]
+    complex_ = [ComplexParams(*(cmath.rect(3.0 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+                                for _ in range(4)), i % 61) for i in range(300)]
+    edges = [RealParams(*pt, m) for pt, m in (
+        ((1.0, -0.5, 0.5, 1.0), 1), ((-0.0, 2.0, -2.0, -0.0), 3), ((0.0, 0.0, 0.0, 0.0), 0),
+        ((0.0, 0.0, 0.0, 0.0), 2), ((-0.0, -0.0, -0.0, -0.0), 1), ((-1.0, -0.0, 0.0, 1.0), 1),
+        ((-2.0, 0.5, -0.0, 1.0), 3), ((0.0, -0.0, 0.5, 0.0), 1), ((1, 2, 3, 4), 3), ((-2, 1, 0, 1), 5),
+        ((3, 0, 0, 3), 1), ((10**200, 0, 0, 0), 1), ((10**200, 0, 0, 0), 0), ((0.3, -0.2, 0.1, 0.4), 0),
+        ((-4.0, 0.0, 0.0, 2.0), 0), ((1e-160, 0.0, 0.0, 0.0), 3), ((1.25e154, 0.0, 6.5e153, 0.0), 0),
+        ((1e-154, 0.0, 0.0, 0.0), 2), ((3e153, 0.0, 2e-154, 3e153), 2), ((1e154, 0.0, 0.0, 1e154), 2),
+        ((1e154, 0.0, 0.0, -1e154), 0), ((1e-170, 0.0, 1e-170, 0.0), 3), ((1e308, 0.0, 0.0, -1e308), 1),
+        ((713.0, 0.0, 0.0, 0.0), 2), ((0.0, 1e154, -1e154, 1e-154), 2), ((40.0, 0.0, 0.0, 0.0), 400),
+        ((0.5, 0.0, 0.0, 1.0), 400), ((1.0, 0.0, 0.0, 0.0), 10**400))]
+    edges += [ComplexParams(*pt, m) for pt, m in (
+        ((complex(1.0, -0.0), complex(-0.0, 0.0), 0j, complex(2.0, -0.0)), 1),
+        ((1 + 2j, 0j, 0j, 1 + 2j), 3), ((0j, 0j, 0j, 0j), 0), ((1j, -1j, 1j, -1j), 2),
+        ((complex(1e154, 1.0), 0j, 0j, complex(1e154, 0.0)), 2), ((2.5 + 0j, 1j, 0.5 + 0j, -1j), 0),
+        ((1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j), 10**400))]
+    return {"real": real, "complex": complex_, "edges": edges}
+
+
+def _pinned_outcome(route, params) -> str:
+    """A route's value (both parts), method, terms_used and truncation_estimate
+    in float.hex, or its refusal's type and message."""
+    try:
+        res = route(params)
+    except (DomainError, ConvergenceError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return (f"{res.value.real.hex()} {res.value.imag.hex()} {res.method.value} {res.terms_used} "
+            f"{res.truncation_estimate.hex()}")
+
+
+def _route_pins() -> dict:
+    """For each route and set of records, the number of records, how many
+    the route refuses, and the SHA-256 of its outcomes, one line each.
+    The real routes take the real records; the complex routes take the
+    complex ones, and the real ones through to_complex()."""
+    pins = {}
+    for name, records in _pinned_records().items():
+        real = [r for r in records if isinstance(r, RealParams)]
+        complex_ = [r if isinstance(r, ComplexParams) else r.to_complex() for r in records]
+        for route, points in [(route, real) for route in REAL_ROUTES] + [(route, complex_) for route in COMPLEX_ROUTES]:
+            if not points:
+                continue
+            lines = [_pinned_outcome(route, params) for params in points]
+            pins.setdefault(route.__name__, {})[name] = {
+                "records": len(lines), "refused": sum(": " in line for line in lines),
+                "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest()}
+    return pins
+
+
+def test_every_route_keeps_its_outcomes_bit_for_bit():
+    # route_pins.json is _route_pins() at a commit whose routes were checked
+    # against mpmath and the oracle by the tests above. The values are IEEE
+    # +, -, *, / and sqrt plus libm hypot (complex abs), so the pins hold on
+    # one libc; another libc's hypot may move a truncation_estimate or a
+    # refusal's printed |w| in its last bits.
+    assert _route_pins() == json.loads(ROUTE_PINS.read_text())
