@@ -194,22 +194,10 @@ def cmd_eval(kind: str, method: str, p: complex, q: complex, a: complex, b: comp
         res = _route(method, kind)(params)
     except (DomainError, ConvergenceError) as exc:
         _refuse(exc)
-    if method == "oracle":
-        click.echo(_dump({
-            "kind": kind,
-            "method": "oracle",
-            "value": _cjson(res.value),
-            "error_estimate": res.error_estimate,
-            "evaluations": res.evaluations,
-        }))
-    else:
-        click.echo(_dump({
-            "kind": kind,
-            "method": res.method.value,
-            "value": _cjson(res.value),
-            "terms_used": res.terms_used,
-            "truncation_estimate": res.truncation_estimate,
-        }))
+    # The route's label (or "oracle"), then the result record's fields in order.
+    record = {f.name: getattr(res, f.name) for f in fields(res) if f.name not in ("method", "value")}
+    label = "oracle" if method == "oracle" else res.method.value
+    click.echo(_dump({"kind": kind, "method": label, "value": _cjson(res.value), **record}))
 
 
 def _parse_grid(text: str) -> list[tuple[str, np.ndarray]]:

@@ -120,7 +120,8 @@ def overall_sign_error(p: float, q: float, a: float, b: float) -> bool:
 
 
 def build_report(params: RealParams) -> SignErrorReport:
-    """Evaluate every predicate for one parameter point, m-parity aware."""
+    """Evaluate every predicate at params.to_real(), m-parity aware."""
+    params = params.to_real()
     p, q, a, b = params.p, params.q, params.a, params.b
     y_is_zero = a == -q and p == b
     case3 = False if y_is_zero else case3_predicate(p, q, a, b)

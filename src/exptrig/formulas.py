@@ -2,21 +2,22 @@
 
     int_0^{2pi} exp(p cos x + q sin x) {sin, cos}(a cos x + b sin x - m x) dx.
 
-Four families are provided, each as sin, cos and f. Each family's f is
-formed by one private function of the record, which stores it there, and
-each public route reads it once and builds one EvalResult from it with
-_result, which takes the kind, refuses it where it is not finite (every
-route refuses its own value) and labels it:
+Four families are provided, each as sin, cos and f. A real route reads
+params.to_real(), a complex route asks is_real. Each family's value is
+formed by one private function of the record and stored there as (f,
+terms_used, truncation_estimate); each public route reads it once and
+builds one EvalResult with _result, which projects it to the kind
+(params.component), refuses it where it is not finite and labels it:
 
 * original, _bessel: the book forms through I_m and principal
   half-integer powers, faithful to the letter, so they keep the sign
-  error where the conditions module says. f is eval_f_bessel's result;
+  error where the conditions module says;
 * corrected: the original kind times -1 where m is odd and the overall
   error condition holds;
 * improved, _hyp: the 0F1 forms, with only integer powers, no sign error
   and no (b-p)^2 + (a+q)^2 > 0 restriction;
-* complex, _complex: the 0F1 forms at complex coefficients; at a
-  real-valued record, the improved f labelled Hyp0F1Complex.
+* complex, _complex: _hyp's f, or at complex coefficients a stored
+  (cos, sin, terms_used, truncation_estimate), labelled Hyp0F1Complex.
 
 Every 0F1 route is one term at (u, v) = (p + ia, q + ib). The exponent
 p cos x + q sin x + i(a cos x + b sin x) is alpha e^{ix} + beta e^{-ix},
@@ -93,31 +94,27 @@ def eval_f_bessel(params: RealParams) -> EvalResult:
     carries the branch-cut sign error wherever the error conditions hold
     and m is odd. Raises DomainError when (b-p)^2 + (a+q)^2 is 0 or underflows.
     """
-    f = _bessel(params)
-    if not cmath.isfinite(f.value):
-        raise DomainError(OVERFLOW)
-    return f
+    return _result("f", Method.OriginalBessel, *_bessel(params.to_real()))
 
 
-def _bessel(params: RealParams) -> EvalResult:
-    """eval_f_bessel's record, stored on params: the original and corrected
-    sin, cos and f all read it, and each refuses its own part."""
+def _bessel(params: RealParams) -> tuple[complex, int, float]:
+    """The original route's (f, terms_used, truncation_estimate), stored on params:
+    the original and corrected sin, cos and f all read it; each refuses its own part."""
     f = params._cache.get("bessel")
     if f is None:
         # The series is the 0F1 term's, whose w is (C + iD)/4 bit for bit.
         scale, power, root = _bessel_prefactors(params.p, params.q, params.a, params.b, params.m)
         prefix = _bessel_prefix(params.m, root / 2.0)
         ser = _f_term(params)[1]
-        f = params._cache["bessel"] = EvalResult(
-            scale * power * (prefix * ser.value), Method.OriginalBessel, ser.terms_used,
-            scale * abs(power) * (abs(prefix) * ser.truncation_estimate))
+        f = params._cache["bessel"] = (scale * power * (prefix * ser.value), ser.terms_used,
+                                       scale * abs(power) * (abs(prefix) * ser.truncation_estimate))
     return f
 
 
 def _result(kind: str, method: Method, f: complex, terms: int, trunc: float, flip=None) -> EvalResult:
-    """The kind's value of f, times flip if given, labelled method; DomainError
+    """component(f, kind), times flip if given, labelled method; DomainError
     where that value is inf or nan, which only a float product can overflow to."""
-    value = f if kind == "f" else complex(f.imag if kind == "sin" else f.real, 0.0)
+    value = component(f, kind)
     if not cmath.isfinite(value):
         raise DomainError(OVERFLOW)
     if flip is not None:
@@ -176,23 +173,22 @@ def _bessel_prefactor_lanes(p, q, a, b, m: int) -> tuple:
 
 def eval_original_sin(params: RealParams) -> EvalResult:
     """Book sin form: Im(f) of the original route, sign error included."""
-    f = _bessel(params)
-    return _result("sin", Method.OriginalBessel, f.value, f.terms_used, f.truncation_estimate)
+    return _result("sin", Method.OriginalBessel, *_bessel(params.to_real()))
 
 
 def eval_original_cos(params: RealParams) -> EvalResult:
     """Book cos form: Re(f) of the original route, sign error included."""
-    f = _bessel(params)
-    return _result("cos", Method.OriginalBessel, f.value, f.terms_used, f.truncation_estimate)
+    return _result("cos", Method.OriginalBessel, *_bessel(params.to_real()))
 
 
 def _corrected(params: RealParams, kind: str) -> EvalResult:
     """The original route's kind (or its refusal) times -1 where m is odd
     and the overall error condition holds. The product is taken by 1.0 as
     well, which turns an imaginary part -0.0 into +0.0."""
+    params = params.to_real()
     f = _bessel(params)
     flip = -1.0 if (params.m % 2 == 1 and overall_sign_error(params.p, params.q, params.a, params.b)) else 1.0
-    return _result(kind, Method.CorrectedBessel, f.value, f.terms_used, f.truncation_estimate, flip)
+    return _result(kind, Method.CorrectedBessel, *f, flip)
 
 
 def eval_corrected_original_sin(params: RealParams) -> EvalResult:
@@ -222,17 +218,14 @@ def _alpha_w(ur, ui, vr, vi):
             (ur * ur + vr * vr - ui * ui - vi * vi) / 4.0, (ui * ur + vi * vr) / 2.0)
 
 
-def _uv(p: complex, q: complex, a: complex, b: complex) -> tuple[float, float, float, float]:
-    # (Re u, Im u, Re v, Im v) of u = p + ia, v = q + ib.
-    return p.real - a.imag, p.imag + a.real, q.real - b.imag, q.imag + b.real
-
-
 def _term_uv(params: RealParams | ComplexParams, reflected: bool) -> tuple:
-    """(Re u, Im u, Re v, Im v) at the point, or at its reflection (p, -q, -a, b)."""
+    """(Re u, Im u, Re v, Im v) of u = p + ia, v = q + ib at the point, or
+    at its reflection (p, -q, -a, b)."""
     p, q, a, b = params.p, params.q, params.a, params.b
     if reflected:
         q, a = -q, -a
-    return (p, a, q, b) if isinstance(params, RealParams) else _uv(p, q, a, b)
+    return ((p, a, q, b) if isinstance(params, RealParams)
+            else (p.real - a.imag, p.imag + a.real, q.real - b.imag, q.imag + b.real))
 
 
 def _f_term(params: RealParams | ComplexParams, reflected: bool = False) -> tuple[complex, SeriesResult]:
@@ -262,21 +255,21 @@ def _term_lanes(m, ur, ui, vr, vi) -> tuple[tuple[np.ndarray, np.ndarray], Lanes
 
 def fill_terms(records: list[RealParams | ComplexParams]) -> None:
     """Store _f_term on each record that has none, and the reflection's on
-    a non-real ComplexParams, from one _term_lanes call over all of them.
+    a non-real record, from one _term_lanes call over all of them.
 
-    A real-valued ComplexParams is filled through to_real(), which its
-    routes read. A lane whose series the scalar path would refuse stays
+    A real-valued record is filled through to_real(), which its routes
+    read. A lane whose series the scalar path would refuse stays
     unfilled, so its route raises as before; so does a record whose m
     is too large for the lanes' int64 divisors (series._divisors_fit),
     so that its route computes it.
     """
     todo = []
     for params in records:
-        if isinstance(params, ComplexParams) and params.is_real:
+        if params.is_real:
             params = params.to_real()
         if not _divisors_fit(params.m + 1):
             continue
-        for reflected in (False, True)[:1 + isinstance(params, ComplexParams)]:
+        for reflected in (False, True)[:2 - params.is_real]:
             if ("term", reflected) not in params._cache:
                 todo.append((params, reflected))
     if not todo:
@@ -303,7 +296,7 @@ def eval_f_hyp(params: RealParams) -> EvalResult:
     no positivity restriction: this evaluates everywhere, with
     (A'+iB')^m read as 1 when A' = B' = m = 0.
     """
-    return _result("f", Method.Hyp0F1Real, *_hyp(params))
+    return _result("f", Method.Hyp0F1Real, *_hyp(params.to_real()))
 
 
 def _hyp(params: RealParams | ComplexParams) -> tuple[complex, int, float]:
@@ -366,27 +359,31 @@ def _finite_lanes(z: tuple, kind: str, count, ok: np.ndarray, error: list, bound
 
 def eval_improved_sin(params: RealParams) -> EvalResult:
     """Corrected sin form: Im(f) of the compact 0F1 form, exactly real by construction."""
-    return _result("sin", Method.Hyp0F1Real, *_hyp(params))
+    return _result("sin", Method.Hyp0F1Real, *_hyp(params.to_real()))
 
 
 def eval_improved_cos(params: RealParams) -> EvalResult:
     """Corrected cos form: Re(f) of the compact 0F1 form, exactly real by construction."""
-    return _result("cos", Method.Hyp0F1Real, *_hyp(params))
+    return _result("cos", Method.Hyp0F1Real, *_hyp(params.to_real()))
 
 
-def _complex(c: ComplexParams, kind: str) -> EvalResult:
+def _complex(c: RealParams | ComplexParams, kind: str) -> EvalResult:
     """The complex route of the kind: on real coefficients the improved
-    route at to_real(), bit for bit. Otherwise, with t = f/2pi at the point
-    and t_r at its reflection, cos = pi (t + t_r) and sin = i pi (t_r - t),
-    taken whole (as an f) with both series' terms and pi times their bounds."""
+    route at to_real(), bit for bit. Otherwise f is _hyp's; with t = f/2pi at
+    the point and t_r at its reflection, cos = pi (t + t_r) and sin = i pi (t_r - t)
+    are stored on c as one pair with both series' terms and pi times their bounds."""
     if c.is_real:
         return _result(kind, Method.Hyp0F1Complex, *_hyp(c.to_real()))
     if kind == "f":
         return _result(kind, Method.Hyp0F1Complex, *_hyp(c))
-    t, terms, trunc = _term(c)
-    r, terms_r, trunc_r = _term(c, reflected=True)
-    value = math.pi * (t + r) if kind == "cos" else 1j * math.pi * (r - t)
-    return _result("f", Method.Hyp0F1Complex, value, terms + terms_r, math.pi * (trunc + trunc_r))
+    pair = c._cache.get("pair")
+    if pair is None:
+        t, terms, trunc = _term(c)
+        r, terms_r, trunc_r = _term(c, reflected=True)
+        pair = c._cache["pair"] = (math.pi * (t + r), 1j * math.pi * (r - t), terms + terms_r,
+                                   math.pi * (trunc + trunc_r))
+    cos, sin, terms, trunc = pair
+    return _result("f", Method.Hyp0F1Complex, cos if kind == "cos" else sin, terms, trunc)
 
 
 def eval_complex_f(cparams: ComplexParams) -> EvalResult:

@@ -7,6 +7,8 @@ The whole library evaluates one family of integrals over [0, 2pi]:
 so every evaluator consumes the same five numbers: four coefficients
 (real or complex) and a non-negative integer harmonic index m.
 
+Both records answer is_real and to_real(), which refuses nonzero imaginary
+parts; a real route reads to_real(), a complex or oracle route asks is_real.
 A route returns one kind, f = cos + i sin, sin or cos (``component``);
 every core over arrays (the series, the closed forms, the oracle) returns
 ``Lanes``, on every lane what its scalar call returns.
@@ -66,8 +68,13 @@ class RealParams:
     # forms it (threads that race store equal values); a refusal is never stored.
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    is_real = True  # ComplexParams' two questions: this record is its own real record
+
     def __post_init__(self) -> None:
         _check_point(self, math.isfinite)
+
+    def to_real(self) -> "RealParams":
+        return self
 
     def to_complex(self) -> "ComplexParams":
         """The same point with complex coefficients. When all four are
@@ -155,4 +162,4 @@ def component(z, kind: str):
     if kind == "f":
         return z
     part = z.imag if kind == "sin" else z.real
-    return part.astype(complex) if isinstance(part, np.ndarray) else complex(part, 0.0)
+    return complex(part, 0.0) if isinstance(part, float) else part.astype(complex)

@@ -196,11 +196,6 @@ def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np
     return Lanes(sums, nodes, ok, error, error_estimate)
 
 
-def _two_rows(params: RealParams | ComplexParams) -> bool:
-    # At complex coefficients oracle_sin and oracle_cos integrate g- too.
-    return not (isinstance(params, RealParams) or params.is_real)
-
-
 def _record_lanes(records: list[RealParams | ComplexParams], rows: int) -> Lanes:
     """_integrate over the records, one lane each."""
     p, q, a, b = (np.array([getattr(params, x) for params in records], dtype=complex) for x in "pqab")
@@ -216,16 +211,17 @@ def fill_passes(records: list[RealParams | ComplexParams]) -> None:
     """Store the pass that oracle_sin and oracle_cos read (oracle_f's too,
     at real coefficients) on each record that has none. A record the
     scalar path would refuse stays unfilled, so its oracle call raises."""
-    for rows in {1 + _two_rows(params) for params in records}:
+    # At complex coefficients oracle_sin and oracle_cos integrate g- too.
+    for rows in {2 - params.is_real for params in records}:
         group = [params for params in records
-                 if 1 + _two_rows(params) == rows and ("pass", rows) not in params._cache]
+                 if 2 - params.is_real == rows and ("pass", rows) not in params._cache]
         lanes = _record_lanes(group, rows)
         for i in np.flatnonzero(lanes.ok).tolist():
             group[i]._cache["pass", rows] = _pass(lanes, i)
 
 
 def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
-    rows = 1 + (kind != "f" and _two_rows(params))
+    rows = 1 if kind == "f" else 2 - params.is_real
     stored = params._cache.get(("pass", rows))
     if stored is None:
         lanes = _record_lanes([params], rows)

@@ -103,6 +103,8 @@ def test_eval_every_method_and_kind():
             assert res.exit_code == 0, (method, kind, res.output)
             rec = json.loads(res.output)
             assert rec["kind"] == kind and rec["method"] == label
+            assert list(rec) == ["kind", "method", "value", *(
+                ("error_estimate", "evaluations") if method == "oracle" else ("terms_used", "truncation_estimate"))]
             if kind != "f":
                 assert rec["value"]["im"] == 0.0
             res = run("eval", "--kind", kind, "--method", method, "-p", "-2+1i", *rest)

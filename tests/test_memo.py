@@ -164,7 +164,7 @@ def test_original_and_corrected_routes_sum_one_bessel_series(counts):
                eval_corrected_original_cos, eval_corrected_original_f):
         fn(rp)
     assert counts["series"] == 1 and counts["_bessel_prefactors"] == 1
-    assert eval_f_bessel(rp) is eval_f_bessel(rp)
+    assert eval_f_bessel(rp) == eval_f_bessel(rp)
 
 
 @pytest.mark.parametrize("rp", [RealParams(-1.37, 0.41, 0.59, 1.21, 1),
