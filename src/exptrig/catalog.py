@@ -397,12 +397,11 @@ def check_expected_flips(entry: CatalogEntry, tol: float = 1e-10) -> tuple[list[
     for args, binding in zip(entry.flip_samples, bindings):
         closed = entry.closed_form(*args)
         ora = _sum_binding(binding, oracle_sin, oracle_cos)
-        verdict, unobservable, unclassified = sign_verdict(
-            closed, ora, tol * max(1.0, abs(closed), abs(ora)))
+        verdict, unobservable = sign_verdict(closed, ora, tol * max(1.0, abs(closed), abs(ora)))
         expected = "SignFlip" if entry.flip_law(*args) else "Agree"
         if unobservable:
             findings.append(f"{entry.id}{args!r}: value 0, flip unobservable")
-        elif verdict == expected and not unclassified:
+        elif verdict == expected:
             findings.append(f"{entry.id}{args!r}: {expected} as predicted")
         elif expected == "SignFlip":
             failures.append(f"{entry.id}{args!r}: expected a sign flip, none observed")

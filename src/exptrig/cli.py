@@ -284,9 +284,9 @@ def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> dic
                              1e-11)
         miss = np.where(y_is_zero, imp, orig) - orc
         discrepancy = np.hypot(miss.real, miss.imag)
-    verdict, unobservable, unclassified = sign_verdict(orig, orc, tol_abs)
+    verdict, unobservable = sign_verdict(orig, orc, tol_abs)
     applicable = ok & ~y_is_zero
-    detail[applicable & unclassified] = UNCLASSIFIED
+    detail[applicable & (verdict == "Undecided")] = UNCLASSIFIED
     detail[applicable & unobservable & report.flip_applies] = UNOBSERVABLE
     return {
         "params": {**c, "m": m},

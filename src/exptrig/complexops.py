@@ -157,10 +157,8 @@ def _sqrt(z: complex) -> complex:
     parts are both subnormal is scaled by 4**54 first and its root by
     2**-54 after, both exactly, so |z| keeps its bits. rho is then at
     least 1.5e-162, so no quotient below divides by zero. On the positive
-    real axis these steps give (sqrt(x), 0.0), which is returned at once."""
+    real axis these steps give (sqrt(x), 0.0)."""
     x, y = z.real, z.imag + 0.0
-    if y == 0.0 and x > 0.0:
-        return complex(math.sqrt(x), 0.0)
     ax, ay = abs(x), abs(y)
     big, small = (ax, ay) if ax >= ay else (ay, ax)
     if big < _SUBNORMAL:

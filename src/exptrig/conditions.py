@@ -180,14 +180,14 @@ def build_reports(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def sign_verdict(value, reference, tol_abs):
-    """(verdict, unobservable, unclassified): "Agree" if value is within
-    tol_abs of reference, "SignFlip" if within tol_abs of -reference.
-    unobservable: both hold, so both are near zero and a flip cannot be
-    seen; the verdict is Agree. unclassified: neither holds; the verdict
-    is the nearer one.
+    """(verdict, unobservable): "Agree" if value is within tol_abs of
+    reference, "SignFlip" if within tol_abs of -reference, and "Undecided"
+    if neither, so no verdict is one the numbers contradict. unobservable:
+    both hold, so both are near zero and a flip cannot be seen; the
+    verdict is Agree.
 
-    Takes numbers (a str and two bools back) or arrays, broadcast together
-    (three arrays back, lane by lane the scalar result). |.| is np.hypot
+    Takes numbers (a str and a bool back) or arrays, broadcast together
+    (two arrays back, lane by lane the scalar result). |.| is np.hypot
     of the parts, which is abs of a Python complex bit for bit, where that
     abs does not overflow.
     """
@@ -196,7 +196,6 @@ def sign_verdict(value, reference, tol_abs):
         miss = np.hypot(v.real - r.real, v.imag - r.imag)
         flip = np.hypot(v.real + r.real, v.imag + r.imag)
     agree, flipped = miss <= tol_abs, flip <= tol_abs
-    decided = agree | flipped
-    verdict = np.where(np.where(decided, ~agree, flip < miss), "SignFlip", "Agree")
-    out = verdict, agree & flipped, ~decided
+    verdict = np.where(agree, "Agree", np.where(flipped, "SignFlip", "Undecided"))
+    out = verdict, agree & flipped
     return tuple(x.item() for x in out) if verdict.ndim == 0 else out

@@ -4,9 +4,9 @@
 
 Four families are provided, each as sin, cos and f. A real route reads
 params.to_real(), a complex route asks is_real. Each family's value is
-formed by one private function of the record and stored there as (f,
-terms_used, truncation_estimate); each public route reads it once and
-builds one EvalResult with _result, which projects it to the kind
+formed by one private function of the record as (f, terms_used,
+truncation_estimate); each public route reads it once and builds one
+EvalResult with _result, which projects it to the kind
 (params.component), refuses it where it is not finite and labels it:
 
 * original, _bessel: the book forms through I_m and principal
@@ -16,8 +16,12 @@ builds one EvalResult with _result, which projects it to the kind
   error condition holds;
 * improved, _hyp: the 0F1 forms, with only integer powers, no sign error
   and no (b-p)^2 + (a+q)^2 > 0 restriction;
-* complex, _complex: _hyp's f, or at complex coefficients a stored
-  (cos, sin, terms_used, truncation_estimate), labelled Hyp0F1Complex.
+* complex, _complex: _hyp's f, or at complex coefficients cos and sin
+  read off the stored term and its reflection, labelled Hyp0F1Complex.
+
+A record stores only what costs a series, prefactors, a pass or a record:
+the terms ("term", reflected), "bessel", "hyp", the oracle's ("pass",
+rows) and, on a real-valued ComplexParams, its RealParams as "real".
 
 Every 0F1 route is one term at (u, v) = (p + ia, q + ib). The exponent
 p cos x + q sin x + i(a cos x + b sin x) is alpha e^{ix} + beta e^{-ix},
@@ -302,6 +306,7 @@ def eval_f_hyp(params: RealParams) -> EvalResult:
 def _hyp(params: RealParams | ComplexParams) -> tuple[complex, int, float]:
     """f = 2pi t at the point, its terms_used and truncation_estimate, stored
     on params. f may not be finite: each route refuses its own part."""
+    # Stored, not formed from the stored term on each read: that read costs a product and an abs.
     f = params._cache.get("hyp")
     if f is None:
         t, terms, trunc = _term(params)
@@ -370,20 +375,16 @@ def eval_improved_cos(params: RealParams) -> EvalResult:
 def _complex(c: RealParams | ComplexParams, kind: str) -> EvalResult:
     """The complex route of the kind: on real coefficients the improved
     route at to_real(), bit for bit. Otherwise f is _hyp's; with t = f/2pi at
-    the point and t_r at its reflection, cos = pi (t + t_r) and sin = i pi (t_r - t)
-    are stored on c as one pair with both series' terms and pi times their bounds."""
+    the point and r at its reflection, cos = pi (t + r) and sin = i pi (r - t),
+    with the terms of both series and pi times their summed truncation estimates."""
     if c.is_real:
         return _result(kind, Method.Hyp0F1Complex, *_hyp(c.to_real()))
     if kind == "f":
         return _result(kind, Method.Hyp0F1Complex, *_hyp(c))
-    pair = c._cache.get("pair")
-    if pair is None:
-        t, terms, trunc = _term(c)
-        r, terms_r, trunc_r = _term(c, reflected=True)
-        pair = c._cache["pair"] = (math.pi * (t + r), 1j * math.pi * (r - t), terms + terms_r,
-                                   math.pi * (trunc + trunc_r))
-    cos, sin, terms, trunc = pair
-    return _result("f", Method.Hyp0F1Complex, cos if kind == "cos" else sin, terms, trunc)
+    t, terms, trunc = _term(c)
+    r, terms_r, trunc_r = _term(c, reflected=True)
+    value = math.pi * (t + r) if kind == "cos" else 1j * math.pi * (r - t)
+    return _result("f", Method.Hyp0F1Complex, value, terms + terms_r, math.pi * (trunc + trunc_r))
 
 
 def eval_complex_f(cparams: ComplexParams) -> EvalResult:

@@ -38,12 +38,6 @@ def _check_point(params: "RealParams | ComplexParams", isfinite) -> None:
     """Refuse, with ValueError, a record whose m is not an int >= 0 or one
     of whose coefficients is not finite by isfinite (math's or cmath's)."""
     m = params.m
-    try:
-        if (type(m) is int and m >= 0 and isfinite(params.p) and isfinite(params.q)
-                and isfinite(params.a) and isfinite(params.b)):
-            return
-    except OverflowError:  # an int past the float range: refused below
-        pass
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"m must be a non-negative integer, got {m!r}")
     try:

@@ -126,8 +126,7 @@ def _trapezoids(coeffs: np.ndarray, nodes: list[int]) -> tuple[np.ndarray, np.nd
     sums, abs_means = np.empty((len(nodes), rows), dtype=complex), np.empty(len(nodes))
     for n, points in groups.items():
         per_block, h = max(1, BLOCK_NODES // (rows * n)), 2.0 * math.pi / n
-        # With one N the points are coeffs, in order: no copy.
-        grouped = coeffs if len(groups) == 1 else coeffs[points]
+        grouped = coeffs[points]
         for start in range(0, len(points), per_block):
             block = points[start:start + per_block]
             g = _integrand(grouped[start:start + per_block].reshape(-1, 3), n)

@@ -340,6 +340,29 @@ def test_audit_signflip_implies_predicate():
             assert rec["report"]["flip_applies"] or rec["detail"]
 
 
+FOUND_AUDITS = [("-p", "0.3", "-a", "20", "-b", "20", "-m", "1"), ("-a", "24", "-b", "24", "-m", "1"),
+                ("-p", "30", "-m", "200"), ("-p", "10", "-m", "100")]
+
+
+@pytest.mark.parametrize("args", FOUND_AUDITS + [("--kind", kind, "--grid", "p=-3:3:61,b=-3:3:61", "-m", "1")
+                                                 for kind in ("f", "sin", "cos")])
+def test_audit_verdict_is_never_contradicted_by_its_row(args):
+    # Agree only within tol_abs of the oracle, SignFlip only within it of
+    # the negated oracle, and Undecided, with its detail, where neither holds.
+    lines = run("audit", *args).output.splitlines()
+    for rec in map(json.loads, lines):
+        if rec["verdict"] in (None, "OriginalInapplicable"):
+            continue
+        orig, orc = (complex(rec[name]["re"], rec[name]["im"]) for name in ("original", "oracle"))
+        tol_abs = max(1e-9 * max(abs(orig), abs(orc)), 1e-11)
+        agree, flipped = abs(orig - orc) <= tol_abs, abs(orig + orc) <= tol_abs
+        want = "Agree" if agree else "SignFlip" if flipped else "Undecided"
+        assert rec["verdict"] == want, rec
+        assert (rec["detail"] == "unclassified discrepancy; neither match within tolerance") == (want == "Undecided")
+    if args in FOUND_AUDITS:
+        assert json.loads(lines[0])["verdict"] == "Undecided"
+
+
 def test_scan_json_mode():
     res = run("scan", "--json", "--grid", "p=-1:1:2,b=0:1:2", "-m", "1")
     recs = [json.loads(line) for line in res.output.strip().splitlines()]
@@ -467,7 +490,7 @@ def _audit_point_reference(rp, kind, tol):
         if agree and flipped and rep.flip_applies:
             rec["detail"] = "component is zero; predicted flip unobservable"
     else:
-        rec["verdict"] = "SignFlip" if flip < miss else "Agree"
+        rec["verdict"] = "Undecided"
         rec["detail"] = "unclassified discrepancy; neither match within tolerance"
     return rec
 

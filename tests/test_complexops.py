@@ -14,7 +14,7 @@ from exptrig import (
     power_combination_flips,
     principal_arg,
 )
-from exptrig.complexops import cpow_half_lanes, pow_int_over_factorial_lanes
+from exptrig.complexops import _sqrt, cpow_half_lanes, pow_int_over_factorial_lanes
 
 
 def test_principal_arg_negative_real_axis_is_plus_pi():
@@ -69,6 +69,17 @@ def test_cpow_half_examples():
     for z, m in ((complex(1e200, 0), 4), (complex(1.5e308, 1.5e308), 1)):
         with pytest.raises(DomainError):
             cpow_half(z, m)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 2.2e-308, 0.25, 1.0, 3.0, 1.7e308])
+def test_root_on_the_positive_real_axis_is_sqrt_bit_for_bit(x):
+    # The general steps, subnormal scaling included, give (sqrt(x), 0.0) there.
+    want = (math.sqrt(x), "0.0")
+    for y in (0.0, -0.0):
+        z = _sqrt(complex(x, y))
+        assert (z.real, repr(z.imag)) == want, y
+    z = cpow_half(x, 1)
+    assert (z.real, repr(z.imag)) == want
 
 
 def test_power_combination_flips_counterexample():

@@ -146,15 +146,15 @@ def test_build_reports_matches_build_report(points, m):
 
 
 def test_sign_verdict():
-    assert sign_verdict(1.0, 1.0, 1e-9) == ("Agree", False, False)
-    assert sign_verdict(-1.0, 1.0, 1e-9) == ("SignFlip", False, False)
-    assert sign_verdict(1j, -1j, 1e-9) == ("SignFlip", False, False)
+    assert sign_verdict(1.0, 1.0, 1e-9) == ("Agree", False)
+    assert sign_verdict(-1.0, 1.0, 1e-9) == ("SignFlip", False)
+    assert sign_verdict(1j, -1j, 1e-9) == ("SignFlip", False)
     # both hold: the value is zero, so a flip cannot be seen
-    assert sign_verdict(0.0, 1e-12, 1e-11) == ("Agree", True, False)
-    # neither holds: the nearer verdict
-    assert sign_verdict(2.0, 1.0, 1e-9) == ("Agree", False, True)
-    assert sign_verdict(-2.0, 1.0, 1e-9) == ("SignFlip", False, True)
-    assert sign_verdict(float("nan"), 1.0, 1e-9) == ("Agree", False, True)
+    assert sign_verdict(0.0, 1e-12, 1e-11) == ("Agree", True)
+    # neither holds: no verdict, however near one of them is
+    assert sign_verdict(2.0, 1.0, 1e-9) == ("Undecided", False)
+    assert sign_verdict(-2.0, 1.0, 1e-9) == ("Undecided", False)
+    assert sign_verdict(float("nan"), 1.0, 1e-9) == ("Undecided", False)
 
 
 def _verdict_reference(value, reference, tol_abs):
@@ -162,8 +162,8 @@ def _verdict_reference(value, reference, tol_abs):
     miss, flip = abs(value - reference), abs(value + reference)
     agree, flipped = miss <= tol_abs, flip <= tol_abs
     if agree or flipped:
-        return ("Agree" if agree else "SignFlip"), agree and flipped, False
-    return ("SignFlip" if flip < miss else "Agree"), False, True
+        return ("Agree" if agree else "SignFlip"), agree and flipped
+    return "Undecided", False
 
 
 def test_sign_verdict_over_arrays_is_the_scalar_rule_per_lane():
@@ -175,10 +175,9 @@ def test_sign_verdict_over_arrays_is_the_scalar_rule_per_lane():
     triples = list(itertools.product(values, values, tols))
     value, reference, tol_abs = (np.array(x, dtype=complex if i < 2 else float)
                                  for i, x in enumerate(zip(*triples)))
-    verdict, unobservable, unclassified = sign_verdict(value, reference, tol_abs)
-    assert verdict.shape == unobservable.shape == unclassified.shape == (len(triples),)
-    lanes = zip(verdict.tolist(), unobservable.tolist(), unclassified.tolist())
-    for (v, r, t), lane in zip(triples, lanes):
+    verdict, unobservable = sign_verdict(value, reference, tol_abs)
+    assert verdict.shape == unobservable.shape == (len(triples),)
+    for (v, r, t), lane in zip(triples, zip(verdict.tolist(), unobservable.tolist())):
         assert lane == sign_verdict(v, r, t) == _verdict_reference(complex(v), complex(r), t), (v, r, t)
-    kinds = {sign_verdict(v, r, t)[1:] for v, r, t in triples}
-    assert kinds == {(False, False), (True, False), (False, True)}
+    kinds = {sign_verdict(v, r, t) for v, r, t in triples}
+    assert kinds == {("Agree", False), ("Agree", True), ("SignFlip", False), ("Undecided", False)}

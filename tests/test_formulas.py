@@ -555,6 +555,22 @@ def test_original_route_misses_at_large_m_where_its_prefix_is_subnormal(point):
     assert _original_large_m_miss(point) <= 1
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 14: the 0F1 series cancels at large |a| and |b|")
+def test_item_2_14_improved_cos_at_large_a_and_b_matches_mpmath():
+    with mpmath.workdps(30):
+        want = float(mpmath.quad(lambda x: mpmath.cos(24 * mpmath.cos(x) + 24 * mpmath.sin(x) - x),
+                                 mpmath.linspace(0, 2 * mpmath.pi, 33)))
+    assert math.isclose(want, 0.598735040974315, rel_tol=1e-14)
+    got = eval_improved_cos(RealParams(0.0, 0.0, 24.0, 24.0, 1)).value.real
+    assert math.isclose(got, want, rel_tol=1e-12), got
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: w = (p^2+q^2-a^2-b^2)/4 cancels in floats, unrefused")
+def test_item_2_f_hyp_where_w_cancels_is_2pi():
+    # u + iv = 0, so beta = 0 and f = 2pi alpha^0/0! exactly
+    assert eval_f_hyp(RealParams(1.0, -2.0**50, 2.0**50, 1.0, 0)).value == 2 * math.pi
+
+
 def test_corrected_f_combines_corrected_sin_and_cos():
     rng = np.random.default_rng(101)
     pts = [RealParams(-2, 0, 0, 1, 1), RealParams(-3, 1, 0.5, 2, 3), RealParams(-2, 0, 0, 1, 2)]

@@ -127,6 +127,30 @@ def counts(monkeypatch):
     return tally
 
 
+def run_every_route(params):
+    """Call every real and complex route and oracle on params; the real
+    routes refuse a non-real record."""
+    for fn in REAL_ROUTES + COMPLEX_ROUTES:
+        try:
+            fn(params)
+        except ValueError:
+            assert not params.is_real
+
+
+def test_a_record_stores_only_terms_families_passes_and_its_real_record():
+    # Each store saves a series, a prefactor set, a pass or a record; the
+    # complex family's cos and sin are read off its two stored terms.
+    rp = RealParams(-2.0, 0.5, 0.3, 1.0, 3)
+    run_every_route(rp)
+    assert set(rp._cache) == {("term", False), "bessel", "hyp", ("pass", 1)}
+    cp = ComplexParams(1 + 1j, 0.5, 0.25j, 1, 1)
+    run_every_route(cp)
+    assert set(cp._cache) == {("term", False), ("term", True), "hyp", ("pass", 1), ("pass", 2)}
+    twin = rp.to_complex()
+    run_every_route(twin)
+    assert set(twin._cache) == {"real", ("pass", 1)}
+
+
 def test_real_sin_cos_and_f_sum_one_series(counts):
     rp = RealParams(0.37, -1.21, 0.83, 1.77, 3)
     for fn in (eval_improved_sin, eval_improved_cos, eval_f_hyp):

@@ -147,6 +147,14 @@ def test_envelope_refusal():
         oracle_sin(ComplexParams(complex(0, 40), 20, 0, 0, 1))
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the oracle refuses budgets past its envelope")
+def test_item_3_oracle_just_past_the_envelope_matches_mpmath():
+    res = oracle_f(RealParams(51.0, 0.0, 0.0, 0.0, 1))
+    # f = 2pi I_1(51) at (p, q, a, b, m) = (51, 0, 0, 0, 1)
+    want = complex(2 * mp.pi * mp.besseli(1, 51))
+    assert abs(res.value - want) <= res.error_estimate
+
+
 # Large-m stratum: the sweeps only draw m <= 8. The node count is sized
 # from m, so a high harmonic cannot alias onto a low one.
 
