@@ -63,11 +63,11 @@ from .formulas import (
 )
 from .params import (
     ComplexParams,
-    EvalResult,
     Method,
     RealParams,
+    Result,
 )
-from .quadrature import QuadratureResult, oracle_cos, oracle_f, oracle_sin
-from .series import SeriesResult, bessel_i, hyp0f1
+from .quadrature import oracle_cos, oracle_f, oracle_sin
+from .series import bessel_i, hyp0f1
 
 __version__ = "0.1.0"

@@ -332,11 +332,8 @@ def get_entry(entry_id: str) -> CatalogEntry:
 
 
 def _sum_binding(binding: Binding, sin_fn, cos_fn) -> complex:
-    total = complex(0.0, 0.0)
-    for coeff, kind, params in binding:
-        res = sin_fn(params) if kind == "sin" else cos_fn(params)
-        total += coeff * res.value
-    return total
+    return sum((coeff * (sin_fn if kind == "sin" else cos_fn)(params).value for coeff, kind, params in binding),
+               complex(0.0, 0.0))
 
 
 def _scaled_err(x: complex, y: complex) -> float:
@@ -373,13 +370,7 @@ def check_entry(entry: CatalogEntry, tol: float = 1e-10) -> EntryCheck:
             max_err[j] = max(max_err[j], err)
             if err > tol:
                 failures.append(f"{entry.id}{args!r}: closed vs {name} err {err:.3e}")
-    return EntryCheck(
-        entry_id=entry.id,
-        checks=len(entry.samples),
-        max_err_eval=max_err[0],
-        max_err_oracle=max_err[1],
-        failures=tuple(failures),
-    )
+    return EntryCheck(entry.id, len(entry.samples), *max_err, tuple(failures))
 
 
 def check_expected_flips(entry: CatalogEntry, tol: float = 1e-10) -> tuple[list[str], tuple[str, ...]]:

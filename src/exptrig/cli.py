@@ -18,14 +18,13 @@ import json
 import math
 import re
 import sys
-from dataclasses import fields
 from typing import Iterable, Iterator
 
 import click
 import numpy as np
 
 from . import catalog as cat
-from .conditions import SignErrorReport, build_reports, sign_verdict
+from .conditions import build_reports, sign_verdict
 from .errors import ConvergenceError, DomainError
 from .formulas import (
     eval_complex_cos,
@@ -194,10 +193,9 @@ def cmd_eval(kind: str, method: str, p: complex, q: complex, a: complex, b: comp
         res = _route(method, kind)(params)
     except (DomainError, ConvergenceError) as exc:
         _refuse(exc)
-    # The route's label (or "oracle"), then the result record's fields in order.
-    record = {f.name: getattr(res, f.name) for f in fields(res) if f.name not in ("method", "value")}
-    label = "oracle" if method == "oracle" else res.method.value
-    click.echo(_dump({"kind": kind, "method": label, "value": _cjson(res.value), **record}))
+    # res.route is the closed form's Method, a str, or "oracle".
+    click.echo(_dump({"kind": kind, "method": res.route, "value": _cjson(res.value), "bound": res.bound,
+                      "count": res.count}))
 
 
 def _parse_grid(text: str) -> list[tuple[str, np.ndarray]]:
@@ -290,7 +288,7 @@ def _audit_chunk(c: dict[str, np.ndarray], m: int, kind: str, tol: float) -> dic
     detail[applicable & unobservable & report.flip_applies] = UNOBSERVABLE
     return {
         "params": {**c, "m": m},
-        "report": {f.name: getattr(report, f.name) for f in fields(SignErrorReport)},
+        "report": vars(report),
         "boundary": boundary,
         "original": (orig, computed[0]), "improved": (imp, computed[1]), "oracle": (orc, computed[2]),
         "abs_discrepancy": (discrepancy, ok),
@@ -373,8 +371,7 @@ def _audit_text(record: dict, as_json: bool, header: bool) -> str:
 def cmd_audit(kind: str, grid_spec: str | None, tol: float, as_json: bool,
               p: complex, q: complex, a: complex, b: complex, m: int) -> None:
     """Compare the original formulas against the oracle, point by point."""
-    values = {"p": p, "q": q, "a": a, "b": b, "m": m}
-    rp = _require_real(values, "audit")
+    rp = _require_real({"p": p, "q": q, "a": a, "b": b, "m": m}, "audit")
     base = {"p": rp.p, "q": rp.q, "a": rp.a, "b": rp.b}
     axes = _parse_grid(grid_spec) if grid_spec else []
     if refuses_every_point(m):
@@ -394,8 +391,7 @@ def cmd_audit(kind: str, grid_spec: str | None, tol: float, as_json: bool,
 def cmd_scan(grid_spec: str, as_csv: bool,
              p: complex, q: complex, a: complex, b: complex, m: int) -> None:
     """Predicate scan over a 2-D parameter grid."""
-    values = {"p": p, "q": q, "a": a, "b": b, "m": m}
-    rp = _require_real(values, "scan")
+    rp = _require_real({"p": p, "q": q, "a": a, "b": b, "m": m}, "scan")
     axes = _parse_grid(grid_spec)
     if len(axes) != 2:
         raise click.UsageError("scan needs exactly two grid variables")

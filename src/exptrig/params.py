@@ -9,9 +9,9 @@ so every evaluator consumes the same five numbers: four coefficients
 
 Both records answer is_real and to_real(), which refuses nonzero imaginary
 parts; a real route reads to_real(), a complex or oracle route asks is_real.
-A route returns one kind, f = cos + i sin, sin or cos (``component``);
-every core over arrays (the series, the closed forms, the oracle) returns
-``Lanes``, on every lane what its scalar call returns.
+A route returns one kind, f = cos + i sin, sin or cos (``component``),
+as one ``Result``; every core over arrays (the series, the closed forms,
+the oracle) returns ``Lanes``, on every lane what its scalar call returns.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ __all__ = [
     "RealParams",
     "ComplexParams",
     "Method",
-    "EvalResult",
+    "Result",
     "Lanes",
     "component",
 ]
@@ -116,28 +116,27 @@ class Method(str, Enum):
     Hyp0F1Complex = "Hyp0F1Complex"
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """A closed-form value plus bookkeeping from the series underneath.
-
-    terms_used sums over every series evaluation in the route;
-    truncation_estimate is each series' first-omitted-term magnitude
-    times its prefactor in the route, summed over them. sin, cos and f
-    called with one record share their series, so each reports that
-    series' bookkeeping.
-    """
+class Result(NamedTuple):
+    """One answer at one point: its value (complex), bound, count and route,
+    which is the closed form's Method, "oracle" or "series". count is the
+    terms used (summed over a route's series) or the oracle's N. bound is
+    the oracle's error_estimate, which bounds |value - integral|; for a
+    series or a closed form it is still each series' first omitted term
+    times its prefactor, summed: an estimate, not a guaranteed bound."""
 
     value: complex
-    method: Method
-    terms_used: int
-    truncation_estimate: float
+    bound: float
+    count: int
+    route: str
+
+    # bench/tracing.py's COUNTED reads these two names.
+    terms_used = evaluations = property(lambda self: self.count)
 
 
 class Lanes(NamedTuple):
-    """A core over arrays, each lane what its scalar call returns: its value
-    (complex), count (the terms the series used, or the oracle's N) and bound
-    (the series' truncation estimate, or the oracle's error_estimate). A lane
-    not ok holds no value; error is its refusal message, and None where ok.
+    """A core over arrays, each lane the value, count and bound of the Result
+    its scalar call returns. A lane not ok holds no value; error is its
+    refusal message, and None where ok.
 
     The value is the series' for hyp0f1_lanes and the kind's for eval_lanes
     and oracle_lanes; for quadrature._integrate it is each point's row of

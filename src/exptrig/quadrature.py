@@ -14,10 +14,11 @@ that a large m could fool. error_estimate bounds |value - integral|: the
 aliasing bound at order N - m plus u (2pi/N) sum_j |g(x_j)| times the
 rounding growth of the nodes, the exponent (m x included) and the sum.
 A point's pass (its sums, error_estimate and N) is stored on the
-parameter record, keyed by its row count: oracle_sin and oracle_cos at
-one point integrate once, and so does oracle_f for real coefficients.
-A refusal (outside ENVELOPE, N above N_MAX) is stored nowhere and raised
-on every call.
+parameter record, keyed by its row count, a real-valued one's on its
+to_real(): oracle_sin and oracle_cos at one point integrate once, and so
+does oracle_f for real coefficients. Each returns a params.Result routed
+"oracle". A refusal (outside ENVELOPE, N above N_MAX) is stored nowhere
+and raised on every call.
 
 One function, _integrate, plans and takes the passes of many points:
 their rows (u, v, -ik), R, N, refusals and error_estimate, returned as
@@ -36,16 +37,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .complexops import mul_lanes
 from .errors import DomainError
-from .params import ComplexParams, Lanes, RealParams, component
+from .params import ComplexParams, Lanes, RealParams, Result, component
 
-__all__ = ["QuadratureResult", "fill_passes", "oracle_f", "oracle_lanes", "oracle_sin", "oracle_cos",
+__all__ = ["fill_passes", "oracle_f", "oracle_lanes", "oracle_sin", "oracle_cos",
            "refuses_every_point"]
 
 N_MIN = 32
@@ -58,15 +58,6 @@ UNIT_ROUNDOFF = ALIAS_EPS / 2
 ENVELOPE = 50.0
 # Rows times nodes per exponential in _trapezoids: bounds its memory.
 BLOCK_NODES = 8192
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Trapezoid value; |value - integral| <= error_estimate; evaluations is N."""
-
-    value: complex
-    error_estimate: float
-    evaluations: int
 
 
 @lru_cache(maxsize=256)
@@ -195,58 +186,60 @@ def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np
     return Lanes(sums, nodes, ok, error, error_estimate)
 
 
-def _record_lanes(records: list[RealParams | ComplexParams], rows: int) -> Lanes:
-    """_integrate over the records, one lane each."""
+def _store_passes(records: list[RealParams | ComplexParams], rows: int) -> Lanes:
+    """_integrate over the records, one lane each; each ok lane's pass is
+    stored on its record."""
     p, q, a, b = (np.array([getattr(params, x) for params in records], dtype=complex) for x in "pqab")
-    return _integrate(p, q, a, b, np.array([params.m for params in records]), rows)
-
-
-def _pass(lanes: Lanes, i: int) -> tuple[tuple[complex, ...], float, int]:
-    """Lane i's pass as a record stores it: its sums, error_estimate and N."""
-    return tuple(lanes.value[i].tolist()), lanes.bound[i].item(), lanes.count[i].item()
+    lanes = _integrate(p, q, a, b, np.array([params.m for params in records]), rows)
+    for i in np.flatnonzero(lanes.ok).tolist():
+        records[i]._cache["pass", rows] = (tuple(lanes.value[i].tolist()), lanes.bound[i].item(),
+                                           lanes.count[i].item())
+    return lanes
 
 
 def fill_passes(records: list[RealParams | ComplexParams]) -> None:
     """Store the pass that oracle_sin and oracle_cos read (oracle_f's too,
-    at real coefficients) on each record that has none. A record the
-    scalar path would refuse stays unfilled, so its oracle call raises."""
+    at real coefficients) on each record that has none, a real-valued
+    record's on its to_real(). A record the scalar path would refuse stays
+    unfilled, so its oracle call raises."""
+    records = [params.to_real() if params.is_real else params for params in records]
     # At complex coefficients oracle_sin and oracle_cos integrate g- too.
     for rows in {2 - params.is_real for params in records}:
-        group = [params for params in records
-                 if 2 - params.is_real == rows and ("pass", rows) not in params._cache]
-        lanes = _record_lanes(group, rows)
-        for i in np.flatnonzero(lanes.ok).tolist():
-            group[i]._cache["pass", rows] = _pass(lanes, i)
+        _store_passes([params for params in records
+                       if 2 - params.is_real == rows and ("pass", rows) not in params._cache], rows)
 
 
-def _oracle(params: RealParams | ComplexParams, kind: str) -> QuadratureResult:
-    rows = 1 if kind == "f" else 2 - params.is_real
+def _oracle(params: RealParams | ComplexParams, kind: str) -> Result:
+    real = params.is_real
+    if real:
+        params = params.to_real()
+    rows = 1 if real or kind == "f" else 2
     stored = params._cache.get(("pass", rows))
     if stored is None:
-        lanes = _record_lanes([params], rows)
+        lanes = _store_passes([params], rows)
         if not lanes.ok[0]:
             raise DomainError(lanes.error[0])
-        stored = params._cache["pass", rows] = _pass(lanes, 0)
+        stored = params._cache["pass", rows]
     sums, error_estimate, n = stored
     if len(sums) == 1:
         value = component(sums[0], kind)
     else:
         value = (sums[0] + sums[1]) / 2 if kind == "cos" else (sums[0] - sums[1]) / 2j
-    return QuadratureResult(value=value, error_estimate=error_estimate, evaluations=n)
+    return Result(value, error_estimate, n, "oracle")
 
 
-def oracle_f(params: RealParams | ComplexParams) -> QuadratureResult:
+def oracle_f(params: RealParams | ComplexParams) -> Result:
     """Direct integration of exp(p cos x + q sin x) e^{i(a cos x + b sin x - m x)}."""
     return _oracle(params, "f")
 
 
-def oracle_sin(params: RealParams | ComplexParams) -> QuadratureResult:
+def oracle_sin(params: RealParams | ComplexParams) -> Result:
     """Direct integration of the sin-kind integrand (complex-valued when
     the coefficients are complex)."""
     return _oracle(params, "sin")
 
 
-def oracle_cos(params: RealParams | ComplexParams) -> QuadratureResult:
+def oracle_cos(params: RealParams | ComplexParams) -> Result:
     """Direct integration of the cos-kind integrand."""
     return _oracle(params, "cos")
 

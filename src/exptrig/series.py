@@ -12,8 +12,8 @@ one series: the modified Bessel function is its prefix times 0F1,
 argument, each with its own b1, as params.Lanes; formulas._term_lanes,
 the batch 0F1 term of every closed form's lanes, is its one caller. Each
 lane takes the scalar loop's operations in the same order, so its value,
-count (terms_used) and bound (the truncation estimate |first omitted
-term|) are the scalar ones bit for bit; a lane on which the scalar
+count (the terms used) and bound (the truncation estimate |first omitted
+term|) are the scalar Result's bit for bit; a lane on which the scalar
 function would raise comes back not ok, with the message it raises.
 """
 
@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .complexops import div_lanes, mul_lanes, pow_int_over_factorial
 from .errors import ConvergenceError
-from .params import Lanes
+from .params import Lanes, Result
 
-__all__ = ["SeriesResult", "bessel_i", "hyp0f1", "hyp0f1_lanes"]
+__all__ = ["bessel_i", "hyp0f1", "hyp0f1_lanes"]
 
 # Stop once two consecutive terms are each below TERM_EPS times the
 # running partial sum; give up at MAX_TERMS.
@@ -38,15 +37,6 @@ MAX_TERMS = 500
 _FMAX = sys.float_info.max
 # _bessel_prefix's message, which formulas.eval_lanes gives its lanes too.
 PREFIX_UNDERFLOW = "bessel_i: prefactor (z/2)^m/m! underflowed for m={m}"
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    """Converged series value with term count and first-omitted-term size."""
-
-    value: complex
-    terms_used: int
-    truncation_estimate: float
 
 
 def _refusal(w: complex, k: int, overflowed: bool) -> str:
@@ -117,12 +107,13 @@ def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> Lanes:
     return Lanes(value, used, ok, error, omitted)
 
 
-def hyp0f1(b1: int, z: complex) -> SeriesResult:
+def hyp0f1(b1: int, z: complex) -> Result:
     """Confluent hypergeometric limit function 0F1(; b1; z).
 
     Series sum_k z^k / (k! (b1)_k) with (b1)_k the Pochhammer symbol,
-    b1 a positive integer, Kahan-summed with term ratio z/((k+1)(b1+k)).
-    The truncation estimate is |first omitted term|. Raises
+    b1 a positive integer, Kahan-summed with term ratio z/((k+1)(b1+k)),
+    as a Result routed "series" whose count is the terms used and whose
+    bound is the truncation estimate |first omitted term|. Raises
     ConvergenceError if MAX_TERMS is hit, if a term or a partial sum
     goes non-finite or has a modulus above the float range, or if a
     divisor (k+1)(b1+k) cannot be converted to a float.
@@ -151,7 +142,7 @@ def hyp0f1(b1: int, z: complex) -> SeriesResult:
             s = t
             if below >= 2:
                 omitted = abs(term * w / ((k + 1) * (b1 + k)))
-                return SeriesResult(value=s, terms_used=k + 1, truncation_estimate=omitted)
+                return Result(s, omitted, k + 1, "series")
             if k >= MAX_TERMS:
                 raise ConvergenceError(_refusal(w, k, False))
     except OverflowError:
@@ -170,7 +161,7 @@ def _bessel_prefix(m: int, zh: complex) -> complex:
     return prefix
 
 
-def bessel_i(m: int, z: complex) -> SeriesResult:
+def bessel_i(m: int, z: complex) -> Result:
     """Modified Bessel function of the first kind, integer order m >= 0:
     (z/2)^m/m! times 0F1(; m+1; (z/2)^2)."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
@@ -178,5 +169,4 @@ def bessel_i(m: int, z: complex) -> SeriesResult:
     zh = complex(z) / 2.0
     prefix = _bessel_prefix(m, zh)
     ser = hyp0f1(m + 1, zh * zh)
-    return SeriesResult(value=prefix * ser.value, terms_used=ser.terms_used,
-                        truncation_estimate=abs(prefix) * ser.truncation_estimate)
+    return Result(prefix * ser.value, abs(prefix) * ser.bound, ser.count, "series")

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -46,7 +45,7 @@ def test_eval_improved_cos():
     assert math.isclose(rec["value"]["re"], -4.476509869537685, rel_tol=1e-12)
     assert rec["value"]["im"] == 0.0
     assert rec["method"] == "Hyp0F1Real"
-    assert rec["terms_used"] > 0 and rec["truncation_estimate"] >= 0
+    assert rec["count"] > 0 and rec["bound"] >= 0
 
 
 def test_eval_domain_error_exit_3():
@@ -78,8 +77,8 @@ def test_eval_oracle_method():
               "-p", "-2", "-b", "1", "-m", "1")
     rec = json.loads(res.output)
     assert math.isclose(rec["value"]["re"], -4.4765098695376855, rel_tol=1e-10)
-    assert rec["evaluations"] >= 32
-    assert rec["error_estimate"] >= 0
+    assert rec["count"] >= 32
+    assert rec["bound"] >= 0
 
 
 def test_eval_corrected_f_is_labelled_corrected():
@@ -103,8 +102,7 @@ def test_eval_every_method_and_kind():
             assert res.exit_code == 0, (method, kind, res.output)
             rec = json.loads(res.output)
             assert rec["kind"] == kind and rec["method"] == label
-            assert list(rec) == ["kind", "method", "value", *(
-                ("error_estimate", "evaluations") if method == "oracle" else ("terms_used", "truncation_estimate"))]
+            assert list(rec) == ["kind", "method", "value", "bound", "count"]
             if kind != "f":
                 assert rec["value"]["im"] == 0.0
             res = run("eval", "--kind", kind, "--method", method, "-p", "-2+1i", *rest)
@@ -793,7 +791,7 @@ def test_verify_sweep_names_its_offenders(monkeypatch):
     def off(fn):
         def wrapper(params):
             res = fn(params)
-            return dataclasses.replace(res, value=res.value + 1e-6)
+            return res._replace(value=res.value + 1e-6)
         return wrapper
 
     for name in ("eval_improved_sin", "eval_complex_cos"):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from exptrig import (
     power_combination_flips,
     principal_arg,
 )
-from exptrig.complexops import _sqrt, cpow_half_lanes, pow_int_over_factorial_lanes
+from exptrig.complexops import _sqrt, _sqrt_lanes, cpow_half_lanes, pow_int_over_factorial_lanes
 
 
 def test_principal_arg_negative_real_axis_is_plus_pi():
@@ -89,6 +90,33 @@ def test_power_combination_flips_counterexample():
     rhs = cpow_half(complex(1, 0), 1)
     assert cmath.isclose(lhs, -1, abs_tol=1e-15)
     assert rhs == 1
+
+
+TINY = sys.float_info.min
+# Where the roots' steps switch: both parts below the smallest normal float
+# (scaled first) or not, at TINY and its two neighbours; and s = |x| + |z| at
+# 1.0 exactly, where rho = sqrt(2s)/2 gives way to sqrt(|x|/2 + |z|/2).
+ROOT_EDGES = [complex(x, y) for t in (math.nextafter(TINY, 0.0), TINY, math.nextafter(TINY, 1.0))
+              for x, y in ((t, 0.0), (-t, 0.0), (0.0, -t), (t, t), (-t, 3e-323))]
+ROOT_EDGES += [complex(0.5, 0.0), complex(-0.5, 0.0), complex(0.375, 0.5), complex(-0.375, -0.5), complex(0.0, 1.0)]
+
+
+@pytest.mark.parametrize("z", ROOT_EDGES)
+def test_roots_at_their_scaling_and_rho_edges(z):
+    # The principal root to 4 units of roundoff, and the lanes' root the scalar one bit for bit.
+    w = _sqrt(z)
+    with mpmath.workdps(40):
+        ref = mpmath.sqrt(mpmath.mpc(z.real, z.imag + 0.0))
+        assert abs(mpmath.mpc(w.real, w.imag) - ref) <= 4 * UNIT_ROUNDOFF * abs(ref), (z, w)
+    re, im = _sqrt_lanes(np.array([z.real]), np.array([z.imag]))
+    assert _parts(complex(re[0], im[0])) == _parts(w)
+
+
+def test_power_combination_flips_at_a_summed_argument_of_exactly_pi():
+    # The cut itself: a sum of +pi is in (-pi, pi], a sum of -pi is not.
+    assert not power_combination_flips(-1 + 0j, 1 + 0j)
+    assert principal_arg(-1j) + principal_arg(-1j) == -math.pi
+    assert power_combination_flips(-1j, -1j)
 
 
 def test_power_combination_flips_quadrant_cases():

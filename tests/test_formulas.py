@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import hashlib
 import json
 import math
@@ -36,7 +35,7 @@ from exptrig import (
     oracle_sin,
     overall_sign_error,
 )
-from exptrig.formulas import _alpha_w, _book_constants, _term, eval_lanes
+from exptrig.formulas import LOST_BITS, _alpha_w, _book_constants, _term, eval_lanes
 
 # 0F1(;2;3/4) from independent brute-force partial sums
 F01_2_075 = 1.424917347073156
@@ -163,7 +162,7 @@ def test_f_bessel_reproduces_the_sign_bug():
     truth = eval_f_hyp(RealParams(-2, 0, 0, 1, 1)).value
     assert cmath.isclose(flipped, -truth, rel_tol=1e-12)
     assert flipped.real > 0
-    assert eval_f_bessel(RealParams(-2, 0, 0, 1, 1)).method is Method.OriginalBessel
+    assert eval_f_bessel(RealParams(-2, 0, 0, 1, 1)).route is Method.OriginalBessel
 
 
 def test_f_bessel_domain_error_at_y_zero():
@@ -264,7 +263,7 @@ def test_corrected_equals_improved():
         scale = max(abs(is_), abs(ic), 1e-2)
         assert abs(cs - is_) <= 1e-10 * scale
         assert abs(cc - ic) <= 1e-10 * scale
-        assert eval_corrected_original_sin(rp).method is Method.CorrectedBessel
+        assert eval_corrected_original_sin(rp).route is Method.CorrectedBessel
 
 
 def test_corrected_is_identity_without_flip():
@@ -331,13 +330,13 @@ FAMILIES = {"f": (eval_complex_f, eval_f_hyp, eval_corrected_original_f, eval_f_
 
 
 def _outcome(compute):
-    """repr of the value, terms_used, repr of the truncation estimate and
-    the method of compute()'s result, or the type and message of its refusal."""
+    """repr of the value, the count, repr of the bound and the route of
+    compute()'s result, or the type and message of its refusal."""
     try:
         res = compute()
     except (DomainError, ConvergenceError) as exc:
         return type(exc), str(exc)
-    return repr(res.value), res.terms_used, repr(res.truncation_estimate), res.method
+    return repr(res.value), res.count, repr(res.bound), res.route
 
 
 @settings(max_examples=200)
@@ -363,11 +362,11 @@ def test_complex_reduces_to_improved_bit_for_bit_property(coeffs, m):
 
     def flipped(original):
         res = original(real())
-        return dataclasses.replace(res, value=flip * res.value, method=Method.CorrectedBessel)
+        return res._replace(value=flip * res.value, route=Method.CorrectedBessel)
 
     for kind, (complex_route, improved, corrected, original) in FAMILIES.items():
         # the complex route at a real-valued record is the improved route at to_real()
-        want = _outcome(lambda: dataclasses.replace(improved(real()), method=Method.Hyp0F1Complex))
+        want = _outcome(lambda: improved(real())._replace(route=Method.Hyp0F1Complex))
         assert _outcome(lambda: complex_route(ComplexParams(*args, m))) == want, kind
         # each corrected route is the original times -1 where m is odd and the overall condition holds
         assert _outcome(lambda: corrected(real())) == _outcome(lambda: flipped(original)), kind
@@ -380,7 +379,7 @@ NON_REAL = ComplexParams(1 + 1j, 0.5, 0.25j, 1, 1)
 def test_complex_sin_at_a_non_real_record_matches_the_oracle():
     res, ref = eval_complex_sin(NON_REAL), oracle_sin(NON_REAL)
     assert cmath.isclose(res.value, -1.5017461343186673 + 0.9202451791016453j, rel_tol=1e-14)
-    assert abs(res.value - ref.value) <= ref.error_estimate
+    assert abs(res.value - ref.value) <= ref.bound
 
 
 @pytest.mark.parametrize("route", [eval_improved_sin, eval_original_sin, eval_f_hyp,
@@ -395,7 +394,7 @@ def test_complex_routes_take_a_real_record_as_the_improved_route():
     rp = RealParams(1, 0.5, 0.25, 1, 1)
     for complex_route, improved in ((eval_complex_sin, eval_improved_sin),
                                     (eval_complex_cos, eval_improved_cos), (eval_complex_f, eval_f_hyp)):
-        want = dataclasses.replace(improved(rp), method=Method.Hyp0F1Complex)
+        want = improved(rp)._replace(route=Method.Hyp0F1Complex)
         assert repr(complex_route(rp)) == repr(want)
 
 
@@ -442,11 +441,11 @@ def test_complex_f_is_one_series_matching_oracle():
         res = eval_complex_f(cp)
         of = oracle_f(cp).value
         assert abs(res.value - of) <= max(1e-9 * abs(of), 1e-11)
-        assert res.method is Method.Hyp0F1Complex
+        assert res.route is Method.Hyp0F1Complex
         cos_sin = eval_complex_cos(cp).value + 1j * eval_complex_sin(cp).value
         assert abs(res.value - cos_sin) <= 1e-12 * max(1.0, abs(of))
         # f is one of the two series the sin/cos split sums
-        assert res.terms_used < eval_complex_cos(cp).terms_used
+        assert res.count < eval_complex_cos(cp).count
 
 
 def _mp_f_over_2pi(p, q, a, b, m):
@@ -521,23 +520,23 @@ def test_improved_and_complex_routes_at_large_m(m):
             assert _large_m_miss(got, want, size, m) <= 1, (p, q, a, b, m)
 
 
-# Points of the draw (and one more) where the original route misses its
-# allowance without refusing: the Bessel prefix (z/2)^m/m! is subnormal, so
-# it has lost bits, and truncation_estimate reads 0.0. Scaled prefixes
-# would mend them.
+# Points of the draw (and one more) where the original route's Bessel
+# prefix (z/2)^m/m! is subnormal, so it has lost bits: the route missed its
+# allowance there with a bound of 0.0, and now refuses. Scaled prefixes
+# would let it answer.
 ORIGINAL_LARGE_M_MISSES = [
     (-0.8169948238583862, 0.9696241114781365, -1.5779248059739996, 0.16540999266734335, 171),
     (0.12309983868478369, -2.5527187029586162, 2.9510828296593976, -2.341345305558102, 200),
 ]
 
 
-def _original_large_m_miss(point):
+def _original_large_m_miss(point, refused=0.0):
     """How far the original route times its predicted (-1)^m misses the
-    allowance at point, or 0.0 where it refuses with a typed error."""
+    allowance at point, or refused where it refuses with a typed error."""
     try:
         value = eval_f_bessel(RealParams(*point)).value
     except (DomainError, ConvergenceError):
-        return 0.0
+        return refused
     flip = -1.0 if point[4] % 2 and overall_sign_error(*point[:4]) else 1.0
     return _large_m_miss(flip * value, *_mp_f_over_2pi(*point), point[4])
 
@@ -549,10 +548,28 @@ def test_original_route_at_large_m_is_right_or_refuses(m):
             assert _original_large_m_miss(point) <= 1, point
 
 
-@pytest.mark.xfail(strict=True, reason="subnormal Bessel prefix: the original route loses bits silently")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2b: the original route refuses where its Bessel prefix "
+                                      "is subnormal; scaled prefixes would let it answer")
 @pytest.mark.parametrize("point", ORIGINAL_LARGE_M_MISSES)
 def test_original_route_misses_at_large_m_where_its_prefix_is_subnormal(point):
-    assert _original_large_m_miss(point) <= 1
+    # an answer within the allowance, which a refusal is not
+    assert _original_large_m_miss(point, refused=math.inf) <= 1
+
+
+# (b-p)^2 + (a+q)^2 = 1e-320 at the first point; the Bessel prefix at the
+# large-m ones. At m = 0 every power is 1, so nothing is lost there.
+@pytest.mark.parametrize("point", [(1e-160, 3e-161, 5e-161, 0.0, 1), *ORIGINAL_LARGE_M_MISSES])
+def test_original_route_refuses_where_an_operand_is_subnormal(lane_contract, point):
+    for route in (eval_f_bessel, eval_original_sin, eval_original_cos, eval_corrected_original_f,
+                  eval_corrected_original_sin, eval_corrected_original_cos):
+        with pytest.raises(DomainError, match="subnormal, so it has lost bits"):
+            route(RealParams(*point))
+    p, q, a, b = (np.array([x]) for x in point[:4])
+    for kind in ("f", "sin", "cos"):
+        improved, original = eval_lanes(p, q, a, b, point[4], kind)
+        lane_contract(original)
+        assert improved.ok[0] and original.error == [LOST_BITS], kind
+    assert eval_f_bessel(RealParams(*point[:4], 0)).route is Method.OriginalBessel
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 14: the 0F1 series cancels at large |a| and |b|")
@@ -577,7 +594,7 @@ def test_corrected_f_combines_corrected_sin_and_cos():
     pts += [random_real_params(rng, span=4.0, mmax=6) for _ in range(40)]
     for rp in pts:
         res = eval_corrected_original_f(rp)
-        assert res.method is Method.CorrectedBessel
+        assert res.route is Method.CorrectedBessel
         assert res.value.real == eval_corrected_original_cos(rp).value.real
         assert res.value.imag == eval_corrected_original_sin(rp).value.real
         of = oracle_f(rp).value
@@ -608,10 +625,10 @@ def test_discrepancy_law_componentwise():
 
 def test_eval_result_bookkeeping():
     res = eval_improved_cos(RealParams(1, 2, 3, 4, 5))
-    assert res.terms_used > 0
-    assert res.truncation_estimate >= 0.0
-    assert res.method is Method.Hyp0F1Real
-    assert eval_complex_sin(ComplexParams(1j, 0, 0, 0, 1)).method is Method.Hyp0F1Complex
+    assert res.count > 0
+    assert res.bound >= 0.0
+    assert res.route is Method.Hyp0F1Real
+    assert eval_complex_sin(ComplexParams(1j, 0, 0, 0, 1)).route is Method.Hyp0F1Complex
 
 
 @given(st.lists(st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1e-170, 1e-160]),
@@ -639,7 +656,7 @@ def test_lane_closed_forms_match_scalar_bit_for_bit(lane_contract, points, m):
             for i, pt in enumerate(points):
                 try:
                     res = scalar(RealParams(*pt, m))
-                    want = repr(res.value), res.terms_used, repr(res.truncation_estimate)
+                    want = repr(res.value), res.count, repr(res.bound)
                 except (DomainError, ConvergenceError) as exc:
                     want = str(exc)
                 got = ((repr(complex(out.value[i])), int(out.count[i]), repr(out.bound[i].item()))
@@ -648,24 +665,24 @@ def test_lane_closed_forms_match_scalar_bit_for_bit(lane_contract, points, m):
 
 
 def _route_outcome(route, params):
-    """A route's value, terms_used and truncation_estimate as reprs, or its refusal's message."""
+    """A route's value, count and bound as reprs, or its refusal's message."""
     try:
         res = route(params)
     except (DomainError, ConvergenceError) as exc:
         return str(exc)
-    return repr(res.value), res.terms_used, repr(res.truncation_estimate)
+    return repr(res.value), res.count, repr(res.bound)
 
 
 # The original route at its edges, each point with the refusal it gets
-# (None where it answers): Y = 0; (b-p)^2 + (a+q)^2 underflowing to 0;
-# powers past the float range, Y^m = 0 and (b-p)^2 + (a+q)^2 = inf among
+# (None where it answers): Y = 0; (b-p)^2 + (a+q)^2 underflowing to 0, or
+# subnormal at (2e-160, 0, 0, 1e-160); powers past the float range, Y^m = 0 and (b-p)^2 + (a+q)^2 = inf among
 # them; at m = 0, (b-p)^2 = inf with C = D = 0, where the route answers
 # 2pi since Y^0 = 1; an int p whose exact square is past the float range,
 # which RealParams keeps and the lanes take as 1e200; and the four
 # original points of test_eval_original_overflow_exit_3.
 ORIGINAL_EDGES = [
     ([((1.0, -0.5, 0.5, 1.0), "(Y = 0)"), ((-0.0, 2.0, -2.0, 0.0), "(Y = 0)"),
-      ((2e-160, 0.0, 0.0, 1e-160), None), ((-2.0, 0.5, 0.7, 1.0), None)], 1),
+      ((2e-160, 0.0, 0.0, 1e-160), "subnormal"), ((-2.0, 0.5, 0.7, 1.0), None)], 1),
     ([((1e-170, 0.0, 1e-170, 0.0), "underflows to 0"), ((-1e-200, 1e-200, 0.0, 1e-200), "underflows to 0"),
       ((1e-160, 0.0, 0.0, 0.0), "overflows"), ((1e200, 0.0, 0.0, 0.0), "overflows"),
       ((1e308, 0.0, 0.0, -1e308), "overflows"), ((10**200, 0, 0, 0), "overflows"),
@@ -743,14 +760,13 @@ def _pinned_records():
 
 
 def _pinned_outcome(route, params) -> str:
-    """A route's value (both parts), method, terms_used and truncation_estimate
-    in float.hex, or its refusal's type and message."""
+    """A route's value (both parts), route, count and bound in float.hex, or
+    its refusal's type and message."""
     try:
         res = route(params)
     except (DomainError, ConvergenceError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    return (f"{res.value.real.hex()} {res.value.imag.hex()} {res.method.value} {res.terms_used} "
-            f"{res.truncation_estimate.hex()}")
+    return f"{res.value.real.hex()} {res.value.imag.hex()} {res.route.value} {res.count} {res.bound.hex()}"
 
 
 def _route_pins() -> dict:
@@ -776,6 +792,6 @@ def test_every_route_keeps_its_outcomes_bit_for_bit():
     # route_pins.json is _route_pins() at a commit whose routes were checked
     # against mpmath and the oracle by the tests above. The values are IEEE
     # +, -, *, / and sqrt plus libm hypot (complex abs), so the pins hold on
-    # one libc; another libc's hypot may move a truncation_estimate or a
+    # one libc; another libc's hypot may move a bound or a
     # refusal's printed |w| in its last bits.
     assert _route_pins() == json.loads(ROUTE_PINS.read_text())

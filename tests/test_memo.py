@@ -62,10 +62,7 @@ def outcome(fn, params):
         res = fn(params)
     except (DomainError, ConvergenceError) as exc:
         return type(exc).__name__, str(exc)
-    if hasattr(res, "evaluations"):
-        return repr(res.value.real), repr(res.value.imag), repr(res.error_estimate), res.evaluations
-    return (repr(res.value.real), repr(res.value.imag), res.method, res.terms_used,
-            repr(res.truncation_estimate))
+    return repr(res.value.real), repr(res.value.imag), res.route, repr(res.bound), res.count
 
 
 def outcomes(fns, points):
@@ -148,7 +145,7 @@ def test_a_record_stores_only_terms_families_passes_and_its_real_record():
     assert set(cp._cache) == {("term", False), ("term", True), "hyp", ("pass", 1), ("pass", 2)}
     twin = rp.to_complex()
     run_every_route(twin)
-    assert set(twin._cache) == {"real", ("pass", 1)}
+    assert set(twin._cache) == {"real"}
 
 
 def test_real_sin_cos_and_f_sum_one_series(counts):
@@ -214,6 +211,18 @@ def test_oracle_sin_and_cos_share_one_pass(counts):
     assert counts["_trapezoids"] == 2
 
 
+def test_a_real_valued_twin_reads_the_pass_of_its_real_record(counts):
+    fns = (oracle_f, oracle_sin, oracle_cos)
+    rp = RealParams(0.53, -0.91, 1.27, -0.33, 2)
+    got = outcomes(fns, [rp])
+    twin = rp.to_complex()
+    assert outcomes(fns, [twin]) == got and counts["_trapezoids"] == 1
+    # A twin with -0.0 imaginary parts is not linked: its own to_real() integrates, to the same bits.
+    cp = ComplexParams(complex(0.53, -0.0), -0.91, 1.27, complex(-0.33, -0.0), 2)
+    assert outcomes(fns, [cp]) == got and counts["_trapezoids"] == 2
+    assert set(twin._cache) == set(cp._cache) == {"real"}
+
+
 def test_filled_records_sum_no_series_and_no_pass(counts):
     points = [RealParams(0.37, -1.21, 0.83, 1.77, 3), RealParams(2, 0.5, -1, 0.0, 0),
               ComplexParams(0.41 + 0.2j, -1.3, 0.6 - 0.7j, 1.9j, 2),
@@ -255,7 +264,7 @@ WIDE_COMPLEX_POINT = st.one_of(
 # int coefficients whose squares cancel to w = 0 exactly, but not in floats
 @example([RealParams(1, -2**50, 2**50, 1, 0), ComplexParams(1, -2**50, 2**50, 1, 0)])
 # m past what the lanes take: m + 1 wraps in int64 or does not fit one, or
-# a divisor (k+1)(m+1+k) of the series would wrap (terms_used 19 against
+# a divisor (k+1)(m+1+k) of the series would wrap (a count of 19 against
 # 15); m with more digits than str() makes; these stay unfilled
 @example([RealParams(1.0, 0.0, 0.0, 0.0, 2**63 - 1), RealParams(1.0, 0.0, 0.0, 0.0, 2**64),
           ComplexParams(1j, 0j, 0j, 0j, 2**64),

@@ -109,11 +109,11 @@ def test_bridge_identity():
 
 def test_series_bookkeeping():
     res = hyp0f1(3, 2.5 + 1j)
-    assert 0 < res.terms_used <= 500
-    assert res.truncation_estimate >= 0.0
+    assert 0 < res.count <= 500
+    assert res.bound >= 0.0
     # term counts grow with the argument magnitude
-    small = hyp0f1(2, 1.0).terms_used
-    large = hyp0f1(2, 400.0).terms_used
+    small = hyp0f1(2, 1.0).count
+    large = hyp0f1(2, 400.0).count
     assert large > small
 
 
@@ -139,13 +139,13 @@ LANES = st.lists(st.tuples(PARTS, PARTS), min_size=1, max_size=12)
 
 
 def _scalar_lane(fn, order, z):
-    """repr of both parts, terms_used and repr of the truncation estimate of
+    """repr of both parts, the count and repr of the bound of
     the scalar result, or its message where it raises."""
     try:
         res = fn(order, z)
     except ConvergenceError as exc:
         return str(exc)
-    return repr(res.value.real), repr(res.value.imag), res.terms_used, repr(res.truncation_estimate)
+    return repr(res.value.real), repr(res.value.imag), res.count, repr(res.bound)
 
 
 def _lane(lanes, i):
