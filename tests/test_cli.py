@@ -2,18 +2,21 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from exptrig import (
     ENTRIES,
+    ComplexParams,
     ConvergenceError,
     DomainError,
     RealParams,
@@ -702,7 +705,7 @@ def test_negative_samples_is_usage_error(samples):
 
 
 def test_negative_seed_is_usage_error():
-    # numpy's generator would refuse it only after the catalog stage, as a crash
+    # random.Random would take -1 as the seed 1, without a word
     res = run("verify", "--seed", "-1", "--samples", "1")
     assert res.exit_code == 2 and "catalog" not in res.output
 
@@ -723,10 +726,12 @@ def test_verify_sweep_calls_go_through_cli_bindings(monkeypatch):
     args = ("verify", "--seed", "5", "--samples", "3", "--complex")
     unpatched = run(*args)
     calls = []
+    points = []
 
     def recording(name, fn):
         def wrapper(params):
             calls.append(name)
+            points.append(params)
             return fn(params)
         return wrapper
 
@@ -738,6 +743,18 @@ def test_verify_sweep_calls_go_through_cli_bindings(monkeypatch):
     assert res.output == unpatched.output
     assert calls == (3 * ["eval_improved_sin", "oracle_sin", "eval_improved_cos", "oracle_cos"]
                      + 3 * ["eval_complex_sin", "oracle_sin", "eval_complex_cos", "oracle_cos"])
+    # The points are the documented stream: one random.Random(seed) draws
+    # every real sample, then every complex one: p, q, a, b as uniform(-5, 5)
+    # and m as randrange(9); then the re and im of p, q, a, b in turn as
+    # uniform(-3, 3) and m as randrange(7). Random's int seeding, uniform
+    # and randrange are the same on every supported Python, so are they.
+    rng = random.Random(5)
+    want = [RealParams(*[rng.uniform(-5.0, 5.0) for _ in range(4)], rng.randrange(9)) for _ in range(3)]
+    for _ in range(3):
+        parts = [rng.uniform(-3.0, 3.0) for _ in range(8)]
+        want.append(ComplexParams(*map(complex, parts[0::2], parts[1::2]), rng.randrange(7)))
+    assert [(type(p), p.p, p.q, p.a, p.b, p.m) for p in points[::4]] == \
+        [(type(p), p.p, p.q, p.a, p.b, p.m) for p in want]
 
 
 # The six bindings the sweep calls, as bench/worker.py's Recorder wraps them,
@@ -787,23 +804,98 @@ def test_verify_sweeps_report_a_nonzero_margin():
 
 def test_verify_sweep_names_its_offenders(monkeypatch):
     # The real sin and the complex cos routes off by 1e-6: exit 1, and every
-    # offender line names one of those two, with its sample and point.
-    def off(fn):
+    # offender line names one of those two, with its sample and its point in
+    # the text eval reads back bit for bit.
+    points = {}
+
+    def off(domain, fn):
         def wrapper(params):
+            points.setdefault(domain, []).append(params)
             res = fn(params)
             return res._replace(value=res.value + 1e-6)
         return wrapper
 
-    for name in ("eval_improved_sin", "eval_complex_cos"):
-        monkeypatch.setattr(cli, name, off(getattr(cli, name)))
+    for domain, name in (("real", "eval_improved_sin"), ("complex", "eval_complex_cos")):
+        monkeypatch.setattr(cli, name, off(domain, getattr(cli, name)))
     res = run("verify", "--seed", "3", "--samples", "20", "--complex")
     assert res.exit_code == 1
     lines = [line.strip() for line in res.output.splitlines() if " sample " in line]
-    real = r"real sample \d+ sin p=\S+ q=\S+ a=\S+ b=\S+ m=\d+: margin \S+"
-    complex_ = r"complex sample \d+ cos m=\d+: margin \S+"
-    assert all(re.fullmatch(real, line) or re.fullmatch(complex_, line) for line in lines), lines
-    assert any(re.fullmatch(real, line) for line in lines)
-    assert any(re.fullmatch(complex_, line) for line in lines)
+    offender = r"(real|complex) sample (\d+) (sin|cos) p=(\S+) q=(\S+) a=(\S+) b=(\S+) m=(\d+): margin \S+"
+    found = [re.fullmatch(offender, line) for line in lines]
+    assert all(found), lines
+    assert {match[1] + " " + match[3] for match in found} == {"real sin", "complex cos"}
+    for match in found:
+        domain, i = match[1], int(match[2])
+        want = points[domain][i]
+        got = [cli._parse_param(text) for text in match.groups()[3:7]]
+        assert repr(got) == repr([complex(getattr(want, name)) for name in "pqab"]), match[0]
+        assert int(match[8]) == want.m
+    # signed zeros and exponents read back too
+    for z in (complex(-0.0, -1.5), complex(0.5, 0.0), complex(0.0, -0.0), complex(1e-300, -2.5e17)):
+        assert repr(cli._parse_param(cli._coefficient(z))) == repr(z)
+    assert repr(cli._parse_param(cli._coefficient(-0.0))) == repr(complex(-0.0))
+
+
+class _Draws:
+    """Stands in for verify's random.Random: uniform hands out the given
+    coefficients in turn, and randrange the given m."""
+
+    def __init__(self, coeffs, m):
+        self._coeffs = iter(coeffs)
+        self._m = m
+
+    def uniform(self, lo, hi):
+        return next(self._coeffs)
+
+    def randrange(self, stop):
+        return self._m
+
+
+@pytest.mark.parametrize("coeffs, kind", [
+    # verify's real sample 632 at seed 1205 and 585 at seed 1070, when it drew with numpy's generator
+    ((-4.8025105721123555, 4.950568000032719, 4.644311546233576, 3.4711760180289115), "sin"),
+    ((4.958174117126378, -4.712304965873737, -3.513904722045511, -3.616842185057404), "cos"),
+])
+def test_verify_sweep_counts_the_oracles_rounding_as_undecided(coeffs, kind):
+    # The improved route is right to 1e-19 here, while the oracle is off by
+    # about 1.1e-12, inside its own bound (about 5e-11) but past the
+    # absolute floor of 1e-12. The miss is within the sum of the tolerance
+    # and both bounds, so the comparison is undecided, not an offender.
+    worst, undecided, offenders = cli._sweep(_Draws(coeffs, 7), 1, 1e-10, "real")
+    assert worst > 1.0 and undecided == 1 and offenders == []
+    params = RealParams(*coeffs, 7)
+    v = cli._route("improved", kind)(params)
+    o = cli._route("oracle", kind)(params)
+    p, q, a, b = map(mpmath.mpf, coeffs)
+    part = mpmath.sin if kind == "sin" else mpmath.cos
+    with mpmath.workdps(30):
+        ref = mpmath.quad(lambda x: mpmath.exp(p * mpmath.cos(x) + q * mpmath.sin(x))
+                          * part(a * mpmath.cos(x) + b * mpmath.sin(x) - 7 * x),
+                          mpmath.linspace(0, 2 * mpmath.pi, 9))
+    assert abs(v.value - complex(ref)) < 1e-18
+    assert abs(o.value - complex(ref)) <= o.bound
+
+
+# Runs verify through exptrig.cli.main, reporting on stderr whether numpy
+# itself, then import exptrig, then the run loaded numpy.random.
+NUMPY_RANDOM_PROBE = ("import sys\nimport numpy\nbare = 'numpy.random' in sys.modules\nimport exptrig\n"
+                      "imported = 'numpy.random' in sys.modules\nfrom exptrig.cli import main\ntry:\n"
+                      "    main(['verify', '--seed', '1', '--samples', '5', '--complex'])\nfinally:\n"
+                      "    print(bare, imported, 'numpy.random' in sys.modules, file=sys.stderr)\n")
+
+
+def test_verify_never_loads_numpy_random():
+    # The sweep draws from the standard library's generator; numpy.random
+    # would add its extension modules, hashlib and secrets to every verify.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    res = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert res.returncode == 0 and res.stdout.strip().endswith("PASS"), res.stderr
+    bare, imported, ran = res.stderr.splitlines()[-1].split()
+    if bare == "True":
+        pytest.skip("this numpy imports numpy.random itself")
+    assert (imported, ran) == ("False", "False")
 
 
 def test_list():
