@@ -68,18 +68,6 @@ def _parse_param(text: str) -> complex:
     return z
 
 
-class ParamType(click.ParamType):
-    name = "number"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, complex):
-            return value
-        return _parse_param(str(value))
-
-
-PARAM = ParamType()
-
-
 def _cjson(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
@@ -113,8 +101,8 @@ def _refuse(exc: DomainError | ConvergenceError) -> None:
 
 def _param_options(fn):
     for name in ("b", "a", "q", "p"):
-        fn = click.option(f"-{name}", name, type=PARAM, default="0", show_default=True,
-                          help=f"coefficient {name}, 're' or 're+imi'")(fn)
+        fn = click.option(f"-{name}", name, type=_parse_param, metavar="NUMBER", default="0",
+                          show_default=True, help=f"coefficient {name}, 're' or 're+imi'")(fn)
     return click.option("-m", "m", type=click.IntRange(min=0), default=0, show_default=True,
                         help="harmonic index")(fn)
 

@@ -60,7 +60,6 @@ ENVELOPE = 50.0
 BLOCK_NODES = 8192
 
 
-@lru_cache(maxsize=256)
 def _alias_order(quarter_radius: int) -> int:
     """Smallest n >= 2R with 2 e^R R^n / n! <= ALIAS_EPS, for R = quarter_radius / 4.
 
@@ -154,6 +153,7 @@ def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np
     # large to count to. N past N_MAX is held as N_MAX + 1, which fits an int64.
     sized = np.flatnonzero(inside)
     keys = list(zip(np.ceil(4 * radius[sized]).tolist(), m[sized].tolist()))
+    # N once per distinct key: an audit chunk's lanes share about a dozen.
     counts = {key: min(_node_count(int(key[0]), key[1]), N_MAX + 1) for key in set(keys)}
     nodes = np.zeros(len(p), dtype=np.int64)
     nodes[sized] = [counts[key] for key in keys]
@@ -174,11 +174,9 @@ def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np
         n, m, coeffs = nodes[lanes], m[lanes].astype(np.int64), coeffs[lanes]
         coeffs[..., 2].imag = -np.outer(m, signs)  # -+1j*m
         sums[lanes], abs_means = _trapezoids(coeffs, n.tolist())
-        # 2pi times the aliasing tails on both sides, each <= 2 e^R R^k / k!; k = N - m takes few values
-        orders = (n - m).tolist()
-        log_fact = {k: math.lgamma(k + 1) for k in set(orders)}
-        alias = [8 * math.pi * math.exp(r + k * math.log(r) - log_fact[k]) if r else 0.0
-                 for r, k in zip(radius[lanes].tolist(), orders)]
+        # 2pi times the aliasing tails on both sides, each <= 2 e^R R^k / k!, k = N - m
+        alias = [8 * math.pi * math.exp(r + k * math.log(r) - math.lgamma(k + 1)) if r else 0.0
+                 for r, k in zip(radius[lanes].tolist(), (n - m).tolist())]
         # Rounding growth: numpy's pairwise sum (log2 N + 16), the nodes and
         # products with the coefficients (20 per unit of budget), and m x_j (19 m).
         growth = UNIT_ROUNDOFF * (16 + np.log2(n) + 20 * budget[lanes] + 19 * m)

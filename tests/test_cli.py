@@ -307,6 +307,15 @@ def test_other_option_tokens_keep_clicks_parse(args, message):
     assert res.returncode == 2 and message in res.stderr, res.stderr
 
 
+@pytest.mark.parametrize("command", ["eval", "audit", "scan"])
+def test_coefficient_options_help_names_a_number_defaulting_to_0(command):
+    res = run(command, "--help")
+    assert res.exit_code == 0
+    text = " ".join(res.output.split())  # the help wraps at the terminal's width
+    for name in "pqab":
+        assert f"-{name} NUMBER coefficient {name}, 're' or 're+imi' [default: 0]" in text, res.output
+
+
 # b*q overflows in build_reports' ratios -b*a/q and -b*q/a; the lanes
 # that read them compare against inf, as the scalar predicates do.
 OVERFLOWING_RATIOS = ("--grid", "p=-1e200:1e200:5,b=-1e300:1e300:7", "-q", "1e154", "-m", "3")

@@ -15,7 +15,9 @@ from exptrig import (
     power_combination_flips,
     principal_arg,
 )
+from exptrig.catalog import gr_3_931_4, gr_3_936_4, gr_3_937_4_original
 from exptrig.complexops import _sqrt, _sqrt_lanes, cpow_half_lanes, pow_int_over_factorial_lanes
+from exptrig.series import hyp0f1_lanes
 
 
 def test_principal_arg_negative_real_axis_is_plus_pi():
@@ -238,6 +240,23 @@ def test_power_loops_take_any_m_in_few_steps(z):
         assert [_parts(complex(*lane)) for lane in zip(*(x.tolist() for x in out))] == list(map(_parts, want))
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: pow_int_over_factorial(1j, -1), DomainError),
+    (lambda: cpow_half(1j, -1), DomainError),
+    (lambda: cpow_half_lanes(np.array([0.0]), np.array([1.0]), -1), DomainError),
+    (lambda: hyp0f1_lanes(0, np.array([0.5]), np.array([0.0])), ValueError),
+    (lambda: gr_3_937_4_original(0.0, 1.0, 1), DomainError),
+    (lambda: gr_3_931_4(1, 2), ValueError),
+    (lambda: gr_3_936_4(1, 1, 2), ValueError),
+], ids=["pow_int_over_factorial", "cpow_half", "cpow_half_lanes", "hyp0f1_lanes",
+        "gr_3_937_4_original", "gr_3_931_4", "gr_3_936_4"])
+def test_public_kernels_and_catalog_forms_refuse_out_of_range_orders_and_signs(call, error):
+    # a negative order or exponent, a series parameter b1 < 1, the book's
+    # atan(q/p) at p = 0 and a sign other than +-1 are refused, never evaluated
+    with pytest.raises(error):
+        call()
+
+
 # Parts of z for cpow_half: signed zeros, the negative real axis, |z| from
 # 1e-300 to 1e300 at any angle, values near 1 (whose huge powers stay in
 # range), and inf and nan, which are refused.
@@ -256,7 +275,7 @@ HALF_POWER_Z = st.one_of(
     st.builds(complex, st.sampled_from([1.0, -1.0, 4.0, -4.0, 5e-324, 1e308, -1.5e308, math.inf, math.nan]),
               st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1.5e308, -math.inf, math.nan])),
 )
-HALF_POWER_M = st.sampled_from([0, 1, 2, 3, 8, 61, 2**20, 10**20])
+HALF_POWER_M = st.sampled_from([0, 1, 2, 3, 8, 61, 2**20, 10**20, 10**400])
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -272,6 +291,8 @@ def _half_power_outcome(z, m):
 @example([complex(-4.0, 0.0), complex(-4.0, -0.0), complex(-0.0, -0.0), complex(2.0, -0.0),
           complex(1e-320, 0.0), complex(0.0, 5e-324), complex(-1e300, 1e300)], 3)
 @example([complex(1e308, 1e308), complex(1e-160, 0.0), complex(0.0, 1.0), complex(-1.0, -0.0)], 10**20)
+# past the float range the scalar refuses every z, 0 included, and the lanes refuse every lane
+@example([complex(0.0, 0.0), complex(1.0, -0.0), complex(math.nan, 1.0)], 10**400)
 def test_cpow_half_lanes_are_the_scalar_bit_for_bit(zs, m):
     # Every lane is cpow_half's value, signed zeros included, and a lane is
     # ok exactly where cpow_half does not raise.

@@ -35,7 +35,7 @@ from exptrig import (
     oracle_sin,
     overall_sign_error,
 )
-from exptrig.formulas import LOST_BITS, _alpha_w, _book_constants, _term, eval_lanes
+from exptrig.formulas import LOST_BITS, _alpha_w, _book_constants, _subnormal, _term, eval_lanes
 
 # 0F1(;2;3/4) from independent brute-force partial sums
 F01_2_075 = 1.424917347073156
@@ -678,11 +678,17 @@ def _route_outcome(route, params):
 # subnormal at (2e-160, 0, 0, 1e-160); powers past the float range, Y^m = 0 and (b-p)^2 + (a+q)^2 = inf among
 # them; at m = 0, (b-p)^2 = inf with C = D = 0, where the route answers
 # 2pi since Y^0 = 1; an int p whose exact square is past the float range,
-# which RealParams keeps and the lanes take as 1e200; and the four
-# original points of test_eval_original_overflow_exit_3.
+# which RealParams keeps and the lanes take as 1e200; the four
+# original points of test_eval_original_overflow_exit_3; and two points
+# where |A - iB| is within an ulp of the smallest normal float, and
+# math.hypot rounds it to the other side than libm's hypot (np.hypot's,
+# and abs of a Python complex) does: the route answers at the first and
+# refuses the second.
 ORIGINAL_EDGES = [
     ([((1.0, -0.5, 0.5, 1.0), "(Y = 0)"), ((-0.0, 2.0, -2.0, 0.0), "(Y = 0)"),
-      ((2e-160, 0.0, 0.0, 1e-160), "subnormal"), ((-2.0, 0.5, 0.7, 1.0), None)], 1),
+      ((2e-160, 0.0, 0.0, 1e-160), "subnormal"), ((-2.0, 0.5, 0.7, 1.0), None),
+      ((1.2399240845746928e-154, 8.292539556726946e-155, 0.0, 0.0), None),
+      ((6.875027607128427e-155, 1.323787676524986e-154, 0.0, 0.0), "subnormal")], 1),
     ([((1e-170, 0.0, 1e-170, 0.0), "underflows to 0"), ((-1e-200, 1e-200, 0.0, 1e-200), "underflows to 0"),
       ((1e-160, 0.0, 0.0, 0.0), "overflows"), ((1e200, 0.0, 0.0, 0.0), "overflows"),
       ((1e308, 0.0, 0.0, -1e308), "overflows"), ((10**200, 0, 0, 0), "overflows"),
@@ -694,6 +700,21 @@ ORIGINAL_EDGES = [
     ([((1e-154, 0.0, 0.0, 0.0), "overflows"), ((3e153, 0.0, 2e-154, 3e153), "overflows"),
       ((0.3, -0.2, 0.0, 0.1), None)], 2),
 ]
+
+
+def test_lost_bits_test_is_one_on_floats_and_lanes():
+    # the original route's lost-bits test on floats and over arrays: the
+    # same verdict at |A - iB| of the two threshold points above, at a
+    # modulus past the float range (the scalar takes inf, not OverflowError)
+    # and at zeros, subnormals, inf and nan
+    ab = [_book_constants(p, q, 0.0, 0.0)[:2] for p, q in ((1.2399240845746928e-154, 8.292539556726946e-155),
+                                                           (6.875027607128427e-155, 1.323787676524986e-154))]
+    pairs = [*ab, (1.5e308, 1.5e308), (0.0, -0.0), (5e-324, 0.0), (1e-310, -1e-310), (2.3e-308, 0.0),
+             (math.inf, 0.0), (math.nan, 1e-320)]
+    with np.errstate(over="ignore"):
+        lanes = _subnormal(*(np.array(x) for x in zip(*pairs)), np.hypot)
+    assert [_subnormal(x, y) for x, y in pairs] == lanes.tolist() == [False, True, False, False, True, True,
+                                                                      False, False, False]
 
 
 @pytest.mark.parametrize("cases, m", ORIGINAL_EDGES)
