@@ -37,8 +37,6 @@ import math
 import operator
 import sys
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = [
@@ -131,6 +129,7 @@ def pow_int_over_factorial_lanes(zr, zi, m):
     one per lane. The loop runs over the lanes whose m it has not yet
     reached, one stretch per distinct m, and skips as the scalar loop does
     once every lane still running is _settled."""
+    import numpy as np
     out_r, out_i = np.ones_like(zr), np.zeros_like(zr)
     done = 0
     for stop in sorted(set(np.ravel(m).tolist())):
@@ -177,6 +176,7 @@ def _sqrt_lanes(x, y):
     """_sqrt over arrays of real and imaginary parts, the same operations
     lane by lane (a factor 1.0 where _sqrt does not scale); a lane at
     z = 0 or not finite holds nan or inf."""
+    import numpy as np
     y = y + 0.0
     ax, ay = np.abs(x), np.abs(y)
     order = ax >= ay
@@ -247,6 +247,7 @@ def cpow_half_lanes(zr, zi, m: int):
     False exactly where the scalar call raises (its lanes hold nan or inf).
     An m < 0 raises DomainError; an m past the float range refuses every
     lane."""
+    import numpy as np
     if m < 0:
         raise DomainError("negative half-integer exponents are not supported")
     zr, zi = np.broadcast_arrays(np.asarray(zr, dtype=float), np.asarray(zi, dtype=float))

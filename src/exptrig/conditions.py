@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .params import RealParams
 
@@ -148,6 +146,7 @@ def build_reports(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
     that lane, so the inf or nan the division leaves there is never
     selected.
     """
+    import numpy as np
     p, q, a, b = (np.asarray(v, dtype=float) for v in (p, q, a, b))
     abs_a, abs_q = np.abs(a), np.abs(q)
     both_zero = (a == 0) & (q == 0)
@@ -191,6 +190,7 @@ def sign_verdict(value, reference, tol_abs):
     of the parts, which is abs of a Python complex bit for bit, where that
     abs does not overflow.
     """
+    import numpy as np
     v, r = np.asarray(value, dtype=complex), np.asarray(reference, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         miss = np.hypot(v.real - r.real, v.imag - r.imag)

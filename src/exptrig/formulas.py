@@ -63,8 +63,6 @@ import cmath
 import math
 import sys
 
-import numpy as np
-
 from .complexops import (_SUBNORMAL, cpow_half, cpow_half_lanes, div_lanes, mul_lanes,
                          pow_int_over_factorial, pow_int_over_factorial_lanes)
 from .conditions import overall_sign_error
@@ -195,6 +193,7 @@ def _bessel_prefactor_lanes(p, q, a, b, m: int) -> tuple:
     """_bessel_prefactors over float arrays, bit for bit on every lane: the
     real scale, the parts of power and root, whether an operand is
     subnormal, and ok, False exactly where the scalar call raises."""
+    import numpy as np
     with np.errstate(all="ignore"):
         ynorm2 = (b - p) * (b - p) + (a + q) * (a + q)
         A, B, C, D = _book_constants(p, q, a, b)
@@ -285,6 +284,7 @@ def _term_lanes(m, ur, ui, vr, vi) -> tuple[tuple[np.ndarray, np.ndarray], Lanes
     """_f_term over float arrays of Re u, Im u, Re v and Im v, bit for bit
     on every lane: the real and imaginary parts of alpha^m/m!, and the
     hyp0f1_lanes series of 0F1(; m+1; w). m is one int or one per lane."""
+    import numpy as np
     with np.errstate(all="ignore"):
         ar, ai, wr, wi = _alpha_w(ur, ui, vr, vi)
         return pow_int_over_factorial_lanes(ar, ai, m), hyp0f1_lanes(m + 1, wr, wi)
@@ -300,6 +300,7 @@ def fill_terms(records: list[RealParams | ComplexParams]) -> None:
     is too large for the lanes' int64 divisors (series._divisors_fit),
     so that its route computes it.
     """
+    import numpy as np
     todo = []
     for params in records:
         if params.is_real:
@@ -358,6 +359,7 @@ def eval_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
     the scalar _bessel_prefactors, and a lane whose operand lost its bits
     is refused last, with LOST_BITS, as the scalar _result refuses it.
     """
+    import numpy as np
     scale, (power_r, power_i), (root_r, root_i), lost, ok = _bessel_prefactor_lanes(p, q, a, b, m)
     error = [None] * len(p)
     for i in np.flatnonzero(~ok).tolist():
@@ -388,6 +390,7 @@ def eval_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray,
 def _finite_lanes(z: tuple, kind: str, bound, count, ok: np.ndarray, error: list, lost=False) -> Lanes:
     """The kind's lanes of f = z, (re, im), where an ok lane whose value is
     not finite is refused, and then one where lost, as _result refuses them."""
+    import numpy as np
     f = np.empty(len(z[0]), dtype=complex)
     f.real, f.imag = z
     value = component(f, kind)

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 __all__ = [
     "RealParams",
     "ComplexParams",

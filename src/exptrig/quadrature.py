@@ -39,8 +39,6 @@ import math
 import sys
 from functools import lru_cache
 
-import numpy as np
-
 from .complexops import mul_lanes
 from .errors import DomainError
 from .params import ComplexParams, Lanes, RealParams, Result, component
@@ -51,7 +49,7 @@ __all__ = ["fill_passes", "oracle_f", "oracle_lanes", "oracle_sin", "oracle_cos"
 N_MIN = 32
 N_MAX = 2**20
 # Target for the tail bound 2 e^R R^n / n! of the coefficients left out.
-ALIAS_EPS = float(np.finfo(float).eps)
+ALIAS_EPS = sys.float_info.epsilon
 UNIT_ROUNDOFF = ALIAS_EPS / 2
 # Beyond this coefficient budget exp(p cos x + ...) strains binary64;
 # refuse rather than quietly degrade.
@@ -77,6 +75,7 @@ def _alias_order(quarter_radius: int) -> int:
 @lru_cache(maxsize=4)
 def _nodes(n: int) -> np.ndarray:
     """The 3 x n table of rows cos x_j, sin x_j, x_j at x_j = 2pi j / n, as complex."""
+    import numpy as np
     x = np.arange(n) * (2.0 * math.pi / n)
     table = np.stack([np.cos(x), np.sin(x), x]).astype(complex)
     table.flags.writeable = False
@@ -97,6 +96,7 @@ def refuses_every_point(m: int) -> bool:
 def _integrand(coeffs: np.ndarray, n: int) -> np.ndarray:
     """g = exp(u cos x_j + v sin x_j - ik x_j) at the n nodes, one row per
     row (u, v, -ik) of coeffs; each row's values do not depend on the others."""
+    import numpy as np
     # einsum rather than matmul: on some x86 CPUs the complex BLAS kernel
     # leaves the vector registers dirty and every later libm call slows ~10x.
     return np.exp(np.einsum("kj,jn->kn", coeffs, _nodes(n)))
@@ -109,6 +109,7 @@ def _trapezoids(coeffs: np.ndarray, nodes: list[int]) -> tuple[np.ndarray, np.nd
     and per point the mean over rows of the rule applied to |g| (one
     pairwise sum of its rows * N values). Points with one N go in blocks
     of at most BLOCK_NODES nodes, one exponential per block."""
+    import numpy as np
     rows = coeffs.shape[1]
     groups: dict[int, list[int]] = {}
     for i, n in enumerate(nodes):
@@ -135,6 +136,7 @@ def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np
     (and g-), of shape (points, rows); its count is N and its bound
     error_estimate. A lane refused (outside ENVELOPE, or N above N_MAX)
     has sums 0, N 0 and its message as error."""
+    import numpy as np
     signs = (1.0, -1.0)[:rows]
     with np.errstate(all="ignore"):
         # abs of a Python complex is hypot of its parts; np.abs may differ by an ulp.
@@ -187,6 +189,7 @@ def _integrate(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: np
 def _store_passes(records: list[RealParams | ComplexParams], rows: int) -> Lanes:
     """_integrate over the records, one lane each; each ok lane's pass is
     stored on its record."""
+    import numpy as np
     p, q, a, b = (np.array([getattr(params, x) for params in records], dtype=complex) for x in "pqab")
     lanes = _integrate(p, q, a, b, np.array([params.m for params in records]), rows)
     for i in np.flatnonzero(lanes.ok).tolist():
@@ -245,5 +248,6 @@ def oracle_cos(params: RealParams | ComplexParams) -> Result:
 def oracle_lanes(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray, m: int, kind: str) -> Lanes:
     """The kind's oracle at RealParams(p, q, a, b, m) on every lane, bit for
     bit: its value, N and error_estimate, or its refusal's message."""
+    import numpy as np
     lanes = _integrate(*(x.astype(complex) for x in (p, q, a, b)), np.full(len(p), m), 1)
     return lanes._replace(value=component(lanes.value[:, 0], kind))

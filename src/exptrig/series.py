@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 from .complexops import div_lanes, mul_lanes, pow_int_over_factorial
 from .errors import ConvergenceError
 from .params import Lanes, Result
@@ -63,6 +61,7 @@ def hyp0f1_lanes(b1, zr: np.ndarray, zi: np.ndarray) -> Lanes:
     or raise (not ok: an overflowed term or partial sum, or MAX_TERMS
     reached). A lane that is not ok gets hyp0f1's message as its error.
     """
+    import numpy as np
     if np.any(np.asarray(b1) < 1):
         raise ValueError(f"b1 must be positive integers, got {b1!r}")
     if not np.all(_divisors_fit(np.asarray(b1))):

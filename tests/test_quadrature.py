@@ -53,6 +53,12 @@ def _f_coeffs(rp: RealParams) -> np.ndarray:
     return np.array([[[rp.p + 1j * rp.a, rp.q + 1j * rp.b, -1j * rp.m]]])
 
 
+def test_alias_eps_is_the_float_epsilon():
+    # Every oracle's node count and error_estimate is formed from these two.
+    assert quadrature.ALIAS_EPS == np.finfo(float).eps and type(quadrature.ALIAS_EPS) is float
+    assert quadrature.UNIT_ROUNDOFF == quadrature.ALIAS_EPS / 2 == 2.0 ** -53
+
+
 def test_trivial_values():
     res = oracle_f(RealParams(0, 0, 0, 0, 0))
     assert cmath.isclose(res.value, 2 * math.pi, rel_tol=1e-13)
